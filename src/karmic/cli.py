@@ -16,11 +16,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
 
-from .confusion import Dataset, empirical_confusion
+from .confusion import Dataset, ScoreProfile
 from .dataio import load_dataset_csv, load_dataset_npz, save_dataset_csv, save_dataset_npz
 from .errors import KarmicError
 from .experiments import ExperimentConfig, run_rate_experiment
@@ -129,8 +130,8 @@ def _cmd_threshold(args) -> int:
     result = binary_search_threshold(metric, scorer, data, _search_config(args))
     payload = result.to_dict()
     payload["metric"] = metric.name
-    utility = metric_value(metric, empirical_confusion(scorer, result.delta_hat, data))
-    payload["utility"] = utility
+    profile = ScoreProfile.from_scorer(scorer, data)
+    payload["utility"] = metric_value(metric, profile.confusion(result.delta_hat))
     _emit(payload)
     return 0
 
@@ -142,16 +143,18 @@ def _cmd_train(args) -> int:
         args.estimator = "logistic"
     estimator = _estimator_from_args(args)
     clf = train_plugin(metric, data, estimator, _search_config(args), seed=args.seed)
-    kernel_train_path = None
+    train_ref = None
     if isinstance(clf.scorer, KernelScorer):
         if not args.out:
             raise ValueError("kernel classifiers need --out (the fitting half is "
                              "saved alongside as <out>.train.csv)")
-        kernel_train_path = f"{args.out}.train.csv"
-        save_dataset_csv(clf.fit_data, kernel_train_path,
+        train_path = f"{args.out}.train.csv"
+        save_dataset_csv(clf.fit_data, train_path,
                          {"role": "kernel-train", "metric": metric.name,
                           "seed": args.seed})
-    payload = clf.to_dict(kernel_train_path)
+        # named relative to the classifier JSON, which sits in the same directory
+        train_ref = os.path.basename(train_path)
+    payload = clf.to_dict(train_ref)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -166,7 +169,13 @@ def _cmd_evaluate(args) -> int:
     metric = parse_metric(args.metric)
     model = _build_model(args)
     with open(args.classifier, encoding="utf-8") as fh:
-        clf = PluginClassifier.from_dict(json.load(fh))
+        stored = json.load(fh)
+    # a kernel scorer names its training CSV relative to the classifier JSON
+    scorer = stored.get("scorer") if isinstance(stored, dict) else None
+    if isinstance(scorer, dict) and "train_path" in scorer:
+        scorer["train_path"] = os.path.join(os.path.dirname(args.classifier),
+                                            str(scorer["train_path"]))
+    clf = PluginClassifier.from_dict(stored)
     report = population_regret(metric, clf, model, mode=args.mode,
                                mc_samples=args.mc_samples, mc_seed=args.mc_seed)
     payload = report.to_dict()
@@ -218,7 +227,7 @@ def _cmd_oracle(args) -> int:
     data = _load_data(args.data)
     scorer = _resolve_scorer(args, data)
     delta = grid_search_threshold(metric, scorer, data, args.step)
-    utility = metric_value(metric, empirical_confusion(scorer, delta, data))
+    utility = metric_value(metric, ScoreProfile.from_scorer(scorer, data).confusion(delta))
     _emit({"metric": metric.name, "delta": delta, "utility": utility, "step": args.step})
     return 0
 

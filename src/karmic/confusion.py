@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EmptyDataError
 
-__all__ = ["ConfusionMatrix", "Dataset", "ScoreProfile", "empirical_confusion"]
+__all__ = ["ConfusionMatrix", "Dataset", "ScoreProfile"]
 
 _ENTRY_SLACK = 1e-9
 
@@ -32,6 +32,8 @@ class ConfusionMatrix:
     population additionally sum to one; use :meth:`check_total` to assert
     that where it is expected.  Off-simplex points (e.g. finite-difference
     perturbations) are allowed so that metric gradients are well defined.
+    Inside the package confusion vectors travel as float arrays of shape
+    ``(..., 4)``; ``np.asarray`` turns a matrix into one.
     """
 
     tp: float
@@ -47,6 +49,11 @@ class ConfusionMatrix:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.tp, self.fp, self.fn_, self.tn], dtype=float)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("a ConfusionMatrix converts to an array only by copying")
+        return self.as_array().astype(float if dtype is None else dtype, copy=False)
 
     def as_dict(self) -> dict[str, float]:
         return {"tp": self.tp, "fp": self.fp, "fn": self.fn_, "tn": self.tn}
@@ -83,6 +90,8 @@ class Dataset:
             X = X[:, None]
         if X.ndim != 2:
             raise ValueError(f"features must be 2-d, got shape {X.shape}")
+        if not np.isfinite(X).all():
+            raise ValueError("features must be finite (found NaN or infinity)")
         y = np.asarray(labels)
         if y.shape != (X.shape[0],):
             raise ValueError("labels must be one per feature row")
@@ -168,24 +177,3 @@ class ScoreProfile:
     def confusion(self, delta: float) -> ConfusionMatrix:
         return ConfusionMatrix.from_array(self.confusion_array(float(delta)))
 
-
-def empirical_confusion(scorer, delta: float, data: Dataset) -> ConfusionMatrix:
-    """Weighted confusion matrix of the rule ``scorer.scores(x) > delta``.
-
-    Entries sum to the total sample weight (one).  Raises
-    :class:`EmptyDataError` on an empty dataset.
-    """
-    if data.n == 0:
-        raise EmptyDataError("cannot evaluate a confusion matrix on no data")
-    delta = float(delta)
-    s = np.asarray(scorer.scores(data.features), dtype=float)
-    if s.min() < 0.0 or s.max() > 1.0:
-        raise ValueError("scorer produced values outside [0, 1]")
-    predicted_pos = s > delta
-    is_pos = data.labels == 1
-    w = data.weights
-    tp = float(w[predicted_pos & is_pos].sum())
-    fp = float(w[predicted_pos & ~is_pos].sum())
-    fn = float(w[~predicted_pos & is_pos].sum())
-    tn = float(w[~predicted_pos & ~is_pos].sum())
-    return ConfusionMatrix(tp, fp, fn, tn)

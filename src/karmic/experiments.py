@@ -1,11 +1,13 @@
 """Convergence-rate experiment harness: regret vs sample size, with slopes.
 
-A run is a grid of (n, seed) rows.  Each row samples a fresh training set,
-trains the plug-in classifier, and evaluates its population regret; rows
-are independent and may execute on a process pool without changing any
-output (fixed task order, per-row derived evaluation seeds).  Aggregation
-reports the per-n median regret and interquartile range, and the headline
-statistic is the least-squares slope of log(median regret) against log(n).
+A run is a grid of (n, seed) rows.  The population optimum depends only on
+the metric and the model, so it is solved once per run; each row then
+samples a fresh training set, trains the plug-in classifier, and evaluates
+its population regret against that optimum.  Rows are independent and may
+execute on a process pool without changing any output (fixed task order,
+per-row derived evaluation seeds).  Aggregation reports the per-n median
+regret and interquartile range, and the headline statistic is the
+least-squares slope of log(median regret) against log(n).
 
 Outputs: a CSV of rows (stable column set, floats via repr so identical
 runs are byte-identical) and a JSON summary (schema 1) carrying aggregates,
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import InsufficientPointsError, KarmicError
 from .metrics import parse_metric
-from .pipeline import EstimatorSpec, population_regret, train_plugin
+from .pipeline import EstimatorSpec, classifier_utility, population_optimum, train_plugin
 from .synth import GaussianModel, HolderModel, sample_gaussian, sample_holder
 from .thresholds import ThresholdSearchConfig
 
@@ -274,41 +276,34 @@ def eval_seed_for(n: int, seed: int) -> int:
     return _EVAL_SEED_BASE + _EVAL_SEED_STRIDE * int(n) + int(seed)
 
 
-def _run_row(cfg: ExperimentConfig, n: int, seed: int) -> RateRow:
+def _solve_optimum(cfg: ExperimentConfig) -> tuple[float, float] | Exception:
+    """The run's ``(delta_star, u_star)``, or the error that prevented it."""
+    try:
+        return population_optimum(parse_metric(cfg.metric), cfg.model)
+    except (KarmicError, ValueError) as exc:
+        return exc
+
+
+def _run_row(cfg: ExperimentConfig, optimum, n: int, seed: int) -> RateRow:
+    """One row.  A sampling or training error wins over a failed optimum,
+    which wins over an evaluation error."""
     start = time.perf_counter()
     metric = parse_metric(cfg.metric)
+    sample = sample_gaussian if isinstance(cfg.model, GaussianModel) else sample_holder
     try:
-        if isinstance(cfg.model, GaussianModel):
-            data = sample_gaussian(cfg.model, n, seed)
-        else:
-            data = sample_holder(cfg.model, n, seed)
+        data = sample(cfg.model, n, seed)
         clf = train_plugin(metric, data, cfg.estimator, cfg.search_config(), seed=seed)
-        report = population_regret(
-            metric,
-            clf,
-            cfg.model,
-            mode=cfg.eval_mode,
-            mc_samples=cfg.mc_samples,
-            mc_seed=eval_seed_for(n, seed),
-        )
-        return RateRow(
-            n=n,
-            seed=seed,
-            regret=report.regret,
-            delta_hat=report.delta_hat,
-            delta_star=report.delta_star,
-            wall_time=time.perf_counter() - start,
-        )
+        if not isinstance(optimum, Exception):
+            delta_star, u_star = optimum
+            u_hat, _ = classifier_utility(metric, clf, cfg.model, cfg.eval_mode,
+                                          cfg.mc_samples, eval_seed_for(n, seed))
+            return RateRow(n, seed, u_star - u_hat, clf.delta, delta_star,
+                           time.perf_counter() - start)
+        failure = optimum
     except (KarmicError, ValueError) as exc:
-        return RateRow(
-            n=n,
-            seed=seed,
-            regret=math.nan,
-            delta_hat=math.nan,
-            delta_star=math.nan,
-            wall_time=time.perf_counter() - start,
-            error=getattr(exc, "code", "invalid-value"),
-        )
+        failure = exc
+    return RateRow(n, seed, math.nan, math.nan, math.nan, time.perf_counter() - start,
+                   error=getattr(failure, "code", "invalid-value"))
 
 
 def resolve_workers(cfg: ExperimentConfig) -> int:
@@ -327,9 +322,11 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateTable:
 
     Row order is (n ascending, seed ascending) regardless of the worker
     pool, and all randomness is derived per row, so the table is a pure
-    function of the config.
+    function of the config.  The population optimum is solved once, here,
+    and shared by every row.
     """
     tasks = [(n, seed) for n in cfg.n_list for seed in range(cfg.seeds)]
+    optimum = _solve_optimum(cfg)
     workers = resolve_workers(cfg)
     if workers > 1 and len(tasks) > 1:
         chunk = max(1, len(tasks) // (4 * workers))
@@ -338,13 +335,14 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateTable:
                 pool.map(
                     _run_row,
                     repeat(cfg),
+                    repeat(optimum),
                     [t[0] for t in tasks],
                     [t[1] for t in tasks],
                     chunksize=chunk,
                 )
             )
     else:
-        rows = [_run_row(cfg, n, seed) for n, seed in tasks]
+        rows = [_run_row(cfg, optimum, n, seed) for n, seed in tasks]
     return RateTable(rows, cfg)
 
 

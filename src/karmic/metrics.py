@@ -25,8 +25,9 @@ Two contractions of the gradient drive everything downstream:
   For a population confusion curve C(delta), the optimal threshold is the
   unique fixed point delta* = threshold_map(C(delta*)).
 
-All gradients are hand-derived closed forms; finite differences are used
-only as a test oracle.
+The single-point functions accept a ConfusionMatrix or any length-4 float
+sequence.  All gradients are hand-derived closed forms; finite differences
+are used only as a test oracle.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confusion import ConfusionMatrix
 from .errors import MetricDomainError, NonKarmicPointError
 
 __all__ = [
@@ -97,19 +97,10 @@ class SmoothClosedForm:
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """A metric with its evaluation kind and an advisory Karmic floor.
-
-    ``karmic_floor`` is a caller-owned lower bound on the acceptable
-    sensitivity; the library never enforces it.
-    """
+    """A named metric and its evaluation kind."""
 
     name: str
     kind: LinearFractional | SmoothClosedForm
-    karmic_floor: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.karmic_floor < 0:
-            raise ValueError("karmic_floor must be >= 0")
 
 
 def _fractional_coefficients(kind) -> tuple[np.ndarray, np.ndarray] | None:
@@ -232,9 +223,17 @@ def metric_gradients_masked(spec: MetricSpec, C: np.ndarray) -> tuple[np.ndarray
     return grad, valid
 
 
-def metric_value(spec: MetricSpec, c: ConfusionMatrix) -> float:
-    """G(C) at a single confusion matrix; raises on domain violations."""
-    value, valid = metric_values_masked(spec, c.as_array()[None, :])
+def _single(c) -> np.ndarray:
+    """One confusion vector (a ConfusionMatrix or 4 floats) as a (1, 4) array."""
+    C = np.asarray(c, dtype=float)
+    if C.shape != (4,):
+        raise ValueError(f"expected 4 confusion entries, got shape {C.shape}")
+    return C[None, :]
+
+
+def metric_value(spec: MetricSpec, c) -> float:
+    """G(C) at a single confusion vector; raises on domain violations."""
+    value, valid = metric_values_masked(spec, _single(c))
     if not valid[0]:
         raise MetricDomainError(
             f"{spec.name}: confusion matrix outside the metric's domain "
@@ -243,9 +242,9 @@ def metric_value(spec: MetricSpec, c: ConfusionMatrix) -> float:
     return float(value[0])
 
 
-def metric_gradient(spec: MetricSpec, c: ConfusionMatrix) -> np.ndarray:
+def metric_gradient(spec: MetricSpec, c) -> np.ndarray:
     """Closed-form gradient of G at ``c`` as a length-4 array."""
-    grad, valid = metric_gradients_masked(spec, c.as_array()[None, :])
+    grad, valid = metric_gradients_masked(spec, _single(c))
     if not valid[0]:
         raise MetricDomainError(
             f"{spec.name}: gradient undefined at this confusion matrix"
@@ -253,12 +252,12 @@ def metric_gradient(spec: MetricSpec, c: ConfusionMatrix) -> np.ndarray:
     return grad[0]
 
 
-def karmic_sensitivity(spec: MetricSpec, c: ConfusionMatrix) -> float:
+def karmic_sensitivity(spec: MetricSpec, c) -> float:
     """grad(G) . (1, -1, -1, 1): the error-to-correct improvement rate."""
     return float(metric_gradient(spec, c) @ KARMIC_DIRECTION)
 
 
-def threshold_map(spec: MetricSpec, c: ConfusionMatrix) -> float:
+def threshold_map(spec: MetricSpec, c) -> float:
     """The gradient ratio whose fixed point is the optimal threshold.
 
     Raises :class:`NonKarmicPointError` where the sensitivity is not

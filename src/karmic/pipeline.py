@@ -5,24 +5,27 @@ permutation, fit a conditional-probability scorer on the first half, and
 pick the decision threshold on the second half by bisection on the
 utility's ascent sign.  The result predicts +1 iff score(x) > delta.
 
-Regret evaluation compares the classifier's population utility against the
-population optimum (threshold from the exact fixed point of the model's
-closed-form confusion curve).  For Gaussian models with affine-in-x
-scorers the classifier's utility is itself closed form (a half-space mass);
-anything else is estimated by Monte Carlo with labels integrated out
-analytically (each sampled point contributes its exact conditional
-probability, not a sampled label, which strictly reduces variance).
+Regret evaluation compares the classifier's population utility
+(``classifier_utility``) against the population optimum
+(``population_optimum``: the threshold from the exact fixed point of the
+model's closed-form confusion curve, which depends only on the metric and
+the model).  For Gaussian models with affine-in-x scorers the classifier's
+utility is itself closed form (a half-space mass); anything else is
+estimated by Monte Carlo with labels integrated out analytically (each
+sampled point contributes its exact conditional probability, not a sampled
+label, which strictly reduces variance).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logit
 
-from .confusion import ConfusionMatrix, Dataset
+from .confusion import Dataset
 from .errors import ModeUnsupportedError, SplitDegenerateError
 from .metrics import MetricSpec, metric_value
 from .scorers import (
@@ -33,6 +36,7 @@ from .scorers import (
     TrueEtaScorer,
     fit_kernel_smoother,
     fit_logistic_mle,
+    require_fields,
     scorer_from_dict,
     scorer_to_dict,
 )
@@ -51,7 +55,8 @@ __all__ = [
     "PluginClassifier",
     "RegretReport",
     "train_plugin",
-    "classify",
+    "population_optimum",
+    "classifier_utility",
     "population_regret",
     "population_confusion_of_model",
 ]
@@ -111,9 +116,6 @@ class PluginClassifier:
     def predict(self, X) -> np.ndarray:
         return np.where(self.scorer.scores(X) > self.delta, 1, -1)
 
-    def classify(self, x) -> int:
-        return 1 if self.scorer.score(x) > self.delta else -1
-
     def to_dict(self, kernel_train_path: str | None = None) -> dict:
         return {
             "scorer": scorer_to_dict(self.scorer, kernel_train_path),
@@ -123,16 +125,12 @@ class PluginClassifier:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PluginClassifier":
+        payload = require_fields(payload, "classifier", ("scorer", "delta"))
         return cls(
             scorer_from_dict(payload["scorer"]),
             float(payload["delta"]),
             payload.get("provenance"),
         )
-
-
-def classify(clf: PluginClassifier, x) -> int:
-    """Predicted label at one point; exact ties at the threshold give -1."""
-    return clf.classify(x)
 
 
 def train_plugin(
@@ -206,39 +204,23 @@ class RegretReport:
     mode: dict
 
     def to_dict(self) -> dict:
-        return {
-            "u_star": self.u_star,
-            "u_hat": self.u_hat,
-            "regret": self.regret,
-            "delta_star": self.delta_star,
-            "delta_hat": self.delta_hat,
-            "mode": self.mode,
-        }
+        return dataclasses.asdict(self)
 
 
-def _closed_form_confusion(
-    model: GaussianModel, scorer: Scorer, delta: float
-) -> ConfusionMatrix:
+def _closed_form_confusion(model: GaussianModel, scorer: Scorer, delta: float) -> np.ndarray:
+    """Exact confusion of an affine score rule ``sigmoid(w.x + b) > delta``."""
     if isinstance(scorer, ConstantScorer):
-        positive = 1.0 if scorer.p > delta else 0.0
-        kappa = model.kappa
-        return ConfusionMatrix(
-            kappa * positive,
-            (1 - kappa) * positive,
-            kappa * (1 - positive),
-            (1 - kappa) * (1 - positive),
+        w, b = np.zeros(model.dim), float(logit(scorer.p))
+    elif isinstance(scorer, LogisticScorer):
+        w, b = scorer.weights, scorer.intercept
+    elif isinstance(scorer, TrueEtaScorer) and isinstance(scorer.model, GaussianModel):
+        w, b = scorer.model.mu, float(logit(scorer.model.kappa))
+    else:
+        raise ModeUnsupportedError(
+            f"closed-form evaluation needs an affine score rule; "
+            f"got {type(scorer).__name__}"
         )
-    if isinstance(scorer, LogisticScorer):
-        return gaussian_halfspace_confusion(model, scorer.weights, scorer.intercept, delta)
-    if isinstance(scorer, TrueEtaScorer) and isinstance(scorer.model, GaussianModel):
-        inner = scorer.model
-        return gaussian_halfspace_confusion(
-            model, inner.mu, float(logit(inner.kappa)), delta
-        )
-    raise ModeUnsupportedError(
-        f"closed-form evaluation needs an affine score rule; "
-        f"got {type(scorer).__name__}"
-    )
+    return gaussian_halfspace_confusion(model, w, b, delta)
 
 
 def _monte_carlo_confusion(
@@ -246,7 +228,7 @@ def _monte_carlo_confusion(
     clf: PluginClassifier,
     m: int,
     seed: int,
-) -> ConfusionMatrix:
+) -> np.ndarray:
     """Average exact conditional confusion over m sampled feature points.
 
     Sharded into fixed-size blocks with independently derived substreams,
@@ -269,11 +251,51 @@ def _monte_carlo_confusion(
             X = rng.random((k, 1))
             eta = model.eta(X[:, 0])
         pred = clf.scorer.scores(X) > clf.delta
-        sums[0] += float(eta[pred].sum())
-        sums[1] += float((1.0 - eta[pred]).sum())
-        sums[2] += float(eta[~pred].sum())
-        sums[3] += float((1.0 - eta[~pred]).sum())
-    return ConfusionMatrix.from_array(sums / m)
+        sums += [eta[pred].sum(), (1.0 - eta[pred]).sum(),
+                 eta[~pred].sum(), (1.0 - eta[~pred]).sum()]
+    return sums / m
+
+
+def population_optimum(
+    metric: MetricSpec, model: GaussianModel | HolderModel
+) -> tuple[float, float]:
+    """``(delta_star, u_star)``: the fixed point of the model's exact
+    confusion curve and the population utility there."""
+    pop_confusion = population_confusion_of_model(model)
+    delta_star = fixed_point_threshold(metric, pop_confusion, _FIXED_POINT_TOL)
+    return float(delta_star), metric_value(metric, pop_confusion(delta_star))
+
+
+def classifier_utility(
+    metric: MetricSpec,
+    clf: PluginClassifier,
+    model: GaussianModel | HolderModel,
+    mode: str,
+    mc_samples: int,
+    mc_seed: int,
+) -> tuple[float, dict]:
+    """Population utility of ``clf`` and the mode record of its report.
+
+    ``mode`` is "closed-form" (Gaussian model, affine scorers) or
+    "monte-carlo" (``mc_samples`` draws from the stream of ``mc_seed``).
+    """
+    if mode == "closed-form":
+        if not isinstance(model, GaussianModel):
+            raise ModeUnsupportedError(
+                "closed-form evaluation is only available for the Gaussian model"
+            )
+        if isinstance(clf.scorer, KernelScorer):
+            raise ModeUnsupportedError("closed-form evaluation unavailable for kernel scorers")
+        confusion = _closed_form_confusion(model, clf.scorer, clf.delta)
+        return metric_value(metric, confusion), {"mode": "closed-form"}
+    if mode == "monte-carlo":
+        if mc_samples < 1:
+            raise ValueError("mc_samples must be >= 1")
+        confusion = _monte_carlo_confusion(model, clf, int(mc_samples), int(mc_seed))
+        return metric_value(metric, confusion), {
+            "mode": "monte-carlo", "m": int(mc_samples), "seed": int(mc_seed)
+        }
+    raise ModeUnsupportedError(f"unknown evaluation mode {mode!r}")
 
 
 def population_regret(
@@ -290,31 +312,13 @@ def population_regret(
     confusion curve, so ``regret >= -1e-9`` in closed-form mode; Monte
     Carlo estimates can go slightly negative within sampling noise.
     """
-    pop_confusion = population_confusion_of_model(model)
-    delta_star = fixed_point_threshold(metric, pop_confusion, _FIXED_POINT_TOL)
-    u_star = metric_value(metric, pop_confusion(delta_star))
-    if mode == "closed-form":
-        if not isinstance(model, GaussianModel):
-            raise ModeUnsupportedError(
-                "closed-form evaluation is only available for the Gaussian model"
-            )
-        if isinstance(clf.scorer, KernelScorer):
-            raise ModeUnsupportedError("closed-form evaluation unavailable for kernel scorers")
-        u_hat = metric_value(metric, _closed_form_confusion(model, clf.scorer, clf.delta))
-        mode_info = {"mode": "closed-form"}
-    elif mode == "monte-carlo":
-        if mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
-        confusion = _monte_carlo_confusion(model, clf, int(mc_samples), int(mc_seed))
-        u_hat = metric_value(metric, confusion)
-        mode_info = {"mode": "monte-carlo", "m": int(mc_samples), "seed": int(mc_seed)}
-    else:
-        raise ModeUnsupportedError(f"unknown evaluation mode {mode!r}")
+    delta_star, u_star = population_optimum(metric, model)
+    u_hat, mode_info = classifier_utility(metric, clf, model, mode, mc_samples, mc_seed)
     return RegretReport(
-        u_star=float(u_star),
-        u_hat=float(u_hat),
-        regret=float(u_star - u_hat),
-        delta_star=float(delta_star),
-        delta_hat=float(clf.delta),
+        u_star=u_star,
+        u_hat=u_hat,
+        regret=u_star - u_hat,
+        delta_star=delta_star,
+        delta_hat=clf.delta,
         mode=mode_info,
     )

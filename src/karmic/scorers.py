@@ -350,9 +350,19 @@ def scorer_to_dict(scorer: Scorer, kernel_train_path: str | None = None) -> dict
     raise TypeError(f"cannot serialize scorer of type {type(scorer).__name__}")
 
 
+def require_fields(payload, what: str, fields: tuple[str, ...]) -> dict:
+    """``payload`` if it is a JSON object holding ``fields``; else ValueError."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(payload).__name__}")
+    missing = [name for name in fields if name not in payload]
+    if missing:
+        raise ValueError(f"{what} lacks the field(s) {', '.join(missing)}")
+    return payload
+
+
 def scorer_from_dict(payload: dict) -> Scorer:
     """Inverse of :func:`scorer_to_dict`; kernel variants reload their file."""
-    kind = payload.get("kind")
+    kind = require_fields(payload, "scorer", ("kind",))["kind"]
     if kind == "constant":
         return ConstantScorer(float(payload["p"]))
     if kind == "logistic":

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logit, ndtr
 
-from .confusion import ConfusionMatrix, Dataset
+from .confusion import Dataset
 from .errors import (
     BoundaryThresholdError,
     DegenerateDistributionError,
@@ -41,7 +41,6 @@ __all__ = [
     "sample_holder",
     "true_eta_gaussian",
     "population_confusion_gaussian",
-    "gaussian_confusion_curve",
     "gaussian_halfspace_confusion",
     "population_confusion_holder",
     "holder_eta",
@@ -164,15 +163,18 @@ def true_eta_gaussian(model: GaussianModel, x) -> float | np.ndarray:
 
 
 def gaussian_halfspace_confusion(
-    model: GaussianModel, w: np.ndarray, b: float, delta: float
-) -> ConfusionMatrix:
+    model: GaussianModel, w: np.ndarray, b: float, deltas
+) -> np.ndarray:
     """Population confusion of ``predict +1 iff sigmoid(w.x + b) > delta``.
 
     The rule is the half-space ``w.x > logit(delta) - b``; within class y
     the projection ``w.x`` is ``N(y w.mu / 2, |w|^2)``, so each entry is a
-    normal tail.  A near-zero ``w`` degenerates to a constant prediction.
+    normal tail.  A near-zero ``w`` is the constant rule ``logit(delta) <
+    b``, so ``b = logit(p)`` predicts +1 iff ``p > delta``.  Returns
+    ``(TP, FP, FN, TN)`` rows of shape ``deltas.shape + (4,)``.
     """
-    if not 0.0 <= delta <= 1.0:
+    deltas = np.asarray(deltas, dtype=float)
+    if not ((deltas >= 0.0) & (deltas <= 1.0)).all():
         raise ValueError("delta must lie in [0, 1]")
     w = np.atleast_1d(np.asarray(w, dtype=float))
     if w.shape != (model.dim,):
@@ -181,58 +183,33 @@ def gaussian_halfspace_confusion(
         )
     kappa = model.kappa
     norm = float(np.linalg.norm(w))
-    cut = logit(delta) - b
     if norm < 1e-12:
-        positive = 1.0 if 0.0 > cut else 0.0
-        return ConfusionMatrix(kappa * positive, (1 - kappa) * positive,
-                               kappa * (1 - positive), (1 - kappa) * (1 - positive))
-    shift = 0.5 * float(w @ model.mu)
-    rate_pos = float(ndtr((shift - cut) / norm))
-    rate_neg = float(ndtr((-shift - cut) / norm))
-    return ConfusionMatrix(
-        kappa * rate_pos,
-        (1 - kappa) * rate_neg,
-        kappa * (1 - rate_pos),
-        (1 - kappa) * (1 - rate_neg),
-    )
+        rate_pos = rate_neg = np.where(logit(deltas) < b, 1.0, 0.0)
+    else:
+        cut = logit(deltas) - b
+        shift = 0.5 * float(w @ model.mu)
+        rate_pos = ndtr((shift - cut) / norm)
+        rate_neg = ndtr((-shift - cut) / norm)
+    return np.stack([kappa * rate_pos, (1 - kappa) * rate_neg,
+                     kappa * (1 - rate_pos), (1 - kappa) * (1 - rate_neg)], axis=-1)
 
 
-def population_confusion_gaussian(model: GaussianModel, delta: float) -> ConfusionMatrix:
-    """Exact population confusion of thresholding the true eta at delta."""
-    if delta in (0.0, 1.0):
+def population_confusion_gaussian(model: GaussianModel, deltas) -> np.ndarray:
+    """Exact population confusion of thresholding the true eta at each delta.
+
+    Vectorized like :func:`gaussian_halfspace_confusion`; every delta must
+    lie strictly inside (0, 1).
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    if ((deltas == 0.0) | (deltas == 1.0)).any():
         raise BoundaryThresholdError("population confusion needs delta in (0, 1)")
-    if not 0.0 < delta < 1.0:
+    if not ((deltas > 0.0) & (deltas < 1.0)).all():
         raise ValueError("delta must lie in (0, 1)")
     if model.margin_norm == 0.0:
         raise DegenerateDistributionError(
             "closed-form confusion needs separated class means (|mu| > 0)"
         )
-    return gaussian_halfspace_confusion(model, model.mu, float(logit(model.kappa)), delta)
-
-
-def gaussian_confusion_curve(model: GaussianModel, deltas: np.ndarray) -> np.ndarray:
-    """Vectorized population confusion, one (TP, FP, FN, TN) row per delta."""
-    deltas = np.asarray(deltas, dtype=float)
-    if deltas.min() <= 0.0 or deltas.max() >= 1.0:
-        raise BoundaryThresholdError("all deltas must lie strictly inside (0, 1)")
-    m = model.margin_norm
-    if m == 0.0:
-        raise DegenerateDistributionError(
-            "closed-form confusion needs separated class means (|mu| > 0)"
-        )
-    kappa = model.kappa
-    cut = logit(deltas) - logit(kappa)
-    rate_pos = ndtr((0.5 * m * m - cut) / m)
-    rate_neg = ndtr((-0.5 * m * m - cut) / m)
-    return np.stack(
-        [
-            kappa * rate_pos,
-            (1 - kappa) * rate_neg,
-            kappa * (1 - rate_pos),
-            (1 - kappa) * (1 - rate_neg),
-        ],
-        axis=-1,
-    )
+    return gaussian_halfspace_confusion(model, model.mu, float(logit(model.kappa)), deltas)
 
 
 def _sine_antiderivative(x: float) -> float:
@@ -240,12 +217,13 @@ def _sine_antiderivative(x: float) -> float:
     return 0.5 * x - _SINE_AMPLITUDE * math.cos(_TWO_PI * x) / _TWO_PI
 
 
-def population_confusion_holder(model: HolderModel, delta: float) -> ConfusionMatrix:
+def population_confusion_holder(model: HolderModel, delta: float) -> np.ndarray:
     """Exact population confusion for the 1-D smooth model at delta.
 
     For the sine tag the super-level set {eta > delta} is one arc of the
     period, located by arcsin; the positive mass over any interval comes
-    from the closed-form antiderivative of eta.
+    from the closed-form antiderivative of eta.  Returns ``(TP, FP, FN,
+    TN)`` as a length-4 array.
     """
     if delta in (0.0, 1.0):
         raise BoundaryThresholdError("population confusion needs delta in (0, 1)")
@@ -256,12 +234,12 @@ def population_confusion_holder(model: HolderModel, delta: float) -> ConfusionMa
         predicted = 1.0 if delta < 0.5 else 0.0
         tp = pos_total * predicted
         fp = (1.0 - pos_total) * predicted
-        return ConfusionMatrix(tp, fp, pos_total - tp, (1.0 - pos_total) - fp)
+        return np.array([tp, fp, pos_total - tp, (1.0 - pos_total) - fp])
     level = (delta - 0.5) / _SINE_AMPLITUDE
     if level >= 1.0:
-        return ConfusionMatrix(0.0, 0.0, pos_total, 1.0 - pos_total)
+        return np.array([0.0, 0.0, pos_total, 1.0 - pos_total])
     if level <= -1.0:
-        return ConfusionMatrix(pos_total, 1.0 - pos_total, 0.0, 0.0)
+        return np.array([pos_total, 1.0 - pos_total, 0.0, 0.0])
     theta = math.asin(level)
     x_lo = theta / _TWO_PI  # may be negative for levels below 0.5
     x_hi = (math.pi - theta) / _TWO_PI
@@ -270,7 +248,7 @@ def population_confusion_holder(model: HolderModel, delta: float) -> ConfusionMa
     mass = x_hi - x_lo
     tp = _sine_antiderivative(x_hi) - _sine_antiderivative(x_lo)
     fp = mass - tp
-    return ConfusionMatrix(tp, fp, pos_total - tp, (1.0 - pos_total) - fp)
+    return np.array([tp, fp, pos_total - tp, (1.0 - pos_total) - fp])
 
 
 def margin_exponent_estimate(eta_values, delta_star: float, t_grid) -> float:

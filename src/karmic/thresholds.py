@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .confusion import ConfusionMatrix, Dataset, ScoreProfile
+from .confusion import Dataset, ScoreProfile
 from .errors import (
     DegenerateDistributionError,
     MetricDomainError,
@@ -35,8 +35,6 @@ from .errors import (
 from .metrics import (
     MetricSpec,
     metric_gradient,
-    metric_gradients_masked,
-    metric_value,
     metric_values_masked,
 )
 
@@ -107,15 +105,13 @@ def direction_vector(delta: float) -> np.ndarray:
     return np.array([-delta, -(1.0 - delta), delta, 1.0 - delta])
 
 
-def _h_at(metric: MetricSpec, confusion: ConfusionMatrix, delta: float) -> float:
+def h_value(metric: MetricSpec, confusion, delta: float) -> float:
+    """Ascent functional H = grad(G)(C) . v(delta) at one confusion vector.
+
+    ``confusion`` is a ConfusionMatrix or 4 floats: an empirical profile
+    row or a population curve value at ``delta``.
+    """
     return float(metric_gradient(metric, confusion) @ direction_vector(delta))
-
-
-def h_value(metric: MetricSpec, scorer, data: Dataset, delta: float) -> float:
-    """Empirical ascent functional H at ``delta`` for a scored sample."""
-    from .confusion import empirical_confusion
-
-    return _h_at(metric, empirical_confusion(scorer, delta, data), delta)
 
 
 def _h_with_nudges(metric: MetricSpec, profile: ScoreProfile, delta: float, n: int):
@@ -131,7 +127,7 @@ def _h_with_nudges(metric: MetricSpec, profile: ScoreProfile, delta: float, n: i
         if not 0.0 < candidate < 1.0 and k > 0:
             continue
         try:
-            return candidate, _h_at(metric, profile.confusion(candidate), candidate)
+            return candidate, h_value(metric, profile.confusion_array(candidate), candidate)
         except MetricDomainError:
             continue
     raise DegenerateDistributionError(
@@ -173,16 +169,17 @@ def binary_search_threshold(
 def fixed_point_threshold(metric: MetricSpec, population_confusion, tol: float) -> float:
     """Root of the population H on (tol, 1 - tol) by bisection.
 
-    ``population_confusion`` maps a threshold to a ConfusionMatrix.  The
-    root is the fixed point of the threshold map.  Raises
-    :class:`NoSignChangeError` when H has constant sign on the bracket.
+    ``population_confusion`` maps a threshold to its confusion vector (a
+    length-4 array or a ConfusionMatrix).  The root is the fixed point of
+    the threshold map.  Raises :class:`NoSignChangeError` when H has
+    constant sign on the bracket.
     """
     if not 0.0 < tol < 0.5:
         raise ValueError("tol must lie in (0, 0.5)")
     lo, hi = tol, 1.0 - tol
 
     def h(delta: float) -> float:
-        return _h_at(metric, population_confusion(delta), delta)
+        return h_value(metric, population_confusion(delta), delta)
 
     h_lo = h(lo)
     h_hi = h(hi)

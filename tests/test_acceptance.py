@@ -32,9 +32,9 @@ from karmic import (
     ExperimentConfig,
     GaussianModel,
     HolderModel,
+    ScoreProfile,
     binary_search_threshold,
     brute_force_discrete,
-    empirical_confusion,
     fit_logistic_mle,
     fit_loglog_slope,
     fixed_point_threshold,
@@ -51,7 +51,6 @@ from karmic import (
     true_eta_gaussian,
 )
 from karmic.metrics import KARMIC_DIRECTION, metric_gradients_masked, metric_values_masked
-from karmic.synth import gaussian_confusion_curve
 
 from helpers import (
     central_difference_gradient,
@@ -95,8 +94,9 @@ def build_search_comparison_csv() -> tuple[str, np.ndarray, np.ndarray]:
         scorer, _ = fit_logistic_mle(data)
         d_bis = binary_search_threshold(spec, scorer, data).delta_hat
         d_grid = grid_search_threshold(spec, scorer, data, step=1e-4)
-        u_bis = metric_value(spec, empirical_confusion(scorer, d_bis, data))
-        u_grid = metric_value(spec, empirical_confusion(scorer, d_grid, data))
+        profile = ScoreProfile.from_scorer(scorer, data)
+        u_bis = metric_value(spec, profile.confusion(d_bis))
+        u_grid = metric_value(spec, profile.confusion(d_grid))
         pop_bis = population_f1(scorer, d_bis)
         pop_grid = population_f1(scorer, d_grid)
         gap = u_grid - u_bis
@@ -172,7 +172,7 @@ def test_criterion_02_fixed_point_thresholds() -> None:
     spec = parse_metric(F1)
     f1_star = fixed_point_threshold(spec, curve, 1e-10)
     deltas = np.linspace(1e-3, 1.0 - 1e-3, 100_000)
-    values, valid = metric_values_masked(spec, gaussian_confusion_curve(REF_MODEL, deltas))
+    values, valid = metric_values_masked(spec, population_confusion_gaussian(REF_MODEL, deltas))
     assert valid.all()
     f1_grid = float(deltas[int(np.argmax(values))])
     f1_gap = abs(f1_star - f1_grid)
@@ -190,7 +190,7 @@ def test_criterion_02_fixed_point_thresholds() -> None:
 def test_criterion_03_single_sign_change() -> None:
     start = time.perf_counter()
     deltas = np.linspace(1e-3, 1.0 - 1e-3, 10_000)
-    curve = gaussian_confusion_curve(REF_MODEL, deltas)
+    curve = population_confusion_gaussian(REF_MODEL, deltas)
     directions = np.column_stack([-deltas, -(1.0 - deltas), deltas, 1.0 - deltas])
     changes = {}
     for spec in registered_metrics():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -130,8 +131,50 @@ class TestTrainEvaluate:
         with open(clf_path, encoding="utf-8") as fh:
             stored = json.load(fh)
         assert stored["scorer"]["kind"] == "kernel"
+        # the training file is named relative to the classifier JSON
+        assert stored["scorer"]["train_path"] == "kclf.json.train.csv"
+        stored["scorer"]["train_path"] = train_path
         clf = PluginClassifier.from_dict(stored)
         assert 0.0 <= clf.delta <= 1.0
+
+    def test_kernel_classifier_evaluates_from_any_directory(
+        self, tmp_path, capsys, monkeypatch
+    ) -> None:
+        data_path = str(tmp_path / "h.csv")
+        run_cli(capsys, "gen", "--model", "holder", "--n", "2000", "--seed", "4",
+                "--out", data_path)
+        (tmp_path / "kp").mkdir()
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run_cli(capsys, "train", "--metric", "fbeta:1", "--data", "h.csv",
+                             "--estimator", "kernel", "--out", os.path.join("kp", "clf.json"))
+        assert code == 0
+        evaluate = ("evaluate", "--metric", "fbeta:1", "--model", "holder",
+                    "--mode", "monte-carlo", "--mc-samples", "20000")
+        code, from_parent, err = run_cli(capsys, *evaluate, "--classifier",
+                                         os.path.join("kp", "clf.json"))
+        assert code == 0, err
+        monkeypatch.chdir(tmp_path / "kp")
+        code, from_own_dir, err = run_cli(capsys, *evaluate, "--classifier", "clf.json")
+        assert code == 0, err
+        assert from_own_dir == from_parent
+
+    @pytest.mark.parametrize(
+        ("payload", "field"),
+        [({"scorer": [1], "delta": 0.5}, "scorer"), ([], "classifier"),
+         ({"delta": 0.5}, "scorer")],
+    )
+    def test_malformed_classifier_json(self, tmp_path, capsys, payload, field) -> None:
+        clf_path = tmp_path / "bad.json"
+        clf_path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "evaluate", "--classifier", str(clf_path), "--metric", "fbeta:1",
+            "--model", "gaussian", "--mu", "2,0", "--kappa", "0.5",
+        )
+        assert code == 1
+        assert out is None
+        failure = json.loads(err)
+        assert failure["error"] == "invalid-argument"
+        assert field in failure["message"]
 
     def test_kernel_train_without_out_fails(self, tmp_path, capsys) -> None:
         data_path = str(tmp_path / "h.csv")
@@ -153,6 +196,30 @@ class TestTrainEvaluate:
         )
         assert code == 1
         assert json.loads(err)["error"] == "split-degenerate"
+
+
+class TestNonFiniteFeatures:
+    @pytest.fixture
+    def nan_csv(self, gaussian_csv, tmp_path) -> str:
+        lines = open(gaussian_csv, encoding="utf-8").read().splitlines()
+        row = lines[5].split(",")
+        lines[5] = ",".join(["nan", *row[1:]])
+        path = tmp_path / "nan.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("threshold", "--estimator", "logistic"), ("oracle", "--estimator", "kernel")],
+    )
+    def test_rejected_as_invalid_argument(self, nan_csv, capsys, argv) -> None:
+        code, out, err = run_cli(capsys, argv[0], "--metric", "fbeta:1", "--data", nan_csv,
+                                 *argv[1:])
+        assert code == 1
+        assert out is None
+        failure = json.loads(err)
+        assert failure["error"] == "invalid-argument"
+        assert "finite" in failure["message"]
 
 
 class TestOracle:

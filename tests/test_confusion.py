@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from karmic import ConfusionMatrix, Dataset, EmptyDataError, ScoreProfile, empirical_confusion
+from karmic import ConfusionMatrix, Dataset, EmptyDataError, ScoreProfile
 
 from helpers import FixedScorer, naive_confusion
 
@@ -44,6 +44,14 @@ class TestConfusionMatrix:
         c = ConfusionMatrix(0.4, 0.1, 0.1, 0.4)
         assert c.check_total() is c
 
+    def test_converts_to_a_float_array(self) -> None:
+        c = ConfusionMatrix(0.4, 0.1, 0.1, 0.4)
+        np.testing.assert_array_equal(np.asarray(c), c.as_array())
+        assert np.asarray(c).dtype == np.float64
+        assert np.asarray(c, dtype=np.float32).dtype == np.float32
+        with pytest.raises(ValueError):
+            np.array(c, copy=False)
+
 
 class TestDataset:
     def test_one_dimensional_features_reshaped(self) -> None:
@@ -61,6 +69,13 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 1)), np.array(labels))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_features_must_be_finite(self, bad: float) -> None:
+        features = np.zeros((3, 2))
+        features[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(features, np.array([1, -1, 1]))
+
     def test_weights_must_sum_to_one(self) -> None:
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 1)), np.array([1, -1]), weights=np.array([0.6, 0.6]))
@@ -75,22 +90,25 @@ class TestDataset:
 
 
 class TestEmpiricalConfusion:
+    """``ScoreProfile.from_scorer(scorer, data).confusion(delta)``, the one
+    empirical-confusion path, against the loop oracle."""
+
     def test_strict_tie_goes_negative(self) -> None:
         data = Dataset(np.zeros((2, 1)), np.array([1, -1]))
         scorer = FixedScorer([0.5, 0.5])
-        c = empirical_confusion(scorer, 0.5, data)
+        c = ScoreProfile.from_scorer(scorer, data).confusion(0.5)
         # both points score exactly at the threshold, so both predict -1
         assert c.as_dict() == {"tp": 0.0, "fp": 0.0, "fn": 0.5, "tn": 0.5}
 
     def test_empty_dataset_rejected(self) -> None:
         empty = Dataset(np.zeros((0, 1)), np.array([], dtype=int))
         with pytest.raises(EmptyDataError):
-            empirical_confusion(FixedScorer([]), 0.5, empty)
+            ScoreProfile.from_scorer(FixedScorer([]), empty)
 
     def test_scores_outside_unit_interval_rejected(self) -> None:
         data = Dataset(np.zeros((2, 1)), np.array([1, -1]))
         with pytest.raises(ValueError):
-            empirical_confusion(FixedScorer([0.5, 1.5]), 0.5, data)
+            ScoreProfile.from_scorer(FixedScorer([0.5, 1.5]), data)
 
     def test_matches_loop_oracle(self, rng) -> None:
         n = 257
@@ -99,10 +117,11 @@ class TestEmpiricalConfusion:
         weights = rng.random(n)
         weights /= weights.sum()
         data = Dataset(rng.standard_normal((n, 2)), labels, weights=weights)
+        profile = ScoreProfile.from_scorer(FixedScorer(scores), data)
         for delta in [0.0, 0.31, 0.5, float(scores[13]), 0.99, 1.0]:
-            got = empirical_confusion(FixedScorer(scores), delta, data)
+            got = profile.confusion(delta)
             want = naive_confusion(scores, labels, weights, delta)
-            np.testing.assert_allclose(got.as_array(), want, atol=1e-14)
+            np.testing.assert_allclose(got, want, atol=1e-14)
 
 
 class TestScoreProfile:
@@ -130,5 +149,5 @@ class TestScoreProfile:
         deltas = np.concatenate([gen.random(8), scores[:4], [0.0, 1.0]])
         rows = prof.confusion_array(deltas)
         for delta, row in zip(deltas, rows):
-            direct = empirical_confusion(scorer, float(delta), data)
-            np.testing.assert_allclose(row, direct.as_array(), atol=1e-14)
+            direct = naive_confusion(scores, labels, weights, float(delta))
+            np.testing.assert_allclose(row, direct, atol=1e-14)

@@ -4,16 +4,20 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import karmic.experiments
+import karmic.pipeline
 from karmic import (
     EstimatorSpec,
     ExperimentConfig,
     GaussianModel,
     HolderModel,
     InsufficientPointsError,
+    NoSignChangeError,
     RateRow,
     RateTable,
     fit_loglog_slope,
@@ -29,6 +33,7 @@ from karmic.experiments import (
 from helpers import ols_slope
 
 GAUSS = GaussianModel(np.array([2.0, 0.0]), 0.5)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -312,3 +317,70 @@ class TestWorkerResolution:
         monkeypatch.setenv("KARMIC_THREADS", "0")
         with pytest.raises(ValueError):
             resolve_workers(cfg)
+
+
+class TestOneOptimumPerStudy:
+    def test_fixed_point_solved_once(self, monkeypatch) -> None:
+        monkeypatch.delenv("KARMIC_THREADS", raising=False)
+        calls = []
+        solve = karmic.pipeline.fixed_point_threshold
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(karmic.pipeline, "fixed_point_threshold", counting)
+        table = run_rate_experiment(tiny_config(workers=1))
+        assert len(table.rows) == 6
+        assert len(calls) == 1
+        assert len({row.delta_star for row in table.rows}) == 1
+
+    def test_failed_optimum_on_every_trained_row(self, monkeypatch) -> None:
+        # H = -1 everywhere for the predicted-positive rate, so the population
+        # fixed point has no sign change; the bisection still trains (at the
+        # left edge).  Closed-form evaluation of a kernel scorer would fail
+        # too, but the optimum's error comes first.  A training error wins.
+        monkeypatch.delenv("KARMIC_THREADS", raising=False)
+        train = karmic.experiments.train_plugin
+
+        def failing_seed_zero(metric, data, estimator, config, seed):
+            if seed == 0:
+                raise karmic.SplitDegenerateError("forced")
+            return train(metric, data, estimator, config, seed=seed)
+
+        monkeypatch.setattr(karmic.experiments, "train_plugin", failing_seed_zero)
+        cfg = tiny_config(metric="linfrac:1,1,0,0/1,1,1,1",
+                          estimator=EstimatorSpec("kernel"), eval_mode="closed-form")
+        with pytest.raises(NoSignChangeError):
+            karmic.pipeline.population_optimum(karmic.parse_metric(cfg.metric), GAUSS)
+        table = run_rate_experiment(cfg)
+        assert [(r.seed, r.error) for r in table.rows] == [
+            (0, "split-degenerate"), (1, "no-sign-change"), (2, "no-sign-change")
+        ] * 2
+        assert all(math.isnan(r.delta_star) for r in table.rows)
+
+
+class TestGoldenCsv:
+    """Both committed studies, shrunk, reproduce the CSVs in tests/data byte
+    for byte.
+
+    The files were produced with numpy 2.4.6 and scipy 1.17.1.  Other
+    versions may differ in the last digit of a special function; the files
+    are then regenerated from a commit known to be right, not edited.
+    """
+
+    @staticmethod
+    def check(cfg: ExperimentConfig, name: str) -> None:
+        want = (ROOT / "tests" / "data" / name).read_text(encoding="utf-8")
+        assert run_rate_experiment(cfg).csv_text() == want
+
+    def test_gaussian_study(self, monkeypatch) -> None:
+        monkeypatch.delenv("KARMIC_THREADS", raising=False)
+        cfg = ExperimentConfig.from_file(str(ROOT / "configs" / "rate_gaussian_f1.cfg"))
+        self.check(dataclasses.replace(cfg, seeds=2), "rate_gaussian_f1_seeds2.csv")
+
+    def test_holder_study(self, monkeypatch) -> None:
+        monkeypatch.delenv("KARMIC_THREADS", raising=False)
+        cfg = ExperimentConfig.from_file(str(ROOT / "configs" / "rate_holder_f1.cfg"))
+        cfg = dataclasses.replace(cfg, seeds=1, n_list=cfg.n_list[:3], mc_samples=100_000)
+        self.check(cfg, "rate_holder_f1_seed1_n3.csv")

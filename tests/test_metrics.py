@@ -167,6 +167,22 @@ class TestKarmicFunctionals:
         assert any("clamping" in r.message for r in caplog.records)
 
 
+class TestInputs:
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_arrays_and_matrices_agree(self, name: str) -> None:
+        spec = parse_metric(name)
+        as_list = [0.4, 0.1, 0.1, 0.4]
+        for fn in (metric_value, karmic_sensitivity, threshold_map):
+            assert fn(spec, np.array(as_list)) == fn(spec, REFERENCE) == fn(spec, as_list)
+        np.testing.assert_array_equal(metric_gradient(spec, np.array(as_list)),
+                                      metric_gradient(spec, REFERENCE))
+
+    @pytest.mark.parametrize("bad", [[0.5, 0.5], np.full((2, 4), 0.25)])
+    def test_wrong_shape_rejected(self, bad) -> None:
+        with pytest.raises(ValueError):
+            metric_value(parse_metric("accuracy"), bad)
+
+
 class TestParsing:
     def test_registry_size_and_names(self) -> None:
         names = [spec.name for spec in registered_metrics()]

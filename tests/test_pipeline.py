@@ -16,14 +16,15 @@ from karmic import (
     PluginClassifier,
     SplitDegenerateError,
     TrueEtaScorer,
-    classify,
+    classifier_utility,
     parse_metric,
+    population_optimum,
     population_regret,
     sample_gaussian,
     sample_holder,
     train_plugin,
 )
-from karmic.pipeline import _monte_carlo_confusion
+from karmic.pipeline import _closed_form_confusion, _monte_carlo_confusion
 
 MODEL = GaussianModel(np.array([2.0, 0.0]), 0.5)
 
@@ -50,10 +51,9 @@ class TestEstimatorSpec:
 class TestPluginClassifier:
     def test_strict_tie_rule(self) -> None:
         clf = PluginClassifier(ConstantScorer(0.5), 0.5)
-        assert classify(clf, np.zeros(2)) == -1
         assert clf.predict(np.zeros((3, 2))).tolist() == [-1, -1, -1]
         looser = PluginClassifier(ConstantScorer(0.5), 0.49)
-        assert classify(looser, np.zeros(2)) == 1
+        assert looser.predict(np.zeros((1, 2))).tolist() == [1]
 
     def test_delta_range(self) -> None:
         with pytest.raises(ValueError):
@@ -142,9 +142,9 @@ class TestMonteCarloConfusion:
         clf = PluginClassifier(ConstantScorer(0.7), 0.5)
         a = _monte_carlo_confusion(MODEL, clf, 3000, seed=9)
         b = _monte_carlo_confusion(MODEL, clf, 3000, seed=9)
-        assert a == b
+        assert np.array_equal(a, b)
         c = _monte_carlo_confusion(MODEL, clf, 3000, seed=10)
-        assert a != c
+        assert not np.array_equal(a, c)
 
     def test_matches_closed_form_for_affine_rules(self) -> None:
         data = sample_gaussian(MODEL, 4000, seed=13)
@@ -234,6 +234,29 @@ class TestPopulationRegret:
         clf = PluginClassifier(ConstantScorer(0.6), 0.5)
         with pytest.raises(ModeUnsupportedError):
             population_regret(parse_metric("accuracy"), clf, MODEL, mode="bootstrap")
+
+    @pytest.mark.parametrize(
+        ("p", "delta"),
+        [(0.5, 0.5), (0.3, 0.3), (0.7, 0.5), (0.5, 0.7), (0.0, 0.0), (1.0, 1.0),
+         (1.0, 0.5), (0.0, 0.5), (0.5, 0.0), (0.5, 1.0)],
+    )
+    def test_constant_rule_is_the_zero_weight_halfspace(self, p: float, delta: float) -> None:
+        # the closed form must agree with the scorer's own strict rule
+        clf = PluginClassifier(ConstantScorer(p), delta)
+        positive = float(clf.predict(np.zeros((1, 2)))[0] == 1)
+        want = [0.5 * positive, 0.5 * positive, 0.5 * (1 - positive), 0.5 * (1 - positive)]
+        np.testing.assert_array_equal(_closed_form_confusion(MODEL, clf.scorer, delta), want)
+
+    def test_composes_optimum_and_utility(self) -> None:
+        spec = parse_metric("fbeta:1")
+        data = sample_gaussian(MODEL, 2000, seed=4)
+        clf = train_plugin(spec, data, EstimatorSpec("logistic"), seed=4)
+        report = population_regret(spec, clf, MODEL)
+        delta_star, u_star = population_optimum(spec, MODEL)
+        u_hat, mode = classifier_utility(spec, clf, MODEL, "closed-form", 1, 0)
+        assert (report.delta_star, report.u_star) == (delta_star, u_star)
+        assert (report.u_hat, report.mode) == (u_hat, mode)
+        assert report.regret == u_star - u_hat
 
     def test_report_serialization(self) -> None:
         clf = PluginClassifier(ConstantScorer(0.7), 0.5)

@@ -18,8 +18,8 @@ from karmic import (
     GaussianModel,
     HolderModel,
     InsufficientMassError,
+    ScoreProfile,
     TrueEtaScorer,
-    empirical_confusion,
     population_confusion_gaussian,
     population_confusion_holder,
     margin_exponent_estimate,
@@ -28,7 +28,7 @@ from karmic import (
     true_eta_gaussian,
     gaussian_halfspace_confusion,
 )
-from karmic.synth import gaussian_confusion_curve, holder_eta
+from karmic.synth import holder_eta
 
 
 class TestModels:
@@ -148,46 +148,48 @@ class TestGaussianConfusion:
         # kappa=1/2, |mu|=2, delta=1/2: TP = Phi(1)/2.
         m = GaussianModel(np.array([2.0, 0.0]), 0.5)
         c = population_confusion_gaussian(m, 0.5)
-        assert c.tp == pytest.approx(0.5 * ndtr(1.0), abs=1e-14)
-        assert c.tn == pytest.approx(0.5 * ndtr(1.0), abs=1e-14)
-        assert c.total == pytest.approx(1.0, abs=1e-12)
+        assert c[0] == pytest.approx(0.5 * ndtr(1.0), abs=1e-14)
+        assert c[3] == pytest.approx(0.5 * ndtr(1.0), abs=1e-14)
+        assert c.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_balanced_symmetry(self) -> None:
         m = GaussianModel(np.array([1.3]), 0.5)
         for delta in [0.1, 0.27, 0.44]:
             a = population_confusion_gaussian(m, delta)
             b = population_confusion_gaussian(m, 1.0 - delta)
-            assert a.tp == pytest.approx(b.tn, abs=1e-14)
-            assert a.fp == pytest.approx(b.fn_, abs=1e-14)
+            np.testing.assert_allclose(a, b[::-1], atol=1e-14)
 
     def test_class_mass_is_threshold_invariant(self) -> None:
         m = GaussianModel(np.array([0.8, 0.4]), 0.35)
         for delta in np.linspace(0.05, 0.95, 7):
-            c = population_confusion_gaussian(m, float(delta))
-            assert c.tp + c.fn_ == pytest.approx(0.35, abs=1e-12)
-            assert c.fp + c.tn == pytest.approx(0.65, abs=1e-12)
+            tp, fp, fn, tn = population_confusion_gaussian(m, float(delta))
+            assert tp + fn == pytest.approx(0.35, abs=1e-12)
+            assert fp + tn == pytest.approx(0.65, abs=1e-12)
 
     def test_monotone_in_delta(self) -> None:
         m = GaussianModel(np.array([1.0]), 0.5)
         deltas = np.linspace(0.01, 0.99, 60)
-        curve = gaussian_confusion_curve(m, deltas)
+        curve = population_confusion_gaussian(m, deltas)
         tp, tn = curve[:, 0], curve[:, 3]
         assert (np.diff(tp) <= 1e-12).all()
         assert (np.diff(tn) >= -1e-12).all()
 
     def test_curve_matches_scalar_calls(self) -> None:
         m = GaussianModel(np.array([2.0, 1.0]), 0.3)
-        deltas = np.array([0.2, 0.5, 0.9])
-        curve = gaussian_confusion_curve(m, deltas)
-        for row, delta in zip(curve, deltas):
-            want = population_confusion_gaussian(m, float(delta)).as_array()
-            np.testing.assert_allclose(row, want, atol=1e-15)
+        deltas = np.array([[0.2, 0.5, 0.9], [0.01, 0.33, 0.99]])
+        curve = population_confusion_gaussian(m, deltas)
+        assert curve.shape == (2, 3, 4)
+        for row, delta in zip(curve.reshape(-1, 4), deltas.ravel()):
+            # bitwise: the scalar and the vectorized calls share one arithmetic
+            np.testing.assert_array_equal(row, population_confusion_gaussian(m, float(delta)))
 
     @pytest.mark.parametrize("delta", [0.0, 1.0])
     def test_boundary_thresholds_rejected(self, delta: float) -> None:
         m = GaussianModel(np.array([1.0]), 0.5)
         with pytest.raises(BoundaryThresholdError):
             population_confusion_gaussian(m, delta)
+        with pytest.raises(BoundaryThresholdError):
+            population_confusion_gaussian(m, [0.5, delta])
 
     def test_zero_margin_rejected(self) -> None:
         m = GaussianModel(np.array([0.0]), 0.5)
@@ -202,9 +204,9 @@ class TestGaussianConfusion:
                 m = GaussianModel(np.array([1.0, 0.0]), kappa)
             delta = float(rng.uniform(0.1, 0.9))
             data = sample_gaussian(m, 200_000, seed=int(rng.integers(1 << 31)))
-            mc = empirical_confusion(TrueEtaScorer(m), delta, data)
+            mc = ScoreProfile.from_scorer(TrueEtaScorer(m), data).confusion(delta)
             exact = population_confusion_gaussian(m, delta)
-            np.testing.assert_allclose(mc.as_array(), exact.as_array(), atol=5e-3)
+            np.testing.assert_allclose(mc, exact, atol=5e-3)
 
 
 class TestHalfspaceConfusion:
@@ -215,17 +217,15 @@ class TestHalfspaceConfusion:
                 m, m.mu, float(logit(0.3)), delta
             )
             direct = population_confusion_gaussian(m, delta)
-            np.testing.assert_allclose(
-                via_halfspace.as_array(), direct.as_array(), atol=1e-14
-            )
+            np.testing.assert_allclose(via_halfspace, direct, atol=1e-14)
 
     def test_zero_weights_predict_constantly(self) -> None:
         m = GaussianModel(np.array([1.0]), 0.4)
         w = np.array([0.0])
         all_pos = gaussian_halfspace_confusion(m, w, 0.0, 0.4)  # sigmoid(0)=0.5 > 0.4
-        np.testing.assert_allclose(all_pos.as_array(), [0.4, 0.6, 0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(all_pos, [0.4, 0.6, 0.0, 0.0], atol=1e-15)
         all_neg = gaussian_halfspace_confusion(m, w, 0.0, 0.5)  # tie goes negative
-        np.testing.assert_allclose(all_neg.as_array(), [0.0, 0.0, 0.4, 0.6], atol=1e-15)
+        np.testing.assert_allclose(all_neg, [0.0, 0.0, 0.4, 0.6], atol=1e-15)
 
 
 class TestHolderConfusion:
@@ -258,26 +258,26 @@ class TestHolderConfusion:
     @pytest.mark.parametrize("delta", [0.08, 0.3, 0.492, 0.61, 0.9])
     def test_sine_matches_quadrature(self, delta: float) -> None:
         got = population_confusion_holder(HolderModel("sine"), delta)
-        np.testing.assert_allclose(got.as_array(), self.quadrature_oracle(delta), atol=1e-9)
+        np.testing.assert_allclose(got, self.quadrature_oracle(delta), atol=1e-9)
 
     def test_sine_level_above_amplitude(self) -> None:
         c = population_confusion_holder(HolderModel("sine"), 0.97)
-        np.testing.assert_allclose(c.as_array(), [0.0, 0.0, 0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(c, [0.0, 0.0, 0.5, 0.5], atol=1e-12)
         c = population_confusion_holder(HolderModel("sine"), 0.02)
-        np.testing.assert_allclose(c.as_array(), [0.5, 0.5, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(c, [0.5, 0.5, 0.0, 0.0], atol=1e-12)
 
     def test_flat_steps_at_half_with_strict_rule(self) -> None:
         m = HolderModel("flat")
         below = population_confusion_holder(m, 0.49)
-        np.testing.assert_allclose(below.as_array(), [0.5, 0.5, 0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(below, [0.5, 0.5, 0.0, 0.0], atol=1e-15)
         at = population_confusion_holder(m, 0.5)
-        np.testing.assert_allclose(at.as_array(), [0.0, 0.0, 0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(at, [0.0, 0.0, 0.5, 0.5], atol=1e-15)
 
     def test_rows_always_on_simplex(self) -> None:
         m = HolderModel("sine")
         for delta in np.linspace(0.01, 0.99, 33):
-            c = population_confusion_holder(m, float(delta))
-            arr = c.as_array()
+            arr = population_confusion_holder(m, float(delta))
+            assert arr.shape == (4,)
             assert (arr >= -1e-12).all()
             assert arr.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -292,9 +292,9 @@ class TestHolderConfusion:
                 return holder_eta("sine", X[:, 0])
 
         for delta in [0.2, 0.55, 0.8]:
-            mc = empirical_confusion(CurveScorer(), delta, data)
+            mc = ScoreProfile.from_scorer(CurveScorer(), data).confusion(delta)
             exact = population_confusion_holder(m, delta)
-            np.testing.assert_allclose(mc.as_array(), exact.as_array(), atol=4e-3)
+            np.testing.assert_allclose(mc, exact, atol=4e-3)
 
 
 class TestMarginExponent:

@@ -23,7 +23,6 @@ from karmic import (
     binary_search_threshold,
     brute_force_discrete,
     direction_vector,
-    empirical_confusion,
     fit_logistic_mle,
     fixed_point_threshold,
     gaussian_halfspace_confusion,
@@ -96,27 +95,37 @@ class TestDirectionVector:
             direction_vector(delta)
 
 
+def empirical_utility(spec, scorer, data, delta: float) -> float:
+    return metric_value(spec, ScoreProfile.from_scorer(scorer, data).confusion(delta))
+
+
 class TestHValue:
     def test_accuracy_closed_form(self, rng) -> None:
         # accuracy's gradient is (1,0,0,1) so H(delta) = 1 - 2*delta
         # no matter what the data look like.
         data, scores = make_data(rng, 101)
-        scorer = FixedScorer(scores)
+        profile = ScoreProfile.from_scorer(FixedScorer(scores), data)
         for delta in [0.1, 0.35, 0.5, 0.82]:
-            assert h_value(parse_metric("accuracy"), scorer, data, delta) == pytest.approx(
-                1.0 - 2.0 * delta, abs=1e-12
-            )
+            got = h_value(parse_metric("accuracy"), profile.confusion(delta), delta)
+            assert got == pytest.approx(1.0 - 2.0 * delta, abs=1e-12)
 
     def test_balanced_accuracy_closed_form(self, rng) -> None:
         # For the TPR/TNR average, H depends only on the class prior:
         # H(delta) = (1-delta)/(2(1-pi)) - delta/(2 pi).
         data, scores = make_data(rng, 200, prior=0.3)
         pi = data.weights[data.labels == 1].sum()
-        scorer = FixedScorer(scores)
+        profile = ScoreProfile.from_scorer(FixedScorer(scores), data)
         for delta in [0.2, 0.5, 0.8]:
             want = (1 - delta) / (2 * (1 - pi)) - delta / (2 * pi)
-            got = h_value(parse_metric("am"), scorer, data, delta)
+            got = h_value(parse_metric("am"), profile.confusion_array(delta), delta)
             assert got == pytest.approx(want, abs=1e-12)
+
+    def test_population_curve_value(self) -> None:
+        # the same function scores a population curve: at the fixed point of
+        # accuracy (delta = 1/2) H vanishes for any confusion vector.
+        model = GaussianModel(np.array([2.0, 0.0]), 0.5)
+        assert h_value(parse_metric("accuracy"),
+                       population_confusion_gaussian(model, 0.5), 0.5) == 0.0
 
 
 class TestBinarySearch:
@@ -211,6 +220,50 @@ class TestNudges:
             _h_with_nudges(spec, profile, 0.5, n=2)
 
 
+class TestBisectionProperty:
+    """Where the empirical H changes sign, the bisection lands on a change
+    from H >= 0 to H < 0; where it keeps one sign, on the matching edge."""
+
+    # accuracy and am change sign once on [0, 1]; the two predicted-rate
+    # ratios keep a constant sign (H = -1 and H = +1) and exercise the edges
+    METRICS = ("accuracy", "am", "linfrac:1,1,0,0/1,1,1,1", "linfrac:0,0,1,1/1,1,1,1")
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lattice=st.integers(1, 8),
+        ranks=st.lists(st.integers(0, 8), min_size=2, max_size=40),
+        label_bits=st.lists(st.booleans(), min_size=2, max_size=40),
+        name=st.sampled_from(METRICS),
+        tolerance=st.sampled_from([None, 0.1, 1e-3, 1e-6]),
+    )
+    def test_lands_on_a_downward_sign_change_or_an_edge(
+        self, lattice, ranks, label_bits, name, tolerance
+    ) -> None:
+        n = min(len(ranks), len(label_bits))
+        scores = np.minimum(np.array(ranks[:n]), lattice) / lattice
+        labels = np.where(label_bits[:n], 1, -1)
+        labels[0], labels[-1] = 1, -1  # both classes, so am is defined everywhere
+        data = Dataset(np.zeros((n, 1)), labels)
+        spec = parse_metric(name)
+        config = ThresholdSearchConfig(tolerance=tolerance)
+        tol = config.resolve_tolerance(n)
+        delta_hat = binary_search_threshold(spec, FixedScorer(scores), data, config).delta_hat
+
+        profile = ScoreProfile.from_scorer(FixedScorer(scores), data)
+        grid = np.linspace(0.0, 1.0, 257)
+        h = np.array([h_value(spec, profile.confusion(d), d) for d in grid])
+        down = np.nonzero((h[:-1] >= 0.0) & (h[1:] < 0.0))[0]
+        if down.size:
+            # the change lies in [grid[i], grid[i + 1]]
+            gaps = np.maximum(0.0, np.maximum(grid[down] - delta_hat, delta_hat - grid[down + 1]))
+            assert gaps.min() <= tol
+        elif (h >= 0.0).all():
+            assert 1.0 - delta_hat <= tol
+        else:
+            assert (h < 0.0).all()
+            assert delta_hat <= tol
+
+
 class TestFixedPoint:
     def test_accuracy_root_is_exactly_half(self) -> None:
         model = GaussianModel(np.array([2.0, 0.0]), 0.5)
@@ -267,7 +320,7 @@ class TestGridSearch:
         utilities = []
         for step in [0.1, 0.01, 0.001]:
             delta = grid_search_threshold(spec, scorer, data, step)
-            utilities.append(metric_value(spec, empirical_confusion(scorer, delta, data)))
+            utilities.append(empirical_utility(spec, scorer, data, delta))
         assert utilities[0] <= utilities[1] + 1e-12
         assert utilities[1] <= utilities[2] + 1e-12
 
@@ -353,7 +406,7 @@ class TestBruteForce:
         data = Dataset(np.zeros((10, 1)), labels, weights=weights)
         scorer = FixedScorer(scores)
         delta = grid_search_threshold(spec, scorer, data, step=0.01)
-        achieved = metric_value(spec, empirical_confusion(scorer, delta, data))
+        achieved = empirical_utility(spec, scorer, data, delta)
         assert achieved == pytest.approx(best, abs=1e-12)
 
 
@@ -368,8 +421,8 @@ class TestBisectionVersusGrid:
         scorer, _ = fit_logistic_mle(data)
         d_bis = binary_search_threshold(spec, scorer, data).delta_hat
         d_grid = grid_search_threshold(spec, scorer, data, step=1e-4)
-        u_bis = metric_value(spec, empirical_confusion(scorer, d_bis, data))
-        u_grid = metric_value(spec, empirical_confusion(scorer, d_grid, data))
+        u_bis = empirical_utility(spec, scorer, data, d_bis)
+        u_grid = empirical_utility(spec, scorer, data, d_grid)
         # the exhaustive grid can only win on the jagged empirical curve,
         # and at n = 10^4 the excess stays within a few parts per thousand
         assert u_grid >= u_bis - 1e-12
