@@ -19,16 +19,13 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .confusion import Dataset, ScoreProfile
 from .dataio import load_dataset_csv, load_dataset_npz, save_dataset_csv, save_dataset_npz
 from .errors import KarmicError
-from .experiments import ExperimentConfig, run_rate_experiment
+from .experiments import ExperimentConfig, estimator_from_config, model_from_config, run_rate_experiment
 from .metrics import metric_value, parse_metric
-from .pipeline import EstimatorSpec, PluginClassifier, population_regret, train_plugin
+from .pipeline import PluginClassifier, population_regret, train_plugin
 from .scorers import KernelScorer, scorer_from_dict
-from .synth import GaussianModel, HolderModel
 from .thresholds import ThresholdSearchConfig, binary_search_threshold, brute_force_discrete, grid_search_threshold
 
 __all__ = ["main", "build_parser"]
@@ -48,41 +45,26 @@ def _add_model_args(parser: argparse.ArgumentParser, required: bool) -> None:
                         help="synthetic model family")
     parser.add_argument("--mu", help="gaussian mean separation, comma floats (e.g. 2,0)")
     parser.add_argument("--kappa", type=float, help="gaussian positive-class prior")
-    parser.add_argument("--eta", default="sine", choices=("sine", "flat"),
-                        help="holder conditional-probability tag")
-    parser.add_argument("--beta", type=float, default=1.0, help="holder nominal smoothness")
-
-
-def _build_model(args) -> GaussianModel | HolderModel:
-    if args.model == "gaussian":
-        if args.mu is None or args.kappa is None:
-            raise ValueError("gaussian model needs --mu and --kappa")
-        mu = np.array([float(v) for v in args.mu.split(",")])
-        return GaussianModel(mu, args.kappa)
-    if args.model == "holder":
-        return HolderModel(args.eta, args.beta)
-    raise ValueError("choose a model with --model gaussian|holder")
+    parser.add_argument("--eta", choices=("sine", "flat"),
+                        help="holder conditional-probability tag (default sine)")
 
 
 def _add_scorer_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--estimator",
                         help="logistic | kernel | true-eta | constant:<p> "
                              "(true-eta needs model flags)")
-    parser.add_argument("--scorer-json", help="path to a serialized scorer")
-    parser.add_argument("--kernel-beta", type=float, default=1.0)
-    parser.add_argument("--kernel-const", type=float, default=1.0)
+    parser.add_argument("--kernel-beta", type=float, help="kernel smoothness (default 1)")
+    parser.add_argument("--kernel-const", type=float, help="kernel bandwidth constant (default 1)")
 
 
-def _estimator_from_args(args) -> EstimatorSpec:
-    name = (args.estimator or "").strip().lower()
-    if name.startswith("constant:"):
-        return EstimatorSpec("constant", p=float(name.split(":", 1)[1]))
-    if name == "true-eta":
-        return EstimatorSpec("true-eta", model=_build_model(args))
-    if name in ("logistic", "kernel"):
-        return EstimatorSpec(name, kernel_beta=args.kernel_beta,
-                             bandwidth_const=args.kernel_const)
-    raise ValueError(f"unknown estimator {args.estimator!r}")
+#: flags whose ``dest`` is a config key; both go through one parser
+_CONFIG_FLAGS = ("model", "mu", "kappa", "eta", "estimator", "kernel_beta", "kernel_const")
+
+
+def _config_keys(args) -> dict[str, str]:
+    """The set model and estimator flags as a config ``key -> string`` map."""
+    return {key: str(getattr(args, key)) for key in _CONFIG_FLAGS
+            if getattr(args, key, None) is not None}
 
 
 def _resolve_scorer(args, data: Dataset):
@@ -91,7 +73,7 @@ def _resolve_scorer(args, data: Dataset):
         with open(args.scorer_json, encoding="utf-8") as fh:
             return scorer_from_dict(json.load(fh))
     if args.estimator:
-        return _estimator_from_args(args).build(data)
+        return estimator_from_config(_config_keys(args)).build(data)
     raise ValueError("provide --scorer-json or --estimator")
 
 
@@ -107,13 +89,8 @@ def _search_config(args) -> ThresholdSearchConfig:
 
 
 def _cmd_gen(args) -> int:
-    model = _build_model(args)
-    from .synth import sample_gaussian, sample_holder
-
-    if isinstance(model, GaussianModel):
-        data = sample_gaussian(model, args.n, args.seed)
-    else:
-        data = sample_holder(model, args.n, args.seed)
+    model = model_from_config(_config_keys(args))
+    data = model.sample(args.n, args.seed)
     meta = {**model.to_dict(), "n": args.n, "seed": args.seed}
     if args.out.endswith(".npz"):
         save_dataset_npz(data, args.out, meta)
@@ -139,9 +116,7 @@ def _cmd_threshold(args) -> int:
 def _cmd_train(args) -> int:
     metric = parse_metric(args.metric)
     data = _load_data(args.data)
-    if not args.estimator:
-        args.estimator = "logistic"
-    estimator = _estimator_from_args(args)
+    estimator = estimator_from_config({"estimator": "logistic", **_config_keys(args)})
     clf = train_plugin(metric, data, estimator, _search_config(args), seed=args.seed)
     train_ref = None
     if isinstance(clf.scorer, KernelScorer):
@@ -167,7 +142,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     metric = parse_metric(args.metric)
-    model = _build_model(args)
+    model = model_from_config(_config_keys(args))
     with open(args.classifier, encoding="utf-8") as fh:
         stored = json.load(fh)
     # a kernel scorer names its training CSV relative to the classifier JSON
@@ -249,6 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="bisection threshold fit on a dataset")
     p.add_argument("--metric", required=True)
     p.add_argument("--data", required=True)
+    p.add_argument("--scorer-json", help="path to a serialized scorer (wins over --estimator)")
     _add_scorer_args(p)
     _add_model_args(p, required=False)
     p.add_argument("--tolerance", type=float, default=None)
@@ -287,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--discrete", help="atoms as weight:eta,weight:eta,...")
     p.add_argument("--data")
     p.add_argument("--step", type=float, default=1e-4)
+    p.add_argument("--scorer-json", help="path to a serialized scorer (wins over --estimator)")
     _add_scorer_args(p)
     _add_model_args(p, required=False)
     p.set_defaults(handler=_cmd_oracle)

@@ -104,6 +104,8 @@ class Dataset:
             w = np.asarray(weights, dtype=float)
             if w.shape != (X.shape[0],):
                 raise ValueError("weights must be one per feature row")
+            if not np.isfinite(w).all():
+                raise ValueError("weights must be finite (found NaN or infinity)")
             if w.size:
                 if w.min() < -_ENTRY_SLACK:
                     raise ValueError("weights must be non-negative")

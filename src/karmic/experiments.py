@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ import numpy as np
 from .errors import InsufficientPointsError, KarmicError
 from .metrics import parse_metric
 from .pipeline import EstimatorSpec, classifier_utility, population_optimum, train_plugin
-from .synth import GaussianModel, HolderModel, sample_gaussian, sample_holder
+from .synth import GaussianModel, HolderModel, model_from_dict
 from .thresholds import ThresholdSearchConfig
 
 __all__ = [
@@ -41,6 +40,8 @@ __all__ = [
     "run_rate_experiment",
     "fit_loglog_slope",
     "parse_config_text",
+    "model_from_config",
+    "estimator_from_config",
 ]
 
 logger = logging.getLogger(__name__)
@@ -129,7 +130,7 @@ class ExperimentConfig:
     @classmethod
     def from_mapping(cls, raw: dict[str, str]) -> "ExperimentConfig":
         known = {
-            "model", "mu", "kappa", "eta", "beta", "metric", "estimator",
+            "model", "mu", "kappa", "eta", "metric", "estimator",
             "kernel_beta", "kernel_const", "n_list", "seeds", "tolerance",
             "eval", "mc_samples", "workers", "out",
         }
@@ -139,30 +140,8 @@ class ExperimentConfig:
         missing = {"model", "metric", "estimator", "n_list", "seeds"} - set(raw)
         if missing:
             raise ValueError(f"missing config keys: {sorted(missing)}")
-        model_kind = raw["model"].strip().lower()
-        if model_kind == "gaussian":
-            if "mu" not in raw or "kappa" not in raw:
-                raise ValueError("gaussian model needs 'mu' and 'kappa'")
-            mu = np.array([float(v) for v in raw["mu"].split(",")])
-            model: GaussianModel | HolderModel = GaussianModel(mu, float(raw["kappa"]))
-        elif model_kind == "holder":
-            model = HolderModel(raw.get("eta", "sine").strip(), float(raw.get("beta", 1.0)))
-        else:
-            raise ValueError(f"unknown model {raw['model']!r}")
-        est_raw = raw["estimator"].strip().lower()
-        default_beta = model.beta if isinstance(model, HolderModel) else 1.0
-        kernel_beta = float(raw.get("kernel_beta", default_beta))
-        kernel_const = float(raw.get("kernel_const", 1.0))
-        if est_raw.startswith("constant:"):
-            estimator = EstimatorSpec("constant", p=float(est_raw.split(":", 1)[1]))
-        elif est_raw == "true-eta":
-            estimator = EstimatorSpec("true-eta", model=model)
-        elif est_raw in ("logistic", "kernel"):
-            estimator = EstimatorSpec(
-                est_raw, kernel_beta=kernel_beta, bandwidth_const=kernel_const
-            )
-        else:
-            raise ValueError(f"unknown estimator {raw['estimator']!r}")
+        model = model_from_config(raw)
+        estimator = estimator_from_config(raw)
         tolerance: str | float = raw.get("tolerance", "logn-over-n").strip()
         if tolerance != "logn-over-n":
             tolerance = float(tolerance)
@@ -178,6 +157,38 @@ class ExperimentConfig:
             workers=int(raw.get("workers", 1)),
             out=raw.get("out"),
         )
+
+
+def model_from_config(raw: dict[str, str]) -> GaussianModel | HolderModel:
+    """The model named by the keys ``model``, ``mu``, ``kappa`` and ``eta``.
+
+    This and :func:`estimator_from_config` are the one parser of models and
+    estimators: config files and the CLI flags of the same names use them.
+    """
+    if "model" not in raw:
+        raise ValueError("no model given (config key 'model', flag --model)")
+    payload: dict = {"model": raw["model"].strip().lower(),
+                     "eta_tag": raw.get("eta", "sine").strip()}
+    if "mu" in raw:
+        payload["mu"] = [float(v) for v in raw["mu"].split(",")]
+    if "kappa" in raw:
+        payload["kappa"] = float(raw["kappa"])
+    return model_from_dict(payload)
+
+
+def estimator_from_config(raw: dict[str, str]) -> EstimatorSpec:
+    """The estimator named by the key ``estimator``: ``logistic``, ``kernel``
+    (with ``kernel_beta`` and ``kernel_const``, both 1 by default),
+    ``true-eta`` (of the model the same keys name) or ``constant:<p>``."""
+    name = raw["estimator"].strip().lower()
+    if name.startswith("constant:"):
+        return EstimatorSpec("constant", p=float(name.split(":", 1)[1]))
+    if name == "true-eta":
+        return EstimatorSpec("true-eta", model=model_from_config(raw))
+    if name in ("logistic", "kernel"):
+        return EstimatorSpec(name, kernel_beta=float(raw.get("kernel_beta", 1.0)),
+                             bandwidth_const=float(raw.get("kernel_const", 1.0)))
+    raise ValueError(f"unknown estimator {raw['estimator']!r}")
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -289,9 +300,8 @@ def _run_row(cfg: ExperimentConfig, optimum, n: int, seed: int) -> RateRow:
     which wins over an evaluation error."""
     start = time.perf_counter()
     metric = parse_metric(cfg.metric)
-    sample = sample_gaussian if isinstance(cfg.model, GaussianModel) else sample_holder
     try:
-        data = sample(cfg.model, n, seed)
+        data = cfg.model.sample(n, seed)
         clf = train_plugin(metric, data, cfg.estimator, cfg.search_config(), seed=seed)
         if not isinstance(optimum, Exception):
             delta_star, u_star = optimum
@@ -306,17 +316,6 @@ def _run_row(cfg: ExperimentConfig, optimum, n: int, seed: int) -> RateRow:
                    error=getattr(failure, "code", "invalid-value"))
 
 
-def resolve_workers(cfg: ExperimentConfig) -> int:
-    """Worker count: the KARMIC_THREADS env var overrides the config."""
-    env = os.environ.get("KARMIC_THREADS")
-    if env is not None:
-        count = int(env)
-        if count < 1:
-            raise ValueError("KARMIC_THREADS must be >= 1")
-        return count
-    return cfg.workers
-
-
 def run_rate_experiment(cfg: ExperimentConfig) -> RateTable:
     """Run every (n, seed) row; errors are recorded, not raised.
 
@@ -327,10 +326,9 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateTable:
     """
     tasks = [(n, seed) for n in cfg.n_list for seed in range(cfg.seeds)]
     optimum = _solve_optimum(cfg)
-    workers = resolve_workers(cfg)
-    if workers > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if cfg.workers > 1 and len(tasks) > 1:
+        chunk = max(1, len(tasks) // (4 * cfg.workers))
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             rows = list(
                 pool.map(
                     _run_row,

@@ -30,7 +30,6 @@ from .errors import ModeUnsupportedError, SplitDegenerateError
 from .metrics import MetricSpec, metric_value
 from .scorers import (
     ConstantScorer,
-    KernelScorer,
     LogisticScorer,
     Scorer,
     TrueEtaScorer,
@@ -40,14 +39,7 @@ from .scorers import (
     scorer_from_dict,
     scorer_to_dict,
 )
-from .synth import (
-    GaussianModel,
-    HolderModel,
-    gaussian_halfspace_confusion,
-    population_confusion_gaussian,
-    population_confusion_holder,
-    true_eta_gaussian,
-)
+from .synth import GaussianModel, HolderModel, gaussian_halfspace_confusion
 from .thresholds import ThresholdSearchConfig, binary_search_threshold, fixed_point_threshold
 
 __all__ = [
@@ -185,11 +177,7 @@ def train_plugin(
 
 def population_confusion_of_model(model: GaussianModel | HolderModel):
     """The model's exact threshold -> confusion curve, as a callable."""
-    if isinstance(model, GaussianModel):
-        return lambda delta: population_confusion_gaussian(model, delta)
-    if isinstance(model, HolderModel):
-        return lambda delta: population_confusion_holder(model, delta)
-    raise TypeError(f"no closed-form confusion for {type(model).__name__}")
+    return model.population_confusion
 
 
 @dataclass(frozen=True)
@@ -241,15 +229,8 @@ def _monte_carlo_confusion(
     for child in children:
         k = min(_MC_SHARD, remaining)
         remaining -= k
-        rng = np.random.default_rng(child)
-        if isinstance(model, GaussianModel):
-            comp = rng.random(k) < model.kappa
-            X = rng.standard_normal((k, model.dim))
-            X += np.where(comp, 0.5, -0.5)[:, None] * model.mu[None, :]
-            eta = np.asarray(true_eta_gaussian(model, X))
-        else:
-            X = rng.random((k, 1))
-            eta = model.eta(X[:, 0])
+        X = model.draw_features(np.random.default_rng(child), k)
+        eta = model.eta(X)
         pred = clf.scorer.scores(X) > clf.delta
         sums += [eta[pred].sum(), (1.0 - eta[pred]).sum(),
                  eta[~pred].sum(), (1.0 - eta[~pred]).sum()]
@@ -261,9 +242,8 @@ def population_optimum(
 ) -> tuple[float, float]:
     """``(delta_star, u_star)``: the fixed point of the model's exact
     confusion curve and the population utility there."""
-    pop_confusion = population_confusion_of_model(model)
-    delta_star = fixed_point_threshold(metric, pop_confusion, _FIXED_POINT_TOL)
-    return float(delta_star), metric_value(metric, pop_confusion(delta_star))
+    delta_star = fixed_point_threshold(metric, model.population_confusion, _FIXED_POINT_TOL)
+    return float(delta_star), metric_value(metric, model.population_confusion(delta_star))
 
 
 def classifier_utility(
@@ -284,8 +264,6 @@ def classifier_utility(
             raise ModeUnsupportedError(
                 "closed-form evaluation is only available for the Gaussian model"
             )
-        if isinstance(clf.scorer, KernelScorer):
-            raise ModeUnsupportedError("closed-form evaluation unavailable for kernel scorers")
         confusion = _closed_form_confusion(model, clf.scorer, clf.delta)
         return metric_value(metric, confusion), {"mode": "closed-form"}
     if mode == "monte-carlo":

@@ -22,7 +22,7 @@ from .errors import (
     EmptyDataError,
     SeparableDataError,
 )
-from .synth import GaussianModel, HolderModel, true_eta_gaussian
+from .synth import GaussianModel, HolderModel, model_from_dict
 
 __all__ = [
     "Scorer",
@@ -93,10 +93,7 @@ class TrueEtaScorer(Scorer):
         self.dim = model.dim
 
     def scores(self, X) -> np.ndarray:
-        arr = self._check_matrix(X)
-        if isinstance(self.model, GaussianModel):
-            return np.asarray(true_eta_gaussian(self.model, arr))
-        return self.model.eta(arr[:, 0])
+        return self.model.eta(self._check_matrix(X))
 
 
 class LogisticScorer(Scorer):
@@ -377,13 +374,3 @@ def scorer_from_dict(payload: dict) -> Scorer:
             data.features, data.labels, float(payload["bandwidth"]), float(payload["beta"])
         )
     raise ValueError(f"unknown scorer kind {kind!r}")
-
-
-def model_from_dict(payload: dict):
-    """Rebuild a synthetic model from its ``to_dict`` form."""
-    tag = payload.get("model")
-    if tag == "gaussian":
-        return GaussianModel(np.asarray(payload["mu"], dtype=float), float(payload["kappa"]))
-    if tag == "holder":
-        return HolderModel(payload.get("eta_tag", "sine"), float(payload.get("beta", 1.0)))
-    raise ValueError(f"unknown model tag {tag!r}")

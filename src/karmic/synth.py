@@ -13,6 +13,13 @@ Two families:
   sets of the sine curve are explicit arcsin intervals, so its population
   confusion is also exact.
 
+Each model class holds everything model-specific: ``sample(n, seed)``,
+``eta(X)``, ``draw_features(rng, k)`` for Monte-Carlo evaluation, and
+``population_confusion(deltas)``.  The free names ``sample_gaussian``,
+``true_eta_gaussian``, ``population_confusion_gaussian``, ``sample_holder``
+and ``population_confusion_holder`` are these methods, called with the
+model as first argument.
+
 Sampling uses one named child stream per role (labels, features) spawned
 from the seed, so datasets are bit-reproducible and independent of
 generation order.
@@ -45,6 +52,7 @@ __all__ = [
     "population_confusion_holder",
     "holder_eta",
     "margin_exponent_estimate",
+    "model_from_dict",
 ]
 
 _SINE_AMPLITUDE = 0.45
@@ -83,33 +91,142 @@ class GaussianModel:
     def to_dict(self) -> dict:
         return {"model": "gaussian", "mu": [float(v) for v in self.mu], "kappa": self.kappa}
 
+    def sample(self, n: int, seed: int) -> Dataset:
+        """Draw n labelled points from the Gaussian model, reproducibly."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        label_rng, feature_rng = _streams(seed)
+        labels = np.where(label_rng.random(n) < self.kappa, 1, -1)
+        features = feature_rng.standard_normal((n, self.dim))
+        features += 0.5 * labels[:, None] * self.mu[None, :]
+        return Dataset(features, labels)
+
+    def eta(self, x) -> float | np.ndarray:
+        """Exact P(Y=+1 | X=x) = sigmoid(mu . x + logit(kappa)).
+
+        ``x`` is one point (returns a float) or a feature matrix.
+        """
+        arr = np.asarray(x, dtype=float)
+        squeeze = arr.ndim == 1
+        if squeeze:
+            arr = arr[None, :]
+        if arr.ndim != 2 or arr.shape[1] != self.dim:
+            raise DimensionMismatchError(
+                f"expected points of dimension {self.dim}, got shape {np.shape(x)}"
+            )
+        values = expit(arr @ self.mu + logit(self.kappa))
+        return float(values[0]) if squeeze else values
+
+    def draw_features(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """k feature rows from the mixture, class memberships drawn first."""
+        comp = rng.random(k) < self.kappa
+        X = rng.standard_normal((k, self.dim))
+        X += np.where(comp, 0.5, -0.5)[:, None] * self.mu[None, :]
+        return X
+
+    def population_confusion(self, deltas) -> np.ndarray:
+        """Exact population confusion of thresholding the true eta at each delta.
+
+        Vectorized like :func:`gaussian_halfspace_confusion`; every delta must
+        lie strictly inside (0, 1).
+        """
+        deltas = np.asarray(deltas, dtype=float)
+        if ((deltas == 0.0) | (deltas == 1.0)).any():
+            raise BoundaryThresholdError("population confusion needs delta in (0, 1)")
+        if not ((deltas > 0.0) & (deltas < 1.0)).all():
+            raise ValueError("delta must lie in (0, 1)")
+        if self.margin_norm == 0.0:
+            raise DegenerateDistributionError(
+                "closed-form confusion needs separated class means (|mu| > 0)"
+            )
+        return gaussian_halfspace_confusion(self, self.mu, float(logit(self.kappa)), deltas)
+
 
 @dataclass(frozen=True)
 class HolderModel:
-    """One-dimensional model on [0,1] with a fixed smooth eta curve.
-
-    ``beta`` is informational (nominal smoothness used for bandwidth
-    selection downstream); both tags are infinitely differentiable.
-    """
+    """One-dimensional model on [0,1] with a fixed smooth eta curve."""
 
     eta_tag: str = "sine"
-    beta: float = 1.0
 
     def __post_init__(self) -> None:
         if self.eta_tag not in ("sine", "flat"):
             raise ValueError(f"unknown eta tag {self.eta_tag!r}; use 'sine' or 'flat'")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
 
     @property
     def dim(self) -> int:
         return 1
 
-    def eta(self, x) -> np.ndarray:
-        return holder_eta(self.eta_tag, x)
-
     def to_dict(self) -> dict:
-        return {"model": "holder", "eta_tag": self.eta_tag, "beta": self.beta}
+        return {"model": "holder", "eta_tag": self.eta_tag}
+
+    def sample(self, n: int, seed: int) -> Dataset:
+        """Draw n points with X ~ Uniform[0,1] and P(Y=+1|X) = eta(X)."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        label_rng, feature_rng = _streams(seed)
+        x = feature_rng.random(n)
+        labels = np.where(label_rng.random(n) < self.eta(x), 1, -1)
+        return Dataset(x.reshape(-1, 1), labels)
+
+    def eta(self, X) -> np.ndarray:
+        """The eta curve at every point of X (a feature column or a 1-d array)."""
+        return holder_eta(self.eta_tag, np.reshape(X, -1))
+
+    def draw_features(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """k uniform feature rows."""
+        return rng.random((k, 1))
+
+    def population_confusion(self, delta: float) -> np.ndarray:
+        """Exact population confusion of thresholding eta at one delta.
+
+        For the sine tag the super-level set {eta > delta} is one arc of the
+        period, located by arcsin; the positive mass over any interval comes
+        from the closed-form antiderivative of eta.  Returns ``(TP, FP, FN,
+        TN)`` as a length-4 array.
+        """
+        if delta in (0.0, 1.0):
+            raise BoundaryThresholdError("population confusion needs delta in (0, 1)")
+        if not 0.0 < delta < 1.0:
+            raise ValueError("delta must lie in (0, 1)")
+        pos_total = 0.5  # integral of eta over [0,1] for both tags
+        if self.eta_tag == "flat":
+            predicted = 1.0 if delta < 0.5 else 0.0
+            tp = pos_total * predicted
+            fp = (1.0 - pos_total) * predicted
+            return np.array([tp, fp, pos_total - tp, (1.0 - pos_total) - fp])
+        level = (delta - 0.5) / _SINE_AMPLITUDE
+        if level >= 1.0:
+            return np.array([0.0, 0.0, pos_total, 1.0 - pos_total])
+        if level <= -1.0:
+            return np.array([pos_total, 1.0 - pos_total, 0.0, 0.0])
+        theta = math.asin(level)
+        x_lo = theta / _TWO_PI  # may be negative for levels below 0.5
+        x_hi = (math.pi - theta) / _TWO_PI
+        # Super-level set on [0,1] is (x_lo, x_hi) shifted into the unit period:
+        # for negative x_lo it wraps to [0, x_hi) and (x_lo + 1, 1].
+        mass = x_hi - x_lo
+        tp = _sine_antiderivative(x_hi) - _sine_antiderivative(x_lo)
+        fp = mass - tp
+        return np.array([tp, fp, pos_total - tp, (1.0 - pos_total) - fp])
+
+
+def model_from_dict(payload: dict) -> GaussianModel | HolderModel:
+    """Inverse of ``to_dict``; a ``beta`` entry written by older versions is ignored."""
+    tag = payload.get("model")
+    if tag == "gaussian":
+        if "mu" not in payload or "kappa" not in payload:
+            raise ValueError("gaussian model needs 'mu' and 'kappa'")
+        return GaussianModel(np.asarray(payload["mu"], dtype=float), float(payload["kappa"]))
+    if tag == "holder":
+        return HolderModel(payload.get("eta_tag", "sine"))
+    raise ValueError(f"unknown model {tag!r}; use 'gaussian' or 'holder'")
+
+
+sample_gaussian = GaussianModel.sample
+true_eta_gaussian = GaussianModel.eta
+population_confusion_gaussian = GaussianModel.population_confusion
+sample_holder = HolderModel.sample
+population_confusion_holder = HolderModel.population_confusion
 
 
 def holder_eta(tag: str, x) -> np.ndarray:
@@ -125,41 +242,6 @@ def holder_eta(tag: str, x) -> np.ndarray:
 def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     label_seq, feature_seq = np.random.SeedSequence(int(seed)).spawn(2)
     return np.random.default_rng(label_seq), np.random.default_rng(feature_seq)
-
-
-def sample_gaussian(model: GaussianModel, n: int, seed: int) -> Dataset:
-    """Draw n labelled points from the Gaussian model, reproducibly."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    label_rng, feature_rng = _streams(seed)
-    labels = np.where(label_rng.random(n) < model.kappa, 1, -1)
-    features = feature_rng.standard_normal((n, model.dim))
-    features += 0.5 * labels[:, None] * model.mu[None, :]
-    return Dataset(features, labels)
-
-
-def sample_holder(model: HolderModel, n: int, seed: int) -> Dataset:
-    """Draw n points with X ~ Uniform[0,1] and P(Y=+1|X) = eta(X)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    label_rng, feature_rng = _streams(seed)
-    x = feature_rng.random(n)
-    labels = np.where(label_rng.random(n) < model.eta(x), 1, -1)
-    return Dataset(x.reshape(-1, 1), labels)
-
-
-def true_eta_gaussian(model: GaussianModel, x) -> float | np.ndarray:
-    """Exact P(Y=+1 | X=x) = sigmoid(mu . x + logit(kappa))."""
-    arr = np.asarray(x, dtype=float)
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != model.dim:
-        raise DimensionMismatchError(
-            f"expected points of dimension {model.dim}, got shape {np.shape(x)}"
-        )
-    values = expit(arr @ model.mu + logit(model.kappa))
-    return float(values[0]) if squeeze else values
 
 
 def gaussian_halfspace_confusion(
@@ -194,61 +276,9 @@ def gaussian_halfspace_confusion(
                      kappa * (1 - rate_pos), (1 - kappa) * (1 - rate_neg)], axis=-1)
 
 
-def population_confusion_gaussian(model: GaussianModel, deltas) -> np.ndarray:
-    """Exact population confusion of thresholding the true eta at each delta.
-
-    Vectorized like :func:`gaussian_halfspace_confusion`; every delta must
-    lie strictly inside (0, 1).
-    """
-    deltas = np.asarray(deltas, dtype=float)
-    if ((deltas == 0.0) | (deltas == 1.0)).any():
-        raise BoundaryThresholdError("population confusion needs delta in (0, 1)")
-    if not ((deltas > 0.0) & (deltas < 1.0)).all():
-        raise ValueError("delta must lie in (0, 1)")
-    if model.margin_norm == 0.0:
-        raise DegenerateDistributionError(
-            "closed-form confusion needs separated class means (|mu| > 0)"
-        )
-    return gaussian_halfspace_confusion(model, model.mu, float(logit(model.kappa)), deltas)
-
-
 def _sine_antiderivative(x: float) -> float:
     """Antiderivative of 0.5 + 0.45 sin(2 pi x)."""
     return 0.5 * x - _SINE_AMPLITUDE * math.cos(_TWO_PI * x) / _TWO_PI
-
-
-def population_confusion_holder(model: HolderModel, delta: float) -> np.ndarray:
-    """Exact population confusion for the 1-D smooth model at delta.
-
-    For the sine tag the super-level set {eta > delta} is one arc of the
-    period, located by arcsin; the positive mass over any interval comes
-    from the closed-form antiderivative of eta.  Returns ``(TP, FP, FN,
-    TN)`` as a length-4 array.
-    """
-    if delta in (0.0, 1.0):
-        raise BoundaryThresholdError("population confusion needs delta in (0, 1)")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    pos_total = 0.5  # integral of eta over [0,1] for both tags
-    if model.eta_tag == "flat":
-        predicted = 1.0 if delta < 0.5 else 0.0
-        tp = pos_total * predicted
-        fp = (1.0 - pos_total) * predicted
-        return np.array([tp, fp, pos_total - tp, (1.0 - pos_total) - fp])
-    level = (delta - 0.5) / _SINE_AMPLITUDE
-    if level >= 1.0:
-        return np.array([0.0, 0.0, pos_total, 1.0 - pos_total])
-    if level <= -1.0:
-        return np.array([pos_total, 1.0 - pos_total, 0.0, 0.0])
-    theta = math.asin(level)
-    x_lo = theta / _TWO_PI  # may be negative for levels below 0.5
-    x_hi = (math.pi - theta) / _TWO_PI
-    # Super-level set on [0,1] is (x_lo, x_hi) shifted into the unit period:
-    # for negative x_lo it wraps to [0, x_hi) and (x_lo + 1, 1].
-    mass = x_hi - x_lo
-    tp = _sine_antiderivative(x_hi) - _sine_antiderivative(x_lo)
-    fp = mass - tp
-    return np.array([tp, fp, pos_total - tp, (1.0 - pos_total) - fp])
 
 
 def margin_exponent_estimate(eta_values, delta_star: float, t_grid) -> float:

@@ -367,7 +367,7 @@ def test_criterion_08_parametric_rate(parametric_rate_run) -> None:
 def test_criterion_09_nonparametric_rate() -> None:
     start = time.perf_counter()
     cfg = ExperimentConfig(
-        model=HolderModel("sine", beta=1.0),
+        model=HolderModel("sine"),
         metric=F1,
         estimator=EstimatorSpec("kernel", kernel_beta=1.0),
         n_list=tuple(2**k for k in range(10, 17)),

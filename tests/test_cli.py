@@ -10,9 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from karmic import PluginClassifier
+import karmic.cli
+from karmic import Dataset, ExperimentConfig, PluginClassifier
 from karmic.cli import main
-from karmic.dataio import load_dataset_csv, read_sidecar
+from karmic.dataio import load_dataset_csv, read_sidecar, save_dataset_csv
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, dict | None, str]:
@@ -300,7 +301,82 @@ class TestRate:
         assert json.loads(err)["error"] == "invalid-argument"
 
 
+class TestFlagsMatchConfig:
+    """The model and estimator flags build what the config keys of the same
+    names build: ``--kernel-beta 2`` is ``kernel_beta = 2``."""
+
+    MODELS = {
+        "gaussian": {"model": "gaussian", "mu": "2,0", "kappa": "0.3"},
+        "holder": {"model": "holder", "eta": "flat"},
+    }
+    ESTIMATORS = {
+        "logistic": {"estimator": "logistic"},
+        "kernel": {"estimator": "kernel"},
+        "kernel-tuned": {"estimator": "kernel", "kernel_beta": "2.5", "kernel_const": "0.7"},
+        "true-eta": {"estimator": "true-eta"},
+        "constant": {"estimator": "constant:0.3"},
+    }
+
+    class Captured(Exception):
+        pass
+
+    def captured_argument(self, monkeypatch, name: str, argv: list[str]):
+        """The third positional argument ``karmic.cli`` passes to ``name``."""
+        seen = []
+
+        def capture(*args, **kwargs):
+            seen.append(args[2])
+            raise self.Captured
+
+        monkeypatch.setattr(karmic.cli, name, capture)
+        with pytest.raises(self.Captured):
+            main(argv)
+        return seen[0]
+
+    @staticmethod
+    def spec_fields(spec) -> tuple:
+        model = None if spec.model is None else spec.model.to_dict()
+        return spec.kind, spec.kernel_beta, spec.bandwidth_const, spec.p, model
+
+    @staticmethod
+    def flags(keys: dict[str, str]) -> list[str]:
+        return [arg for key, value in keys.items()
+                for arg in (f"--{key.replace('_', '-')}", value)]
+
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_same_model_and_estimator(self, tmp_path, monkeypatch, model, estimator) -> None:
+        keys = {**self.MODELS[model], **self.ESTIMATORS[estimator]}
+        cfg = ExperimentConfig.from_mapping(
+            {**keys, "metric": "fbeta:1", "n_list": "256", "seeds": "1"}
+        )
+        data_path = str(tmp_path / "d.csv")
+        save_dataset_csv(Dataset(np.zeros((2, 1)), np.array([1, -1])), data_path)
+        clf_path = tmp_path / "clf.json"
+        clf_path.write_text(json.dumps({"scorer": {"kind": "constant", "p": 0.5},
+                                        "delta": 0.5}), encoding="utf-8")
+
+        spec = self.captured_argument(
+            monkeypatch, "train_plugin",
+            ["train", "--metric", "fbeta:1", "--data", data_path, *self.flags(keys)])
+        assert self.spec_fields(spec) == self.spec_fields(cfg.estimator)
+        built = self.captured_argument(
+            monkeypatch, "population_regret",
+            ["evaluate", "--metric", "fbeta:1", "--classifier", str(clf_path),
+             *self.flags(self.MODELS[model])])
+        assert built.to_dict() == cfg.model.to_dict()
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--metric", "fbeta:1", "--data", "d.csv", "--scorer-json", "s.json"],
+        ["gen", "--model", "holder", "--beta", "2", "--n", "10", "--out", "d.csv"],
+    ])
+    def test_flags_a_command_lacks_exit_2(self, argv: list[str]) -> None:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_unknown_subcommand_exits_2(self) -> None:
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])

@@ -76,6 +76,12 @@ class TestDataset:
         with pytest.raises(ValueError, match="finite"):
             Dataset(features, np.array([1, -1, 1]))
 
+    @pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_weights_must_be_finite(self, weights) -> None:
+        # NaN fails every comparison, so the sign and sum checks alone let it pass
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(np.zeros((2, 1)), np.array([1, -1]), weights=np.array(weights))
+
     def test_weights_must_sum_to_one(self) -> None:
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 1)), np.array([1, -1]), weights=np.array([0.6, 0.6]))

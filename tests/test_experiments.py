@@ -27,7 +27,6 @@ from karmic.experiments import (
     CSV_COLUMNS,
     eval_seed_for,
     parse_config_text,
-    resolve_workers,
 )
 
 from helpers import ols_slope
@@ -125,7 +124,6 @@ class TestConfigText:
         text = """
         model = holder
         eta = sine
-        beta = 1
         metric = fbeta:1
         estimator = kernel
         kernel_const = 0.8
@@ -308,20 +306,8 @@ class TestRunExperiment:
         assert summary["config"]["metric"] == "fbeta:1"
 
 
-class TestWorkerResolution:
-    def test_env_override(self, monkeypatch) -> None:
-        cfg = tiny_config(workers=3)
-        assert resolve_workers(cfg) == 3
-        monkeypatch.setenv("KARMIC_THREADS", "5")
-        assert resolve_workers(cfg) == 5
-        monkeypatch.setenv("KARMIC_THREADS", "0")
-        with pytest.raises(ValueError):
-            resolve_workers(cfg)
-
-
 class TestOneOptimumPerStudy:
     def test_fixed_point_solved_once(self, monkeypatch) -> None:
-        monkeypatch.delenv("KARMIC_THREADS", raising=False)
         calls = []
         solve = karmic.pipeline.fixed_point_threshold
 
@@ -340,7 +326,6 @@ class TestOneOptimumPerStudy:
         # fixed point has no sign change; the bisection still trains (at the
         # left edge).  Closed-form evaluation of a kernel scorer would fail
         # too, but the optimum's error comes first.  A training error wins.
-        monkeypatch.delenv("KARMIC_THREADS", raising=False)
         train = karmic.experiments.train_plugin
 
         def failing_seed_zero(metric, data, estimator, config, seed):
@@ -374,13 +359,11 @@ class TestGoldenCsv:
         want = (ROOT / "tests" / "data" / name).read_text(encoding="utf-8")
         assert run_rate_experiment(cfg).csv_text() == want
 
-    def test_gaussian_study(self, monkeypatch) -> None:
-        monkeypatch.delenv("KARMIC_THREADS", raising=False)
+    def test_gaussian_study(self) -> None:
         cfg = ExperimentConfig.from_file(str(ROOT / "configs" / "rate_gaussian_f1.cfg"))
         self.check(dataclasses.replace(cfg, seeds=2), "rate_gaussian_f1_seeds2.csv")
 
-    def test_holder_study(self, monkeypatch) -> None:
-        monkeypatch.delenv("KARMIC_THREADS", raising=False)
+    def test_holder_study(self) -> None:
         cfg = ExperimentConfig.from_file(str(ROOT / "configs" / "rate_holder_f1.cfg"))
         cfg = dataclasses.replace(cfg, seeds=1, n_list=cfg.n_list[:3], mc_samples=100_000)
         self.check(cfg, "rate_holder_f1_seed1_n3.csv")

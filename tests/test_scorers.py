@@ -241,13 +241,18 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "model",
-        [GaussianModel(np.array([2.0, 1.0]), 0.3), HolderModel("sine", beta=2.0)],
+        [GaussianModel(np.array([2.0, 1.0]), 0.3), HolderModel("sine")],
     )
     def test_true_eta_roundtrip(self, model) -> None:
         s = TrueEtaScorer(model)
         again = scorer_from_dict(scorer_to_dict(s))
         assert isinstance(again, TrueEtaScorer)
         assert again.model.to_dict() == model.to_dict()
+
+    def test_true_eta_ignores_legacy_beta(self) -> None:
+        payload = {"kind": "true-eta",
+                   "model": {"model": "holder", "eta_tag": "flat", "beta": 2.0}}
+        assert scorer_from_dict(payload).model == HolderModel("flat")
 
     def test_kernel_requires_training_reference(self, tmp_path) -> None:
         data = sample_holder(HolderModel("sine"), 100, seed=5)

@@ -53,15 +53,13 @@ class TestModels:
             GaussianModel(np.array([np.inf]), 0.5)
 
     def test_holder_fields(self) -> None:
-        m = HolderModel("sine", beta=2.0)
+        m = HolderModel("sine")
         assert m.dim == 1
-        assert m.to_dict() == {"model": "holder", "eta_tag": "sine", "beta": 2.0}
+        assert m.to_dict() == {"model": "holder", "eta_tag": "sine"}
 
     def test_holder_validation(self) -> None:
         with pytest.raises(ValueError):
             HolderModel("sawtooth")
-        with pytest.raises(ValueError):
-            HolderModel("sine", beta=0.0)
 
     def test_holder_eta_curves(self) -> None:
         x = np.array([0.0, 0.25, 0.5, 0.75])
