@@ -57,8 +57,9 @@ class ExperimentConfig:
 
     ``tolerance`` is either the string "logn-over-n" (per-search default,
     max(log n2 / n2, 1e-8) on the threshold half) or a fixed float.
-    ``eval_mode`` defaults to closed-form when the model/estimator pair
-    supports it and Monte Carlo otherwise.
+    ``eval_mode`` defaults to closed-form (exact) wherever it exists: the
+    Holder model with any estimator and the Gaussian model with any but the
+    kernel; a kernel on the Gaussian model defaults to Monte Carlo.
     """
 
     model: GaussianModel | HolderModel
@@ -88,7 +89,7 @@ class ExperimentConfig:
         elif not 0.0 < float(self.tolerance) < 1.0:
             raise ValueError("fixed tolerance must lie in (0, 1)")
         if not self.eval_mode:
-            closed = isinstance(self.model, GaussianModel) and self.estimator.kind != "kernel"
+            closed = isinstance(self.model, HolderModel) or self.estimator.kind != "kernel"
             object.__setattr__(self, "eval_mode", "closed-form" if closed else "monte-carlo")
         if self.eval_mode not in ("closed-form", "monte-carlo"):
             raise ValueError("eval_mode must be 'closed-form' or 'monte-carlo'")

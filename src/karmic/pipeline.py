@@ -9,11 +9,16 @@ Regret evaluation compares the classifier's population utility
 (``classifier_utility``) against the population optimum
 (``population_optimum``: the threshold from the exact fixed point of the
 model's closed-form confusion curve, which depends only on the metric and
-the model).  For Gaussian models with affine-in-x scorers the classifier's
-utility is itself closed form (a half-space mass); anything else is
-estimated by Monte Carlo with labels integrated out analytically (each
-sampled point contributes its exact conditional probability, not a sampled
-label, which strictly reduces variance).
+the model).  In "closed-form" mode the classifier's utility is exact too:
+the model integrates the scorer's decision rule
+(``model.classifier_confusion``), a half-space mass for affine scorers on
+the Gaussian model and an integral of eta over the acceptance intervals of
+any 1-d scorer on the Holder model.  That covers every committed study.
+The one rule it cannot integrate, a kernel scorer on the Gaussian model,
+needs "monte-carlo" mode: an average over sampled feature points with
+labels integrated out analytically (each point contributes its exact
+conditional probability, not a sampled label, which strictly reduces
+variance).
 """
 
 from __future__ import annotations
@@ -23,14 +28,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logit
 
 from .confusion import Dataset
 from .errors import ModeUnsupportedError, SplitDegenerateError
 from .metrics import MetricSpec, metric_value
 from .scorers import (
     ConstantScorer,
-    LogisticScorer,
     Scorer,
     TrueEtaScorer,
     fit_kernel_smoother,
@@ -39,7 +42,7 @@ from .scorers import (
     scorer_from_dict,
     scorer_to_dict,
 )
-from .synth import GaussianModel, HolderModel, gaussian_halfspace_confusion
+from .synth import GaussianModel, HolderModel
 from .thresholds import ThresholdSearchConfig, binary_search_threshold, fixed_point_threshold
 
 __all__ = [
@@ -195,22 +198,6 @@ class RegretReport:
         return dataclasses.asdict(self)
 
 
-def _closed_form_confusion(model: GaussianModel, scorer: Scorer, delta: float) -> np.ndarray:
-    """Exact confusion of an affine score rule ``sigmoid(w.x + b) > delta``."""
-    if isinstance(scorer, ConstantScorer):
-        w, b = np.zeros(model.dim), float(logit(scorer.p))
-    elif isinstance(scorer, LogisticScorer):
-        w, b = scorer.weights, scorer.intercept
-    elif isinstance(scorer, TrueEtaScorer) and isinstance(scorer.model, GaussianModel):
-        w, b = scorer.model.mu, float(logit(scorer.model.kappa))
-    else:
-        raise ModeUnsupportedError(
-            f"closed-form evaluation needs an affine score rule; "
-            f"got {type(scorer).__name__}"
-        )
-    return gaussian_halfspace_confusion(model, w, b, delta)
-
-
 def _monte_carlo_confusion(
     model: GaussianModel | HolderModel,
     clf: PluginClassifier,
@@ -256,15 +243,12 @@ def classifier_utility(
 ) -> tuple[float, dict]:
     """Population utility of ``clf`` and the mode record of its report.
 
-    ``mode`` is "closed-form" (Gaussian model, affine scorers) or
-    "monte-carlo" (``mc_samples`` draws from the stream of ``mc_seed``).
+    ``mode`` is "closed-form" (exact: affine scorers on the Gaussian model,
+    1-d scorers on the Holder model) or "monte-carlo" (``mc_samples`` draws
+    from the stream of ``mc_seed``).
     """
     if mode == "closed-form":
-        if not isinstance(model, GaussianModel):
-            raise ModeUnsupportedError(
-                "closed-form evaluation is only available for the Gaussian model"
-            )
-        confusion = _closed_form_confusion(model, clf.scorer, clf.delta)
+        confusion = model.classifier_confusion(clf.scorer, clf.delta)
         return metric_value(metric, confusion), {"mode": "closed-form"}
     if mode == "monte-carlo":
         if mc_samples < 1:
@@ -287,8 +271,8 @@ def population_regret(
     """Utility gap between the population optimum and a classifier.
 
     The optimum's threshold comes from the fixed point of the model's exact
-    confusion curve, so ``regret >= -1e-9`` in closed-form mode; Monte
-    Carlo estimates can go slightly negative within sampling noise.
+    confusion curve, so ``regret >= -1e-9`` in closed-form mode (the
+    default); Monte Carlo estimates can go negative within sampling noise.
     """
     delta_star, u_star = population_optimum(metric, model)
     u_hat, mode_info = classifier_utility(metric, clf, model, mode, mc_samples, mc_seed)

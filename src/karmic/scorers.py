@@ -5,6 +5,13 @@ Four variants share the interface: a constant, the exact conditional
 probability of a synthetic model, a logistic model fit by Newton maximum
 likelihood, and a Nadaraya-Watson kernel smoother with the Epanechnikov
 kernel.  Fitted scorers are immutable and safe to share across threads.
+
+For exact population evaluation a scorer describes its decision rule
+``score(x) > delta`` in the form a synthetic model integrates:
+``halfspace`` gives an affine rule ``sigmoid(w.x + b)`` (constant, logistic,
+true eta of the Gaussian model), and ``acceptance_intervals`` gives the
+acceptance set of a 1-d scorer on [0, 1] as sorted disjoint intervals
+(every scorer on 1-d data).
 """
 
 from __future__ import annotations
@@ -13,13 +20,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, logit
 
 from .confusion import Dataset
 from .errors import (
     DegenerateDesignError,
     DimensionMismatchError,
     EmptyDataError,
+    ModeUnsupportedError,
     SeparableDataError,
 )
 from .synth import GaussianModel, HolderModel, model_from_dict
@@ -38,6 +46,8 @@ __all__ = [
 ]
 
 KERNEL_CLIP = 1e-6
+#: a kernel window whose weight sum is at most this falls back to the global rate
+_KERNEL_MIN_WEIGHT = 1e-12
 _RIDGE = 1e-8
 _WEIGHT_NORM_LIMIT = 1e6
 
@@ -56,6 +66,19 @@ class Scorer:
         if arr.ndim != 1:
             raise DimensionMismatchError("score expects a single feature vector")
         return float(self.scores(arr[None, :])[0])
+
+    def halfspace(self, dim: int) -> tuple[np.ndarray, float]:
+        """``(w, b)`` with ``score(x) = sigmoid(w.x + b)`` on ``dim``-d points."""
+        raise ModeUnsupportedError(
+            f"closed-form evaluation needs an affine score rule; got {type(self).__name__}"
+        )
+
+    def acceptance_intervals(self, delta: float) -> np.ndarray:
+        """``{x in [0, 1] : score(x) > delta}`` as sorted disjoint ``(k, 2)`` rows."""
+        raise ModeUnsupportedError(
+            f"closed-form evaluation on [0, 1] needs the acceptance intervals of a "
+            f"1-d score rule; {type(self).__name__} (dimension {self.dim}) has none"
+        )
 
     def _check_matrix(self, X) -> np.ndarray:
         arr = np.asarray(X, dtype=float)
@@ -84,6 +107,12 @@ class ConstantScorer(Scorer):
         n = arr.shape[0] if arr.ndim else 1
         return np.full(n, self.p)
 
+    def halfspace(self, dim: int) -> tuple[np.ndarray, float]:
+        return np.zeros(dim), float(logit(self.p))
+
+    def acceptance_intervals(self, delta: float) -> np.ndarray:
+        return _half_line(0.0, delta - self.p)
+
 
 class TrueEtaScorer(Scorer):
     """Exact conditional probability of a synthetic model."""
@@ -94,6 +123,16 @@ class TrueEtaScorer(Scorer):
 
     def scores(self, X) -> np.ndarray:
         return self.model.eta(self._check_matrix(X))
+
+    def halfspace(self, dim: int) -> tuple[np.ndarray, float]:
+        if isinstance(self.model, GaussianModel):
+            return self.model.mu, float(logit(self.model.kappa))
+        return super().halfspace(dim)
+
+    def acceptance_intervals(self, delta: float) -> np.ndarray:
+        if isinstance(self.model, HolderModel):
+            return self.model.superlevel_intervals(delta)
+        return super().acceptance_intervals(delta)
 
 
 class LogisticScorer(Scorer):
@@ -110,6 +149,14 @@ class LogisticScorer(Scorer):
     def scores(self, X) -> np.ndarray:
         arr = self._check_matrix(X)
         return expit(arr @ self.weights + self.intercept)
+
+    def halfspace(self, dim: int) -> tuple[np.ndarray, float]:
+        return self.weights, self.intercept
+
+    def acceptance_intervals(self, delta: float) -> np.ndarray:
+        if self.dim != 1:
+            return super().acceptance_intervals(delta)
+        return _half_line(float(self.weights[0]), float(logit(delta)) - self.intercept)
 
 
 class KernelScorer(Scorer):
@@ -171,12 +218,24 @@ class KernelScorer(Scorer):
         s2 = moments[hi, 2] - moments[lo, 2]
         return s0 * (1.0 - q * q / h2) + s1 * (2.0 * q / h2) - s2 / h2
 
+    def _window_quadratic(self, moments: np.ndarray, lo, hi) -> np.ndarray:
+        """Coefficients ``(c2, c1, c0)`` of ``_window_sum`` as a quadratic in q,
+        one column per window, shape ``(3, windows)``."""
+        h2 = self.bandwidth**2
+        s0, s1, s2 = (moments[hi] - moments[lo]).T
+        return np.stack([-s0 / h2, 2.0 * s1 / h2, s0 - s2 / h2])
+
+    def _window(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rank range ``[lo, hi)`` of the training points within h of each query."""
+        lo = np.searchsorted(self._x, q - self.bandwidth, side="left")
+        hi = np.searchsorted(self._x, q + self.bandwidth, side="right")
+        return lo, hi
+
     def scores(self, X) -> np.ndarray:
         arr = self._check_matrix(X)
         if self.dim == 1:
             q = arr[:, 0]
-            lo = np.searchsorted(self._x, q - self.bandwidth, side="left")
-            hi = np.searchsorted(self._x, q + self.bandwidth, side="right")
+            lo, hi = self._window(q)
             den = self._window_sum(self._moments, lo, hi, q)
             num = self._window_sum(self._pos_moments, lo, hi, q)
         else:
@@ -190,9 +249,59 @@ class KernelScorer(Scorer):
                 den[start : start + block.shape[0]] = w.sum(axis=1)
                 num[start : start + block.shape[0]] = w @ self._pos
         out = np.full(arr.shape[0], self.global_rate)
-        ok = den > 1e-12
+        ok = den > _KERNEL_MIN_WEIGHT
         out[ok] = num[ok] / den[ok]
         return np.clip(out, KERNEL_CLIP, 1 - KERNEL_CLIP)
+
+    def acceptance_intervals(self, delta: float) -> np.ndarray:
+        """The 1-d acceptance set, exactly.
+
+        Between consecutive breakpoints ``x_i - h`` and ``x_i + h`` the window
+        holds fixed points, so the weight sums ``num(q)`` and ``den(q)`` are
+        quadratics in q.  Cutting each piece at the roots of ``num - delta
+        den`` and of ``den - 1e-12`` leaves sub-intervals on which the
+        score's side of delta cannot change; the score at each midpoint
+        decides it, global-rate fallback and clipping included.
+        """
+        if self.dim != 1:
+            return super().acceptance_intervals(delta)
+        h = self.bandwidth
+        breaks = np.concatenate([self._x - h, self._x + h])
+        edges = np.unique(np.concatenate([[0.0, 1.0], breaks[(breaks > 0.0) & (breaks < 1.0)]]))
+        left, right = edges[:-1], edges[1:]
+        lo, hi = self._window(0.5 * (left + right))
+        den = self._window_quadratic(self._moments, lo, hi)
+        num = self._window_quadratic(self._pos_moments, lo, hi)
+        floor = den - np.array([[0.0], [0.0], [_KERNEL_MIN_WEIGHT]])
+        cuts = np.unique(np.concatenate([edges, *_roots_inside(num - delta * den, left, right),
+                                         *_roots_inside(floor, left, right)]))
+        accepted = self.scores(0.5 * (cuts[:-1] + cuts[1:])) > delta
+        change = np.diff(np.concatenate([[0], accepted.astype(np.int8), [0]]))
+        return np.column_stack([cuts[change == 1], cuts[change == -1]])
+
+
+def _half_line(w: float, cut: float) -> np.ndarray:
+    """``{x in [0, 1] : w x > cut}`` as zero or one interval rows."""
+    if w == 0.0:
+        return np.array([[0.0, 1.0]]) if cut < 0.0 else np.empty((0, 2))
+    edge = min(max(cut / w, 0.0), 1.0)
+    a, b = (edge, 1.0) if w > 0.0 else (0.0, edge)
+    return np.array([[a, b]]) if b > a else np.empty((0, 2))
+
+
+def _roots_inside(coef: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """Both roots of each quadratic ``c2 q^2 + c1 q + c0`` (columns of
+    ``coef``), kept where they fall strictly inside ``(left, right)``.
+
+    Uses the cancellation-free pair ``t / c2`` and ``c0 / t`` with
+    ``t = -(c1 + sign(c1) sqrt(disc)) / 2``, which also yields the one root
+    of a linear column (``c2 = 0``); non-finite roots are dropped.
+    """
+    c2, c1, c0 = coef
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
+        roots = (t / c2, c0 / t)
+    return [r[np.isfinite(r) & (r > left) & (r < right)] for r in roots]
 
 
 @dataclass(frozen=True)
@@ -365,7 +474,8 @@ def scorer_from_dict(payload: dict) -> Scorer:
     if kind == "logistic":
         return LogisticScorer(payload["weights"], float(payload["intercept"]))
     if kind == "true-eta":
-        return TrueEtaScorer(model_from_dict(payload["model"]))
+        return TrueEtaScorer(model_from_dict(require_fields(payload["model"], "model",
+                                                            ("model",))))
     if kind == "kernel":
         from .dataio import load_dataset_csv
 

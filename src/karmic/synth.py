@@ -14,11 +14,16 @@ Two families:
   confusion is also exact.
 
 Each model class holds everything model-specific: ``sample(n, seed)``,
-``eta(X)``, ``draw_features(rng, k)`` for Monte-Carlo evaluation, and
-``population_confusion(deltas)``.  The free names ``sample_gaussian``,
-``true_eta_gaussian``, ``population_confusion_gaussian``, ``sample_holder``
-and ``population_confusion_holder`` are these methods, called with the
-model as first argument.
+``eta(X)``, ``draw_features(rng, k)`` for Monte-Carlo evaluation,
+``population_confusion(deltas)`` for thresholding the true eta, and
+``classifier_confusion(scorer, delta)`` for the exact population confusion
+of a fitted score rule: a half-space mass on the Gaussian model (affine
+scorers hand over ``halfspace``), an integral of eta over intervals on the
+Holder model (1-d scorers hand over ``acceptance_intervals``).  The free
+names ``sample_gaussian``, ``true_eta_gaussian``,
+``population_confusion_gaussian``, ``sample_holder`` and
+``population_confusion_holder`` are these methods, called with the model as
+first argument.
 
 Sampling uses one named child stream per role (labels, features) spawned
 from the seed, so datasets are bit-reproducible and independent of
@@ -141,6 +146,15 @@ class GaussianModel:
             )
         return gaussian_halfspace_confusion(self, self.mu, float(logit(self.kappa)), deltas)
 
+    def classifier_confusion(self, scorer, delta: float) -> np.ndarray:
+        """Exact population confusion of ``predict +1 iff scorer(x) > delta``.
+
+        The scorer's ``halfspace`` gives its affine rule ``sigmoid(w.x + b)``;
+        a scorer without one raises ``ModeUnsupportedError``.
+        """
+        w, b = scorer.halfspace(self.dim)
+        return gaussian_halfspace_confusion(self, w, b, delta)
+
 
 @dataclass(frozen=True)
 class HolderModel:
@@ -199,15 +213,48 @@ class HolderModel:
             return np.array([0.0, 0.0, pos_total, 1.0 - pos_total])
         if level <= -1.0:
             return np.array([pos_total, 1.0 - pos_total, 0.0, 0.0])
-        theta = math.asin(level)
-        x_lo = theta / _TWO_PI  # may be negative for levels below 0.5
-        x_hi = (math.pi - theta) / _TWO_PI
+        x_lo, x_hi = _sine_arc(level)
         # Super-level set on [0,1] is (x_lo, x_hi) shifted into the unit period:
         # for negative x_lo it wraps to [0, x_hi) and (x_lo + 1, 1].
         mass = x_hi - x_lo
         tp = _sine_antiderivative(x_hi) - _sine_antiderivative(x_lo)
         fp = mass - tp
         return np.array([tp, fp, pos_total - tp, (1.0 - pos_total) - fp])
+
+    def superlevel_intervals(self, delta: float) -> np.ndarray:
+        """``{x in [0, 1] : eta(x) > delta}`` as sorted disjoint ``(k, 2)`` rows."""
+        if self.eta_tag == "flat":
+            return np.array([[0.0, 1.0]]) if delta < 0.5 else np.empty((0, 2))
+        level = (delta - 0.5) / _SINE_AMPLITUDE
+        if level >= 1.0:
+            return np.empty((0, 2))
+        if level <= -1.0:
+            return np.array([[0.0, 1.0]])
+        x_lo, x_hi = _sine_arc(level)
+        if x_lo < 0.0:
+            return np.array([[0.0, x_hi], [x_lo + 1.0, 1.0]])
+        return np.array([[x_lo, x_hi]])
+
+    def classifier_confusion(self, scorer, delta: float) -> np.ndarray:
+        """Exact population confusion of ``predict +1 iff scorer(x) > delta``.
+
+        The scorer's ``acceptance_intervals`` give ``{x : score(x) > delta}``
+        as intervals of [0, 1]; the positive mass over ``[a, b]`` is half its
+        length plus, for the sine tag, ``0.45 (cos 2 pi a - cos 2 pi b) / 2 pi``.
+        A scorer without intervals raises ``ModeUnsupportedError``.
+        """
+        if scorer.dim not in (None, 1):
+            raise DimensionMismatchError(
+                f"the Holder model is 1-d; the scorer expects dimension {scorer.dim}"
+            )
+        a, b = scorer.acceptance_intervals(delta).T
+        mass = float((b - a).sum())
+        tp = 0.5 * mass
+        if self.eta_tag == "sine":
+            swing = np.cos(_TWO_PI * a) - np.cos(_TWO_PI * b)
+            tp += _SINE_AMPLITUDE / _TWO_PI * float(swing.sum())
+        fp = mass - tp
+        return np.array([tp, fp, 0.5 - tp, 0.5 - fp])
 
 
 def model_from_dict(payload: dict) -> GaussianModel | HolderModel:
@@ -274,6 +321,13 @@ def gaussian_halfspace_confusion(
         rate_neg = ndtr((-shift - cut) / norm)
     return np.stack([kappa * rate_pos, (1 - kappa) * rate_neg,
                      kappa * (1 - rate_pos), (1 - kappa) * (1 - rate_neg)], axis=-1)
+
+
+def _sine_arc(level: float) -> tuple[float, float]:
+    """Ends of the arc of the period where ``sin(2 pi x) > level``, for
+    ``|level| < 1``; the left end is negative for a negative level."""
+    theta = math.asin(level)
+    return theta / _TWO_PI, (math.pi - theta) / _TWO_PI
 
 
 def _sine_antiderivative(x: float) -> float:

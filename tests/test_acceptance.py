@@ -372,8 +372,8 @@ def test_criterion_09_nonparametric_rate() -> None:
         estimator=EstimatorSpec("kernel", kernel_beta=1.0),
         n_list=tuple(2**k for k in range(10, 17)),
         seeds=50,
-        mc_samples=1_000_000,
     )
+    assert cfg.eval_mode == "closed-form"
     table = run_rate_experiment(cfg)
     slope, _, r2 = fit_loglog_slope(table)
     medians = [entry["median_regret"] for entry in table.aggregates()]

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 import karmic.cli
-from karmic import Dataset, ExperimentConfig, PluginClassifier
+from karmic import (
+    Dataset,
+    ExperimentConfig,
+    HolderModel,
+    PluginClassifier,
+    parse_metric,
+    population_regret,
+)
 from karmic.cli import main
 from karmic.dataio import load_dataset_csv, read_sidecar, save_dataset_csv
 
@@ -159,10 +166,31 @@ class TestTrainEvaluate:
         assert code == 0, err
         assert from_own_dir == from_parent
 
+    def test_kernel_classifier_evaluates_exactly(self, tmp_path, capsys) -> None:
+        data_path = str(tmp_path / "h.csv")
+        run_cli(capsys, "gen", "--model", "holder", "--n", "3000", "--seed", "6",
+                "--out", data_path)
+        clf_path = str(tmp_path / "kclf.json")
+        code, _, err = run_cli(capsys, "train", "--metric", "fbeta:1", "--data", data_path,
+                               "--estimator", "kernel", "--seed", "2", "--out", clf_path)
+        assert code == 0, err
+        code, report, err = run_cli(capsys, "evaluate", "--classifier", clf_path,
+                                    "--metric", "fbeta:1", "--model", "holder")
+        assert code == 0, err
+        assert report["mode"] == {"mode": "closed-form"}
+        with open(clf_path, encoding="utf-8") as fh:
+            stored = json.load(fh)
+        stored["scorer"]["train_path"] = f"{clf_path}.train.csv"
+        want = population_regret(parse_metric("fbeta:1"), PluginClassifier.from_dict(stored),
+                                 HolderModel("sine")).to_dict()
+        assert report == {**want, "metric": "fbeta:1"}
+        assert 0.0 <= report["regret"] < 0.05
+
     @pytest.mark.parametrize(
         ("payload", "field"),
         [({"scorer": [1], "delta": 0.5}, "scorer"), ([], "classifier"),
-         ({"delta": 0.5}, "scorer")],
+         ({"delta": 0.5}, "scorer"),
+         ({"scorer": {"kind": "true-eta", "model": "holder"}, "delta": 0.5}, "model")],
     )
     def test_malformed_classifier_json(self, tmp_path, capsys, payload, field) -> None:
         clf_path = tmp_path / "bad.json"

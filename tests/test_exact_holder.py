@@ -1,0 +1,165 @@
+"""Exact population confusion of 1-d scorers on the Holder model.
+
+Every case compares ``HolderModel.classifier_confusion`` (eta integrated
+over the scorer's acceptance intervals) with a midpoint rule on 2^22 cells
+written here, which only calls the scorer's ``scores``: the two must agree
+within 1e-6 in every confusion entry and in utility.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+import pytest
+
+from karmic import (
+    ConstantScorer,
+    DimensionMismatchError,
+    EstimatorSpec,
+    GaussianModel,
+    HolderModel,
+    KernelScorer,
+    LogisticScorer,
+    ModeUnsupportedError,
+    PluginClassifier,
+    TrueEtaScorer,
+    fit_kernel_smoother,
+    fit_logistic_mle,
+    metric_value,
+    parse_metric,
+    population_optimum,
+    population_regret,
+    sample_holder,
+    train_plugin,
+)
+from karmic.scorers import KERNEL_CLIP
+
+SINE = HolderModel("sine")
+F1 = parse_metric("fbeta:1")
+ACCURACY = parse_metric("accuracy")
+CELLS = 1 << 22
+CHUNK = 1 << 20
+TOL = 1e-6
+
+
+@functools.lru_cache(maxsize=None)
+def midpoint_grid(tag: str) -> tuple[np.ndarray, np.ndarray]:
+    """The cell midpoints of [0, 1] and eta at each."""
+    x = (np.arange(CELLS) + 0.5) / CELLS
+    eta = np.full_like(x, 0.5) if tag == "flat" else 0.5 + 0.45 * np.sin(2 * np.pi * x)
+    return x, eta
+
+
+def midpoint_confusion(model: HolderModel, scorer, delta: float) -> np.ndarray:
+    """(TP, FP, FN, TN) by the midpoint rule: each cell of [0, 1] counts as
+    predicted +1 iff the scorer puts its midpoint above delta."""
+    grid, curve = midpoint_grid(model.eta_tag)
+    sums = np.zeros(4)
+    for start in range(0, CELLS, CHUNK):
+        x, eta = grid[start:start + CHUNK], curve[start:start + CHUNK]
+        pred = (scorer.scores(x[:, None]) > delta).astype(float)
+        tp, fn = eta @ pred, eta @ (1.0 - pred)
+        sums += [tp, pred.sum() - tp, fn, (1.0 - pred).sum() - fn]
+    return sums / CELLS
+
+
+def assert_matches_midpoint(model: HolderModel, scorer, delta: float) -> None:
+    intervals = scorer.acceptance_intervals(delta)
+    assert intervals.ndim == 2 and intervals.shape[1] == 2
+    flat = intervals.ravel()
+    assert np.all(np.diff(flat) >= 0.0) and np.all(intervals[:, 1] > intervals[:, 0])
+    assert flat.size == 0 or (flat[0] >= 0.0 and flat[-1] <= 1.0)
+    exact = model.classifier_confusion(scorer, delta)
+    quad = midpoint_confusion(model, scorer, delta)
+    np.testing.assert_allclose(exact, quad, rtol=0.0, atol=TOL)
+    for metric in (F1, ACCURACY):
+        assert metric_value(metric, exact) == pytest.approx(metric_value(metric, quad), abs=TOL)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n", [1024, 4096, 65536])
+    def test_trained_classifiers(self, n: int, seed: int) -> None:
+        clf = train_plugin(F1, sample_holder(SINE, n, seed), EstimatorSpec("kernel"), seed=seed)
+        assert_matches_midpoint(SINE, clf.scorer, clf.delta)
+
+    def test_empty_windows_fall_back_to_the_global_rate(self) -> None:
+        data = sample_holder(SINE, 100, 3)
+        scorer = fit_kernel_smoother(data, 1.0, bandwidth_const=0.05)
+        # queries farther than h from every training point (over a tenth of
+        # [0, 1] here) score the global rate
+        gaps = np.diff(np.concatenate([[0.0], np.sort(data.features[:, 0]), [1.0]]))
+        assert np.clip(gaps - 2 * scorer.bandwidth, 0.0, None).sum() > 0.1
+        for delta in (scorer.global_rate - 1e-3, scorer.global_rate + 1e-3, 0.5):
+            assert_matches_midpoint(SINE, scorer, delta)
+
+    @pytest.mark.parametrize(
+        "delta",
+        [KERNEL_CLIP / 2, KERNEL_CLIP, 2 * KERNEL_CLIP, 1 - 2 * KERNEL_CLIP, 1 - KERNEL_CLIP,
+         1 - KERNEL_CLIP / 2, 0.0, 1.0],
+    )
+    def test_thresholds_at_the_clip(self, delta: float) -> None:
+        # small n and a narrow window leave windows with no positive (or no
+        # negative) point, whose raw estimate 0 (or 1) is clipped
+        data = sample_holder(SINE, 400, 5)
+        scorer = fit_kernel_smoother(data, 1.0, bandwidth_const=0.3)
+        assert_matches_midpoint(SINE, scorer, delta)
+
+    def test_flat_tag(self) -> None:
+        flat = HolderModel("flat")
+        clf = train_plugin(F1, sample_holder(flat, 4096, 2), EstimatorSpec("kernel"), seed=2)
+        assert_matches_midpoint(flat, clf.scorer, clf.delta)
+        assert_matches_midpoint(flat, clf.scorer, 0.5)
+
+    def test_two_dimensional_kernel_has_no_intervals(self) -> None:
+        rng = np.random.default_rng(0)
+        scorer = KernelScorer(rng.random((50, 2)), np.where(rng.random(50) < 0.5, 1, -1),
+                              0.3, 1.0)
+        with pytest.raises(ModeUnsupportedError):
+            scorer.acceptance_intervals(0.5)
+        with pytest.raises(DimensionMismatchError):
+            SINE.classifier_confusion(scorer, 0.5)
+
+
+class TestHalfLineScorers:
+    @pytest.mark.parametrize("delta", [0.0, 0.2, 0.45, 0.8, 1.0])
+    @pytest.mark.parametrize(("w", "b"), [(4.0, -2.0), (-3.0, 1.0), (0.0, 0.3), (0.5, 5.0)])
+    def test_logistic(self, w: float, b: float, delta: float) -> None:
+        assert_matches_midpoint(SINE, LogisticScorer([w], b), delta)
+
+    def test_fitted_logistic(self) -> None:
+        scorer, _ = fit_logistic_mle(sample_holder(SINE, 4000, 1))
+        for delta in (0.3, 0.5, 0.7):
+            assert_matches_midpoint(SINE, scorer, delta)
+
+    @pytest.mark.parametrize(("p", "delta"), [(0.6, 0.5), (0.4, 0.5), (0.5, 0.5), (0.0, 0.0),
+                                              (1.0, 1.0), (1.0, 0.0)])
+    def test_constant(self, p: float, delta: float) -> None:
+        assert_matches_midpoint(SINE, ConstantScorer(p), delta)
+
+    def test_two_dimensional_logistic_is_rejected(self) -> None:
+        scorer = LogisticScorer([1.0, 2.0], 0.0)
+        with pytest.raises(ModeUnsupportedError):
+            scorer.acceptance_intervals(0.5)
+        with pytest.raises(DimensionMismatchError):
+            SINE.classifier_confusion(scorer, 0.5)
+
+
+class TestTrueEta:
+    @pytest.mark.parametrize("delta", [0.0, 0.03, 0.05, 0.2, 0.5, 0.7, 0.95, 0.99, 1.0])
+    @pytest.mark.parametrize("tag", ["sine", "flat"])
+    def test_arc(self, tag: str, delta: float) -> None:
+        model = HolderModel(tag)
+        assert_matches_midpoint(model, TrueEtaScorer(model), delta)
+
+    def test_zero_regret_at_the_optimum(self) -> None:
+        delta_star, _ = population_optimum(F1, SINE)
+        report = population_regret(F1, PluginClassifier(TrueEtaScorer(SINE), delta_star), SINE)
+        assert report.mode == {"mode": "closed-form"}
+        assert abs(report.regret) <= 1e-12
+
+    def test_gaussian_true_eta_has_no_intervals(self) -> None:
+        scorer = TrueEtaScorer(GaussianModel(np.array([1.0]), 0.5))
+        with pytest.raises(ModeUnsupportedError):
+            scorer.acceptance_intervals(0.5)

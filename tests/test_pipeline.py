@@ -24,7 +24,7 @@ from karmic import (
     sample_holder,
     train_plugin,
 )
-from karmic.pipeline import _closed_form_confusion, _monte_carlo_confusion
+from karmic.pipeline import _monte_carlo_confusion
 
 MODEL = GaussianModel(np.array([2.0, 0.0]), 0.5)
 
@@ -224,11 +224,18 @@ class TestPopulationRegret:
         with pytest.raises(ModeUnsupportedError):
             population_regret(parse_metric("accuracy"), clf, MODEL, mode="closed-form")
 
-    def test_holder_closed_form_unsupported(self) -> None:
-        model = HolderModel("sine")
-        clf = PluginClassifier(ConstantScorer(0.6), 0.5)
-        with pytest.raises(ModeUnsupportedError):
-            population_regret(parse_metric("accuracy"), clf, model, mode="closed-form")
+    def test_holder_constant_rule_predicts_all_or_nothing(self) -> None:
+        # eta integrates to 1/2 on [0, 1] for both tags; ties go negative
+        for p, predicted in ((0.6, 1.0), (0.4, 0.0), (0.5, 0.0)):
+            clf = PluginClassifier(ConstantScorer(p), 0.5)
+            want = [0.5 * predicted, 0.5 * predicted, 0.5 * (1 - predicted),
+                    0.5 * (1 - predicted)]
+            for tag in ("sine", "flat"):
+                model = HolderModel(tag)
+                np.testing.assert_array_equal(model.classifier_confusion(clf.scorer, 0.5), want)
+                report = population_regret(parse_metric("accuracy"), clf, model)
+                assert report.u_hat == 0.5
+                assert report.mode == {"mode": "closed-form"}
 
     def test_unknown_mode_rejected(self) -> None:
         clf = PluginClassifier(ConstantScorer(0.6), 0.5)
@@ -245,7 +252,7 @@ class TestPopulationRegret:
         clf = PluginClassifier(ConstantScorer(p), delta)
         positive = float(clf.predict(np.zeros((1, 2)))[0] == 1)
         want = [0.5 * positive, 0.5 * positive, 0.5 * (1 - positive), 0.5 * (1 - positive)]
-        np.testing.assert_array_equal(_closed_form_confusion(MODEL, clf.scorer, delta), want)
+        np.testing.assert_array_equal(MODEL.classifier_confusion(clf.scorer, delta), want)
 
     def test_composes_optimum_and_utility(self) -> None:
         spec = parse_metric("fbeta:1")
