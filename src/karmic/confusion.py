@@ -95,7 +95,7 @@ class Dataset:
         y = np.asarray(labels)
         if y.shape != (X.shape[0],):
             raise ValueError("labels must be one per feature row")
-        if y.size and not np.isin(y, (-1, 1)).all():
+        if not ((y == 1) | (y == -1)).all():
             raise ValueError("labels must be -1 or +1")
         y = y.astype(int)
         if weights is None:

@@ -111,7 +111,7 @@ class ExperimentConfig:
         }
         if self.estimator.kind == "constant":
             est["p"] = self.estimator.p
-        return {
+        payload = {
             "model": self.model.to_dict(),
             "metric": self.metric,
             "estimator": est,
@@ -119,9 +119,12 @@ class ExperimentConfig:
             "seeds": self.seeds,
             "tolerance": self.tolerance,
             "eval_mode": self.eval_mode,
-            "mc_samples": self.mc_samples,
             "workers": self.workers,
         }
+        if self.eval_mode == "monte-carlo":
+            # exact evaluation makes no draw, so it records no draw count
+            payload["mc_samples"] = self.mc_samples
+        return payload
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":

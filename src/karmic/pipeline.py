@@ -150,10 +150,8 @@ def train_plugin(
         perm = np.random.default_rng(child).permutation(n)
         fit_half = data.subset(perm[:n1])
         threshold_half = data.subset(perm[n1:])
-        if (
-            len(np.unique(fit_half.labels)) == 2
-            and len(np.unique(threshold_half.labels)) == 2
-        ):
+        if all((half.labels == 1).any() and (half.labels == -1).any()
+               for half in (fit_half, threshold_half)):
             break
     else:
         raise SplitDegenerateError(

@@ -344,7 +344,7 @@ def fit_logistic_mle(
     """
     if data.n == 0:
         raise EmptyDataError("cannot fit a logistic model on no data")
-    if len(np.unique(data.labels)) < 2:
+    if not ((data.labels == 1).any() and (data.labels == -1).any()):
         raise ValueError("logistic fit needs both labels present")
     if data.n <= data.dim:
         raise ValueError(f"need n > d, got n={data.n}, d={data.dim}")
@@ -352,6 +352,7 @@ def fit_logistic_mle(
     y = data.labels.astype(float)
     t = (y + 1.0) / 2.0
     theta = np.zeros(X.shape[1])
+    diagonal = np.diag_indices(X.shape[1])
     margins = np.zeros(data.n)
     nll = _mean_nll(margins)
     nll_path = [nll]
@@ -368,7 +369,7 @@ def fit_logistic_mle(
             break
         curvature = p * (1.0 - p)
         hessian = (X.T * curvature) @ X / data.n
-        hessian[np.diag_indices_from(hessian)] += _RIDGE
+        hessian[diagonal] += _RIDGE
         try:
             step = np.linalg.solve(hessian, grad)
         except np.linalg.LinAlgError as exc:

@@ -251,6 +251,29 @@ class TestNonFiniteFeatures:
         assert "finite" in failure["message"]
 
 
+class TestDatasetFiles:
+    def test_non_integral_labels_rejected(self, tmp_path, capsys) -> None:
+        path = tmp_path / "frac.csv"
+        path.write_text("x_1,y\n0.5,1.7\n0.25,-1.2\n1.0,1\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "train", "--metric", "fbeta:1", "--data", str(path))
+        assert code == 1
+        assert out is None
+        failure = json.loads(err)
+        assert failure["error"] == "invalid-argument"
+        assert "frac.csv" in failure["message"]
+
+    def test_gzip_round_trip(self, tmp_path, capsys) -> None:
+        path = str(tmp_path / "d.csv.gz")
+        code, _, _ = run_cli(capsys, "gen", "--model", "gaussian", "--mu", "2,0",
+                             "--kappa", "0.5", "--n", "2000", "--seed", "3", "--out", path)
+        assert code == 0
+        with open(path, "rb") as fh:
+            assert fh.read(2) == b"\x1f\x8b"
+        code, payload, _ = run_cli(capsys, "train", "--metric", "fbeta:1", "--data", path)
+        assert code == 0
+        assert payload["provenance"]["n1"] + payload["provenance"]["n2"] == 2000
+
+
 class TestOracle:
     def test_discrete(self, capsys) -> None:
         code, payload, _ = run_cli(

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import bz2
+import gzip
+import lzma
+
 import numpy as np
 import pytest
 
 from karmic import Dataset, EmptyDataError, GaussianModel, sample_gaussian
 from karmic.dataio import (
+    _CSV_BLOCK_ROWS,
     load_dataset_csv,
     load_dataset_npz,
     read_sidecar,
@@ -87,6 +92,59 @@ class TestCsv:
         path.write_text("y\n1\n-1\n", encoding="utf-8")
         with pytest.raises(ValueError):
             load_dataset_csv(str(path))
+
+    def test_non_integral_labels_rejected(self, tmp_path) -> None:
+        path = tmp_path / "frac.csv"
+        path.write_text("x_1,y\n0.5,1.7\n0.25,-1.2\n1.0,1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="frac.csv: data row 1 has label 1.7"):
+            load_dataset_csv(str(path))
+
+    @pytest.mark.parametrize("label", ["0", "2", "-1.0000001", "nan"])
+    def test_labels_other_than_plus_minus_one_rejected(self, tmp_path, label) -> None:
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x_1,y\n0.5,1\n0.25,{label}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="data row 2"):
+            load_dataset_csv(str(path))
+
+    @pytest.mark.parametrize(("suffix", "opener"),
+                             [(".gz", gzip.open), (".bz2", bz2.open), (".xz", lzma.open)])
+    def test_compressed_by_suffix(self, data, tmp_path, suffix, opener) -> None:
+        plain = tmp_path / "d.csv"
+        packed = tmp_path / f"d.csv{suffix}"
+        save_dataset_csv(data, str(plain))
+        save_dataset_csv(data, str(packed))
+        with opener(packed, "rb") as fh:
+            assert fh.read() == plain.read_bytes()
+        loaded, _ = load_dataset_csv(str(packed))
+        np.testing.assert_array_equal(loaded.features, data.features)
+        np.testing.assert_array_equal(loaded.labels, data.labels)
+
+
+def savetxt_reference(data: Dataset, path) -> None:
+    """The writer ``save_dataset_csv`` replaced, kept as its oracle."""
+    header = ",".join(f"x_{j + 1}" for j in range(data.dim)) + ",y"
+    np.savetxt(path, np.column_stack([data.features, data.labels.astype(float)]),
+               fmt=["%.17g"] * data.dim + ["%d"], delimiter=",", header=header, comments="")
+
+
+class TestCsvMatchesSavetxt:
+    B = _CSV_BLOCK_ROWS
+    EXTREMES = [-0.0, 5e-324, 1e-310, 1.7976931348623157e308, -1e300]
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+    def test_same_bytes(self, tmp_path, dim, n) -> None:
+        rng = np.random.default_rng(1000 * dim + n)
+        features = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-300, 300, size=(n, dim))
+        head = min(n * dim, len(self.EXTREMES))
+        features.flat[:head] = self.EXTREMES[:head]
+        features.flat[-head:] = self.EXTREMES[:head]
+        labels = np.where(rng.random(n) < 0.5, 1, -1)
+        labels[0], labels[-1] = -1, 1
+        one = Dataset(features, labels)
+        save_dataset_csv(one, str(tmp_path / "new.csv"))
+        savetxt_reference(one, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestNpz:

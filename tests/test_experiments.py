@@ -88,6 +88,11 @@ class TestConfigValidation:
         assert payload["n_list"] == [24, 32]
         assert payload["eval_mode"] == "closed-form"
 
+    def test_to_dict_records_mc_samples_only_for_monte_carlo(self) -> None:
+        assert "mc_samples" not in tiny_config(mc_samples=5000).to_dict()
+        payload = tiny_config(eval_mode="monte-carlo", mc_samples=5000).to_dict()
+        assert payload["mc_samples"] == 5000
+
 
 class TestConfigText:
     GAUSSIAN_TEXT = """
