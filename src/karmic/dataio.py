@@ -68,7 +68,7 @@ def read_sidecar(path: str) -> dict | None:
 
 
 def save_dataset_csv(data: Dataset, path: str, meta: dict | None = None) -> None:
-    """Write features and labels as CSV; sample weights are not stored."""
+    """Write features and labels as CSV."""
     if data.n == 0:
         raise EmptyDataError("refusing to write an empty dataset")
     header = ",".join(f"x_{j + 1}" for j in range(data.dim)) + ",y\n"

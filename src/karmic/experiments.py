@@ -153,14 +153,22 @@ class ExperimentConfig:
             model=model,
             metric=raw["metric"].strip(),
             estimator=estimator,
-            n_list=tuple(int(float(v)) for v in raw["n_list"].split(",")),
+            n_list=tuple(_whole("n_list", v) for v in raw["n_list"].split(",")),
             seeds=int(raw["seeds"]),
             tolerance=tolerance,
             eval_mode=raw.get("eval", "").strip(),
-            mc_samples=int(float(raw.get("mc_samples", 1_000_000))),
+            mc_samples=_whole("mc_samples", raw.get("mc_samples", 1_000_000)),
             workers=int(raw.get("workers", 1)),
             out=raw.get("out"),
         )
+
+
+def _whole(key: str, text) -> int:
+    """One integer config value; ``1e6`` is allowed, a non-finite value is not."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"config key {key!r} must be finite, got {str(text).strip()!r}")
+    return int(value)
 
 
 def model_from_config(raw: dict[str, str]) -> GaussianModel | HolderModel:

@@ -25,9 +25,9 @@ Two contractions of the gradient drive everything downstream:
   For a population confusion curve C(delta), the optimal threshold is the
   unique fixed point delta* = threshold_map(C(delta*)).
 
-The single-point functions accept a ConfusionMatrix or any length-4 float
-sequence.  All gradients are hand-derived closed forms; finite differences
-are used only as a test oracle.
+The single-point functions accept any length-4 float sequence.  All
+gradients are hand-derived closed forms; finite differences are used only
+as a test oracle.
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ def metric_gradients_masked(spec: MetricSpec, C: np.ndarray) -> tuple[np.ndarray
 
 
 def _single(c) -> np.ndarray:
-    """One confusion vector (a ConfusionMatrix or 4 floats) as a (1, 4) array."""
+    """One confusion vector (4 floats) as a (1, 4) array."""
     C = np.asarray(c, dtype=float)
     if C.shape != (4,):
         raise ValueError(f"expected 4 confusion entries, got shape {C.shape}")

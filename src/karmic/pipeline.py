@@ -38,6 +38,7 @@ from .scorers import (
     TrueEtaScorer,
     fit_kernel_smoother,
     fit_logistic_mle,
+    number_field,
     require_fields,
     scorer_from_dict,
     scorer_to_dict,
@@ -121,11 +122,11 @@ class PluginClassifier:
     @classmethod
     def from_dict(cls, payload: dict) -> "PluginClassifier":
         payload = require_fields(payload, "classifier", ("scorer", "delta"))
-        return cls(
-            scorer_from_dict(payload["scorer"]),
-            float(payload["delta"]),
-            payload.get("provenance"),
-        )
+        provenance = payload.get("provenance")
+        if provenance is not None and not isinstance(provenance, dict):
+            raise ValueError(f"field 'provenance' must be a JSON object, got {provenance!r}")
+        return cls(scorer_from_dict(payload["scorer"]), number_field(payload, "delta"),
+                   provenance)
 
 
 def train_plugin(

@@ -467,13 +467,27 @@ def require_fields(payload, what: str, fields: tuple[str, ...]) -> dict:
     return payload
 
 
+def number_field(payload: dict, name: str, ndim: int = 0):
+    """``payload[name]`` as a float (``ndim`` 0) or a float array of ``ndim``
+    dimensions; a ValueError naming the field when it holds anything else."""
+    try:
+        value = np.asarray(payload[name], dtype=float)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or value.ndim != ndim:
+        kind = "a number" if ndim == 0 else "a list of numbers"
+        raise ValueError(f"field {name!r} must be {kind}, got {payload[name]!r}")
+    return float(value) if ndim == 0 else value
+
+
 def scorer_from_dict(payload: dict) -> Scorer:
     """Inverse of :func:`scorer_to_dict`; kernel variants reload their file."""
     kind = require_fields(payload, "scorer", ("kind",))["kind"]
     if kind == "constant":
-        return ConstantScorer(float(payload["p"]))
+        return ConstantScorer(number_field(payload, "p"))
     if kind == "logistic":
-        return LogisticScorer(payload["weights"], float(payload["intercept"]))
+        return LogisticScorer(number_field(payload, "weights", 1),
+                              number_field(payload, "intercept"))
     if kind == "true-eta":
         return TrueEtaScorer(model_from_dict(require_fields(payload["model"], "model",
                                                             ("model",))))
@@ -481,7 +495,7 @@ def scorer_from_dict(payload: dict) -> Scorer:
         from .dataio import load_dataset_csv
 
         data, _ = load_dataset_csv(payload["train_path"])
-        return KernelScorer(
-            data.features, data.labels, float(payload["bandwidth"]), float(payload["beta"])
-        )
+        return KernelScorer(data.features, data.labels,
+                            number_field(payload, "bandwidth"),
+                            number_field(payload, "beta"))
     raise ValueError(f"unknown scorer kind {kind!r}")

@@ -20,10 +20,8 @@ Each model class holds everything model-specific: ``sample(n, seed)``,
 of a fitted score rule: a half-space mass on the Gaussian model (affine
 scorers hand over ``halfspace``), an integral of eta over intervals on the
 Holder model (1-d scorers hand over ``acceptance_intervals``).  The free
-names ``sample_gaussian``, ``true_eta_gaussian``,
-``population_confusion_gaussian``, ``sample_holder`` and
-``population_confusion_holder`` are these methods, called with the model as
-first argument.
+names ``sample_gaussian`` and ``sample_holder`` are the ``sample`` methods,
+called with the model as first argument.
 
 Sampling uses one named child stream per role (labels, features) spawned
 from the seed, so datasets are bit-reproducible and independent of
@@ -51,11 +49,7 @@ __all__ = [
     "HolderModel",
     "sample_gaussian",
     "sample_holder",
-    "true_eta_gaussian",
-    "population_confusion_gaussian",
     "gaussian_halfspace_confusion",
-    "population_confusion_holder",
-    "holder_eta",
     "margin_exponent_estimate",
     "model_from_dict",
 ]
@@ -184,7 +178,10 @@ class HolderModel:
 
     def eta(self, X) -> np.ndarray:
         """The eta curve at every point of X (a feature column or a 1-d array)."""
-        return holder_eta(self.eta_tag, np.reshape(X, -1))
+        x = np.reshape(np.asarray(X, dtype=float), -1)
+        if self.eta_tag == "flat":
+            return np.full_like(x, 0.5)
+        return 0.5 + _SINE_AMPLITUDE * np.sin(_TWO_PI * x)
 
     def draw_features(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """k uniform feature rows."""
@@ -270,20 +267,7 @@ def model_from_dict(payload: dict) -> GaussianModel | HolderModel:
 
 
 sample_gaussian = GaussianModel.sample
-true_eta_gaussian = GaussianModel.eta
-population_confusion_gaussian = GaussianModel.population_confusion
 sample_holder = HolderModel.sample
-population_confusion_holder = HolderModel.population_confusion
-
-
-def holder_eta(tag: str, x) -> np.ndarray:
-    """Evaluate the named conditional-probability curve on [0, 1]."""
-    x = np.asarray(x, dtype=float)
-    if tag == "sine":
-        return 0.5 + _SINE_AMPLITUDE * np.sin(_TWO_PI * x)
-    if tag == "flat":
-        return np.full_like(x, 0.5)
-    raise ValueError(f"unknown eta tag {tag!r}")
 
 
 def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:

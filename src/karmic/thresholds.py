@@ -108,8 +108,8 @@ def direction_vector(delta: float) -> np.ndarray:
 def h_value(metric: MetricSpec, confusion, delta: float) -> float:
     """Ascent functional H = grad(G)(C) . v(delta) at one confusion vector.
 
-    ``confusion`` is a ConfusionMatrix or 4 floats: an empirical profile
-    row or a population curve value at ``delta``.
+    ``confusion`` is 4 floats: an empirical profile row or a population
+    curve value at ``delta``.
     """
     return float(metric_gradient(metric, confusion) @ direction_vector(delta))
 
@@ -127,7 +127,7 @@ def _h_with_nudges(metric: MetricSpec, profile: ScoreProfile, delta: float, n: i
         if not 0.0 < candidate < 1.0 and k > 0:
             continue
         try:
-            return candidate, h_value(metric, profile.confusion_array(candidate), candidate)
+            return candidate, h_value(metric, profile.confusion(candidate), candidate)
         except MetricDomainError:
             continue
     raise DegenerateDistributionError(
@@ -169,10 +169,9 @@ def binary_search_threshold(
 def fixed_point_threshold(metric: MetricSpec, population_confusion, tol: float) -> float:
     """Root of the population H on (tol, 1 - tol) by bisection.
 
-    ``population_confusion`` maps a threshold to its confusion vector (a
-    length-4 array or a ConfusionMatrix).  The root is the fixed point of
-    the threshold map.  Raises :class:`NoSignChangeError` when H has
-    constant sign on the bracket.
+    ``population_confusion`` maps a threshold to its length-4 confusion
+    vector.  The root is the fixed point of the threshold map.  Raises
+    :class:`NoSignChangeError` when H has constant sign on the bracket.
     """
     if not 0.0 < tol < 0.5:
         raise ValueError("tol must lie in (0, 0.5)")
@@ -217,7 +216,7 @@ def grid_search_threshold(metric: MetricSpec, scorer, data: Dataset, step: float
     grid = np.arange(count + 1) * step
     if grid[-1] < 1.0 - 1e-12:
         grid = np.append(grid, 1.0)
-    values, valid = metric_values_masked(metric, profile.confusion_array(grid))
+    values, valid = metric_values_masked(metric, profile.confusion(grid))
     if not valid.any():
         raise MetricDomainError(f"{metric.name}: no valid grid point in [0, 1]")
     values = np.where(valid, values, -np.inf)
@@ -229,10 +228,10 @@ def brute_force_discrete(
 ) -> tuple[float, list[tuple[int, ...]]]:
     """Enumerate all label assignments over a small discrete distribution.
 
-    ``atoms`` are (weight, eta) pairs: weights sum to one and eta is the
-    positive-class probability at the atom.  Returns the best utility and
-    every assignment within 1e-12 of it (+1/-1 per atom).  Limited to 20
-    atoms.
+    ``atoms`` are (weight, eta) pairs: finite weights summing to one, and
+    eta in [0, 1], the positive-class probability at the atom.  Returns the
+    best utility and every assignment within 1e-12 of it (+1/-1 per atom).
+    Limited to 20 atoms.
     """
     k = len(atoms)
     if k == 0:
@@ -241,9 +240,9 @@ def brute_force_discrete(
         raise TooManyAtomsError(f"{k} atoms would need 2^{k} assignments; limit is 20")
     w = np.array([float(a[0]) for a in atoms])
     eta = np.array([float(a[1]) for a in atoms])
-    if w.min() < 0 or abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError("atom weights must be non-negative and sum to 1")
-    if eta.min() < 0 or eta.max() > 1:
+    if not np.isfinite(w).all() or w.min() < 0 or abs(w.sum() - 1.0) > 1e-9:
+        raise ValueError("atom weights must be finite, non-negative and sum to 1")
+    if not ((eta >= 0) & (eta <= 1)).all():
         raise ValueError("atom eta values must lie in [0, 1]")
     pos_w = w * eta
     neg_w = w * (1.0 - eta)

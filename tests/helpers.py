@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from karmic import ConfusionMatrix, metric_value
+from karmic import metric_value
 
 
 class FixedScorer:
@@ -35,8 +35,8 @@ def central_difference_gradient(spec, c: np.ndarray, h: float = 1e-6) -> np.ndar
     for j in range(4):
         step = np.zeros(4)
         step[j] = h
-        up = metric_value(spec, ConfusionMatrix(*(c + step)))
-        down = metric_value(spec, ConfusionMatrix(*(c - step)))
+        up = metric_value(spec, c + step)
+        down = metric_value(spec, c - step)
         out[j] = (up - down) / (2.0 * h)
     return out
 
@@ -49,20 +49,20 @@ def random_interior_confusions(rng: np.random.Generator, count: int,
     return shifted / shifted.sum(axis=1, keepdims=True)
 
 
-def naive_confusion(scores, labels, weights, delta: float) -> np.ndarray:
-    """Loop-based weighted confusion with the strict > rule."""
-    tp = fp = fn = tn = 0.0
-    for s, y, w in zip(scores, labels, weights):
+def naive_confusion(scores, labels, delta: float) -> np.ndarray:
+    """Loop-based confusion shares with the strict > rule."""
+    tp = fp = fn = tn = 0
+    for s, y in zip(scores, labels):
         if s > delta:
             if y == 1:
-                tp += w
+                tp += 1
             else:
-                fp += w
+                fp += 1
         elif y == 1:
-            fn += w
+            fn += 1
         else:
-            tn += w
-    return np.array([tp, fp, fn, tn])
+            tn += 1
+    return np.array([tp, fp, fn, tn]) / len(scores)
 
 
 def naive_epanechnikov(train_x, train_y, h: float, queries,

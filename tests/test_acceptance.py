@@ -27,7 +27,6 @@ from scipy.integrate import quad
 from scipy.special import expit, logit, ndtr
 
 from karmic import (
-    ConfusionMatrix,
     EstimatorSpec,
     ExperimentConfig,
     GaussianModel,
@@ -44,11 +43,9 @@ from karmic import (
     metric_gradient,
     metric_value,
     parse_metric,
-    population_confusion_gaussian,
     registered_metrics,
     run_rate_experiment,
     sample_gaussian,
-    true_eta_gaussian,
 )
 from karmic.metrics import KARMIC_DIRECTION, metric_gradients_masked, metric_values_masked
 
@@ -143,7 +140,7 @@ def test_criterion_01_gradient_suite() -> None:
     worst = 0.0
     for spec in registered_metrics():
         for c in random_interior_confusions(rng, 100):
-            grad = metric_gradient(spec, ConfusionMatrix(*c))
+            grad = metric_gradient(spec, c)
             fd = central_difference_gradient(spec, c)
             rel = np.abs(grad - fd) / np.maximum(np.abs(grad), 1.0)
             worst = max(worst, float(rel.max()))
@@ -155,7 +152,7 @@ def test_criterion_01_gradient_suite() -> None:
 
 def test_criterion_02_fixed_point_thresholds() -> None:
     start = time.perf_counter()
-    curve = lambda d: population_confusion_gaussian(REF_MODEL, d)  # noqa: E731
+    curve = REF_MODEL.population_confusion
 
     acc = fixed_point_threshold(parse_metric("accuracy"), curve, 1e-10)
     assert abs(acc - 0.5) <= 1e-8, f"accuracy threshold {acc!r} is not 0.5 +- 1e-8"
@@ -164,7 +161,7 @@ def test_criterion_02_fixed_point_thresholds() -> None:
     for kappa in (0.2, 0.3, 0.5):
         model = GaussianModel(np.array([2.0, 0.0]), kappa)
         root = fixed_point_threshold(
-            parse_metric("am"), lambda d: population_confusion_gaussian(model, d), 1e-10
+            parse_metric("am"), model.population_confusion, 1e-10
         )
         am_errs.append(abs(root - kappa))
         assert abs(root - kappa) <= 1e-6, f"am threshold {root!r} vs prior {kappa}"
@@ -172,7 +169,7 @@ def test_criterion_02_fixed_point_thresholds() -> None:
     spec = parse_metric(F1)
     f1_star = fixed_point_threshold(spec, curve, 1e-10)
     deltas = np.linspace(1e-3, 1.0 - 1e-3, 100_000)
-    values, valid = metric_values_masked(spec, population_confusion_gaussian(REF_MODEL, deltas))
+    values, valid = metric_values_masked(spec, REF_MODEL.population_confusion(deltas))
     assert valid.all()
     f1_grid = float(deltas[int(np.argmax(values))])
     f1_gap = abs(f1_star - f1_grid)
@@ -190,7 +187,7 @@ def test_criterion_02_fixed_point_thresholds() -> None:
 def test_criterion_03_single_sign_change() -> None:
     start = time.perf_counter()
     deltas = np.linspace(1e-3, 1.0 - 1e-3, 10_000)
-    curve = population_confusion_gaussian(REF_MODEL, deltas)
+    curve = REF_MODEL.population_confusion(deltas)
     directions = np.column_stack([-deltas, -(1.0 - deltas), deltas, 1.0 - deltas])
     changes = {}
     for spec in registered_metrics():
@@ -218,8 +215,7 @@ def test_criterion_04_two_deterministic_optima() -> None:
         pos = np.array(assignment) == 1
         tp = float((w * eta)[pos].sum())
         fp = float((w * (1 - eta))[pos].sum())
-        return metric_value(spec, ConfusionMatrix(tp, fp, (w * eta).sum() - tp,
-                                                  (w * (1 - eta)).sum() - fp))
+        return metric_value(spec, [tp, fp, (w * eta).sum() - tp, (w * (1 - eta)).sum() - fp])
 
     u_a = utility((-1, 1, -1))
     u_b = utility((1, -1, 1))
@@ -260,7 +256,7 @@ def test_criterion_06_sandwich_inequality() -> None:
     spec = parse_metric(F1)
     m = REF_MODEL.margin_norm  # 2.0: score margin z ~ N(+-m^2/2, m^2)
     kappa = REF_MODEL.kappa
-    curve = lambda d: population_confusion_gaussian(REF_MODEL, d)  # noqa: E731
+    curve = REF_MODEL.population_confusion
     delta_star = fixed_point_threshold(spec, curve, 1e-10)
     c_star = curve(delta_star)
     u_star = metric_value(spec, c_star)
@@ -289,7 +285,7 @@ def test_criterion_06_sandwich_inequality() -> None:
         accept = sign_positive_intervals(score_gap, lo, hi)
         tp = kappa * class_tail(accept, m**2 / 2)
         fp = (1 - kappa) * class_tail(accept, -(m**2) / 2)
-        c_hat = ConfusionMatrix(tp, fp, kappa - tp, (1 - kappa) - fp)
+        c_hat = np.array([tp, fp, kappa - tp, (1 - kappa) - fp])
         excess = u_star - metric_value(spec, c_hat)
 
         flipped = symmetric_difference_with_ray(accept, z_star)
@@ -332,9 +328,9 @@ def test_criterion_06_sandwich_inequality() -> None:
 def test_criterion_07_margin_exponent() -> None:
     start = time.perf_counter()
     data = sample_gaussian(REF_MODEL, 100_000, seed=707)
-    eta = np.asarray(true_eta_gaussian(REF_MODEL, data.features))
+    eta = np.asarray(REF_MODEL.eta(data.features))
     delta_star = fixed_point_threshold(
-        parse_metric(F1), lambda d: population_confusion_gaussian(REF_MODEL, d), 1e-10
+        parse_metric(F1), REF_MODEL.population_confusion, 1e-10
     )
     t_grid = np.geomspace(0.005, 0.3, 25)
     alpha = margin_exponent_estimate(eta, delta_star, t_grid)

@@ -30,6 +30,11 @@ def run_cli(capsys, *argv: str) -> tuple[int, dict | None, str]:
     return code, payload, captured.err
 
 
+#: a well-formed classifier JSON, corrupted one field at a time below
+LOGISTIC_CLASSIFIER = {"scorer": {"kind": "logistic", "weights": [1.0, 0.0], "intercept": 0.0},
+                       "delta": 0.5, "provenance": {}}
+
+
 @pytest.fixture
 def gaussian_csv(tmp_path, capsys) -> str:
     path = str(tmp_path / "train.csv")
@@ -190,7 +195,13 @@ class TestTrainEvaluate:
         ("payload", "field"),
         [({"scorer": [1], "delta": 0.5}, "scorer"), ([], "classifier"),
          ({"delta": 0.5}, "scorer"),
-         ({"scorer": {"kind": "true-eta", "model": "holder"}, "delta": 0.5}, "model")],
+         ({"scorer": {"kind": "true-eta", "model": "holder"}, "delta": 0.5}, "model"),
+         ({**LOGISTIC_CLASSIFIER, "provenance": 5}, "provenance"),
+         ({**LOGISTIC_CLASSIFIER, "delta": None}, "delta"),
+         ({**LOGISTIC_CLASSIFIER,
+           "scorer": {**LOGISTIC_CLASSIFIER["scorer"], "weights": {"a": 1}}}, "weights"),
+         ({**LOGISTIC_CLASSIFIER,
+           "scorer": {**LOGISTIC_CLASSIFIER["scorer"], "intercept": [1]}}, "intercept")],
     )
     def test_malformed_classifier_json(self, tmp_path, capsys, payload, field) -> None:
         clf_path = tmp_path / "bad.json"
@@ -305,6 +316,15 @@ class TestOracle:
         )
         assert code == 1
         assert json.loads(err)["error"] == "invalid-argument"
+
+    def test_non_finite_atoms_rejected(self, capsys) -> None:
+        # NaN fails every comparison, so range checks alone would let it through
+        for atoms in ("nan:0.5,nan:0.5", "0.5:nan,0.5:0.5", "inf:0.5,0.5:0.5"):
+            code, out, err = run_cli(capsys, "oracle", "--metric", "accuracy",
+                                     "--discrete", atoms)
+            assert code == 1
+            assert out is None
+            assert json.loads(err)["error"] == "invalid-argument"
 
 
 class TestRate:

@@ -164,6 +164,11 @@ class TestConfigText:
             ExperimentConfig.from_mapping({"model": "gaussian", "fuel": "coal"})
         with pytest.raises(ValueError, match="missing config keys"):
             ExperimentConfig.from_mapping({"model": "gaussian", "mu": "1", "kappa": "0.5"})
+        # a count too large for a float is infinite, which int() cannot take
+        raw = parse_config_text(TestConfigText.GAUSSIAN_TEXT)
+        for key, value in (("n_list", "256, 1e400"), ("mc_samples", "1e400")):
+            with pytest.raises(ValueError, match=key):
+                ExperimentConfig.from_mapping({**raw, key: value})
 
     def test_from_file(self, tmp_path) -> None:
         path = tmp_path / "exp.cfg"

@@ -26,7 +26,6 @@ from karmic import (
     scorer_to_dict,
 )
 from karmic.scorers import KERNEL_CLIP
-from karmic.synth import holder_eta
 
 from helpers import naive_epanechnikov
 
@@ -188,13 +187,13 @@ class TestKernelScorer:
         data = sample_holder(HolderModel("sine"), 40_000, seed=13)
         scorer = fit_kernel_smoother(data, beta=1.0)
         grid = np.linspace(0.02, 0.98, 97)
-        err = np.abs(scorer.scores(grid[:, None]) - holder_eta("sine", grid))
+        err = np.abs(scorer.scores(grid[:, None]) - HolderModel("sine").eta(grid))
         assert err.mean() <= 0.05
 
     def test_estimation_error_shrinks_with_n(self) -> None:
         errors = []
         grid = np.linspace(0.05, 0.95, 61)
-        truth = holder_eta("sine", grid)
+        truth = HolderModel("sine").eta(grid)
         for n in (1_000, 4_000, 16_000):
             per_seed = []
             for seed in range(10):

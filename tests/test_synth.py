@@ -12,7 +12,6 @@ from scipy.special import expit, logit, ndtr
 
 from karmic import (
     BoundaryThresholdError,
-    ConfusionMatrix,
     DegenerateDistributionError,
     DimensionMismatchError,
     GaussianModel,
@@ -20,15 +19,11 @@ from karmic import (
     InsufficientMassError,
     ScoreProfile,
     TrueEtaScorer,
-    population_confusion_gaussian,
-    population_confusion_holder,
     margin_exponent_estimate,
     sample_gaussian,
     sample_holder,
-    true_eta_gaussian,
     gaussian_halfspace_confusion,
 )
-from karmic.synth import holder_eta
 
 
 class TestModels:
@@ -63,8 +58,8 @@ class TestModels:
 
     def test_holder_eta_curves(self) -> None:
         x = np.array([0.0, 0.25, 0.5, 0.75])
-        np.testing.assert_allclose(holder_eta("sine", x), [0.5, 0.95, 0.5, 0.05], atol=1e-15)
-        np.testing.assert_allclose(holder_eta("flat", x), 0.5)
+        np.testing.assert_allclose(HolderModel("sine").eta(x), [0.5, 0.95, 0.5, 0.05], atol=1e-15)
+        np.testing.assert_allclose(HolderModel("flat").eta(x), 0.5)
 
 
 class TestSamplers:
@@ -112,7 +107,7 @@ class TestSamplers:
         y = (data.labels == 1).astype(float)
         for lo, hi in [(0.1, 0.15), (0.3, 0.35), (0.7, 0.75)]:
             mask = (x >= lo) & (x < hi)
-            want = holder_eta("sine", np.array([(lo + hi) / 2]))[0]
+            want = HolderModel("sine").eta(np.array([(lo + hi) / 2]))[0]
             assert y[mask].mean() == pytest.approx(want, abs=0.01)
 
 
@@ -121,11 +116,11 @@ class TestTrueEta:
         m = GaussianModel(np.array([2.0, 0.0]), 0.3)
         x = np.array([[0.5, 3.0]])
         want = expit(2.0 * 0.5 + logit(0.3))
-        assert true_eta_gaussian(m, x) == pytest.approx(want, rel=1e-14)
+        assert m.eta(x) == pytest.approx(want, rel=1e-14)
 
     def test_vector_input_and_scalar_row(self) -> None:
         m = GaussianModel(np.array([1.0]), 0.5)
-        vals = true_eta_gaussian(m, np.array([[0.0], [10.0], [-10.0]]))
+        vals = m.eta(np.array([[0.0], [10.0], [-10.0]]))
         assert vals.shape == (3,)
         assert vals[0] == pytest.approx(0.5)
         assert vals[1] > 0.99 and vals[2] < 0.01
@@ -133,19 +128,19 @@ class TestTrueEta:
     def test_dimension_mismatch(self) -> None:
         m = GaussianModel(np.array([1.0, 0.0]), 0.5)
         with pytest.raises(DimensionMismatchError):
-            true_eta_gaussian(m, np.zeros((3, 3)))
+            m.eta(np.zeros((3, 3)))
 
     def test_scorer_wrapper_agrees(self) -> None:
         m = GaussianModel(np.array([1.5, -0.5]), 0.4)
         X = np.random.default_rng(0).standard_normal((50, 2))
-        np.testing.assert_allclose(TrueEtaScorer(m).scores(X), true_eta_gaussian(m, X))
+        np.testing.assert_allclose(TrueEtaScorer(m).scores(X), m.eta(X))
 
 
 class TestGaussianConfusion:
     def test_reference_value(self) -> None:
         # kappa=1/2, |mu|=2, delta=1/2: TP = Phi(1)/2.
         m = GaussianModel(np.array([2.0, 0.0]), 0.5)
-        c = population_confusion_gaussian(m, 0.5)
+        c = m.population_confusion(0.5)
         assert c[0] == pytest.approx(0.5 * ndtr(1.0), abs=1e-14)
         assert c[3] == pytest.approx(0.5 * ndtr(1.0), abs=1e-14)
         assert c.sum() == pytest.approx(1.0, abs=1e-12)
@@ -153,21 +148,21 @@ class TestGaussianConfusion:
     def test_balanced_symmetry(self) -> None:
         m = GaussianModel(np.array([1.3]), 0.5)
         for delta in [0.1, 0.27, 0.44]:
-            a = population_confusion_gaussian(m, delta)
-            b = population_confusion_gaussian(m, 1.0 - delta)
+            a = m.population_confusion(delta)
+            b = m.population_confusion(1.0 - delta)
             np.testing.assert_allclose(a, b[::-1], atol=1e-14)
 
     def test_class_mass_is_threshold_invariant(self) -> None:
         m = GaussianModel(np.array([0.8, 0.4]), 0.35)
         for delta in np.linspace(0.05, 0.95, 7):
-            tp, fp, fn, tn = population_confusion_gaussian(m, float(delta))
+            tp, fp, fn, tn = m.population_confusion(float(delta))
             assert tp + fn == pytest.approx(0.35, abs=1e-12)
             assert fp + tn == pytest.approx(0.65, abs=1e-12)
 
     def test_monotone_in_delta(self) -> None:
         m = GaussianModel(np.array([1.0]), 0.5)
         deltas = np.linspace(0.01, 0.99, 60)
-        curve = population_confusion_gaussian(m, deltas)
+        curve = m.population_confusion(deltas)
         tp, tn = curve[:, 0], curve[:, 3]
         assert (np.diff(tp) <= 1e-12).all()
         assert (np.diff(tn) >= -1e-12).all()
@@ -175,24 +170,24 @@ class TestGaussianConfusion:
     def test_curve_matches_scalar_calls(self) -> None:
         m = GaussianModel(np.array([2.0, 1.0]), 0.3)
         deltas = np.array([[0.2, 0.5, 0.9], [0.01, 0.33, 0.99]])
-        curve = population_confusion_gaussian(m, deltas)
+        curve = m.population_confusion(deltas)
         assert curve.shape == (2, 3, 4)
         for row, delta in zip(curve.reshape(-1, 4), deltas.ravel()):
             # bitwise: the scalar and the vectorized calls share one arithmetic
-            np.testing.assert_array_equal(row, population_confusion_gaussian(m, float(delta)))
+            np.testing.assert_array_equal(row, m.population_confusion(float(delta)))
 
     @pytest.mark.parametrize("delta", [0.0, 1.0])
     def test_boundary_thresholds_rejected(self, delta: float) -> None:
         m = GaussianModel(np.array([1.0]), 0.5)
         with pytest.raises(BoundaryThresholdError):
-            population_confusion_gaussian(m, delta)
+            m.population_confusion(delta)
         with pytest.raises(BoundaryThresholdError):
-            population_confusion_gaussian(m, [0.5, delta])
+            m.population_confusion([0.5, delta])
 
     def test_zero_margin_rejected(self) -> None:
         m = GaussianModel(np.array([0.0]), 0.5)
         with pytest.raises(DegenerateDistributionError):
-            population_confusion_gaussian(m, 0.5)
+            m.population_confusion(0.5)
 
     def test_monte_carlo_agreement(self, rng) -> None:
         for _ in range(6):
@@ -203,7 +198,7 @@ class TestGaussianConfusion:
             delta = float(rng.uniform(0.1, 0.9))
             data = sample_gaussian(m, 200_000, seed=int(rng.integers(1 << 31)))
             mc = ScoreProfile.from_scorer(TrueEtaScorer(m), data).confusion(delta)
-            exact = population_confusion_gaussian(m, delta)
+            exact = m.population_confusion(delta)
             np.testing.assert_allclose(mc, exact, atol=5e-3)
 
 
@@ -214,7 +209,7 @@ class TestHalfspaceConfusion:
             via_halfspace = gaussian_halfspace_confusion(
                 m, m.mu, float(logit(0.3)), delta
             )
-            direct = population_confusion_gaussian(m, delta)
+            direct = m.population_confusion(delta)
             np.testing.assert_allclose(via_halfspace, direct, atol=1e-14)
 
     def test_zero_weights_predict_constantly(self) -> None:
@@ -255,26 +250,26 @@ class TestHolderConfusion:
 
     @pytest.mark.parametrize("delta", [0.08, 0.3, 0.492, 0.61, 0.9])
     def test_sine_matches_quadrature(self, delta: float) -> None:
-        got = population_confusion_holder(HolderModel("sine"), delta)
+        got = HolderModel("sine").population_confusion(delta)
         np.testing.assert_allclose(got, self.quadrature_oracle(delta), atol=1e-9)
 
     def test_sine_level_above_amplitude(self) -> None:
-        c = population_confusion_holder(HolderModel("sine"), 0.97)
+        c = HolderModel("sine").population_confusion(0.97)
         np.testing.assert_allclose(c, [0.0, 0.0, 0.5, 0.5], atol=1e-12)
-        c = population_confusion_holder(HolderModel("sine"), 0.02)
+        c = HolderModel("sine").population_confusion(0.02)
         np.testing.assert_allclose(c, [0.5, 0.5, 0.0, 0.0], atol=1e-12)
 
     def test_flat_steps_at_half_with_strict_rule(self) -> None:
         m = HolderModel("flat")
-        below = population_confusion_holder(m, 0.49)
+        below = m.population_confusion(0.49)
         np.testing.assert_allclose(below, [0.5, 0.5, 0.0, 0.0], atol=1e-15)
-        at = population_confusion_holder(m, 0.5)
+        at = m.population_confusion(0.5)
         np.testing.assert_allclose(at, [0.0, 0.0, 0.5, 0.5], atol=1e-15)
 
     def test_rows_always_on_simplex(self) -> None:
         m = HolderModel("sine")
         for delta in np.linspace(0.01, 0.99, 33):
-            arr = population_confusion_holder(m, float(delta))
+            arr = m.population_confusion(float(delta))
             assert arr.shape == (4,)
             assert (arr >= -1e-12).all()
             assert arr.sum() == pytest.approx(1.0, abs=1e-12)
@@ -287,11 +282,11 @@ class TestHolderConfusion:
             dim = 1
 
             def scores(self, X):
-                return holder_eta("sine", X[:, 0])
+                return HolderModel("sine").eta(X[:, 0])
 
         for delta in [0.2, 0.55, 0.8]:
             mc = ScoreProfile.from_scorer(CurveScorer(), data).confusion(delta)
-            exact = population_confusion_holder(m, delta)
+            exact = m.population_confusion(delta)
             np.testing.assert_allclose(mc, exact, atol=4e-3)
 
 

@@ -30,7 +30,6 @@ from karmic import (
     h_value,
     metric_value,
     parse_metric,
-    population_confusion_gaussian,
     sample_gaussian,
 )
 from karmic.thresholds import _h_with_nudges, default_tolerance
@@ -113,11 +112,11 @@ class TestHValue:
         # For the TPR/TNR average, H depends only on the class prior:
         # H(delta) = (1-delta)/(2(1-pi)) - delta/(2 pi).
         data, scores = make_data(rng, 200, prior=0.3)
-        pi = data.weights[data.labels == 1].sum()
+        pi = (data.labels == 1).mean()
         profile = ScoreProfile.from_scorer(FixedScorer(scores), data)
         for delta in [0.2, 0.5, 0.8]:
             want = (1 - delta) / (2 * (1 - pi)) - delta / (2 * pi)
-            got = h_value(parse_metric("am"), profile.confusion_array(delta), delta)
+            got = h_value(parse_metric("am"), profile.confusion(delta), delta)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_population_curve_value(self) -> None:
@@ -125,7 +124,7 @@ class TestHValue:
         # accuracy (delta = 1/2) H vanishes for any confusion vector.
         model = GaussianModel(np.array([2.0, 0.0]), 0.5)
         assert h_value(parse_metric("accuracy"),
-                       population_confusion_gaussian(model, 0.5), 0.5) == 0.0
+                       model.population_confusion(0.5), 0.5) == 0.0
 
 
 class TestBinarySearch:
@@ -139,7 +138,7 @@ class TestBinarySearch:
 
     def test_prior_sensitive_metric_finds_the_prior(self, rng) -> None:
         data, scores = make_data(rng, 2000, prior=0.3)
-        pi = data.weights[data.labels == 1].sum()
+        pi = (data.labels == 1).mean()
         result = binary_search_threshold(parse_metric("am"), FixedScorer(scores), data)
         assert result.delta_hat == pytest.approx(pi, abs=default_tolerance(2000))
 
@@ -198,7 +197,7 @@ class TestNudges:
         # the evaluation point down in 1/(2n) hops crosses the sample
         # scores and restores a finite value.
         spec = parse_metric("linfrac:0,0,0,1/1,0,0,0")
-        profile = ScoreProfile(np.array([0.3, 0.6]), np.array([1, -1]), np.array([0.5, 0.5]))
+        profile = ScoreProfile(np.array([0.3, 0.6]), np.array([1, -1]))
         used, h = _h_with_nudges(spec, profile, 0.7, n=2)
         assert used == pytest.approx(0.2)
         assert h == pytest.approx(1.6)
@@ -207,7 +206,7 @@ class TestNudges:
         # tn/fn mirrors the previous case: undefined until the threshold
         # climbs above the positive point's score.
         spec = parse_metric("linfrac:0,0,0,1/0,0,1,0")
-        profile = ScoreProfile(np.array([0.05, 0.1]), np.array([1, -1]), np.array([0.5, 0.5]))
+        profile = ScoreProfile(np.array([0.05, 0.1]), np.array([1, -1]))
         used, h = _h_with_nudges(spec, profile, 0.04, n=2)
         # direction is upward (0.04 < 0.5); one 1/(2n) hop clears both scores
         assert used == pytest.approx(0.29)
@@ -215,7 +214,7 @@ class TestNudges:
 
     def test_gives_up_after_eight_steps(self) -> None:
         spec = parse_metric("gmean")
-        profile = ScoreProfile(np.array([1.0, 1.0]), np.array([1, -1]), np.array([0.5, 0.5]))
+        profile = ScoreProfile(np.array([1.0, 1.0]), np.array([1, -1]))
         with pytest.raises(DegenerateDistributionError):
             _h_with_nudges(spec, profile, 0.5, n=2)
 
@@ -268,7 +267,7 @@ class TestFixedPoint:
     def test_accuracy_root_is_exactly_half(self) -> None:
         model = GaussianModel(np.array([2.0, 0.0]), 0.5)
         root = fixed_point_threshold(
-            parse_metric("accuracy"), lambda d: population_confusion_gaussian(model, d), 1e-10
+            parse_metric("accuracy"), model.population_confusion, 1e-10
         )
         assert root == 0.5
 
@@ -276,7 +275,7 @@ class TestFixedPoint:
     def test_prior_metric_root_is_the_prior(self, kappa: float) -> None:
         model = GaussianModel(np.array([1.5]), kappa)
         root = fixed_point_threshold(
-            parse_metric("am"), lambda d: population_confusion_gaussian(model, d), 1e-9
+            parse_metric("am"), model.population_confusion, 1e-9
         )
         assert root == pytest.approx(kappa, abs=1e-9)
 
@@ -286,7 +285,7 @@ class TestFixedPoint:
         with pytest.raises(NoSignChangeError):
             fixed_point_threshold(
                 parse_metric("linfrac:1,1,0,0/1,1,1,1"),
-                lambda d: population_confusion_gaussian(model, d),
+                model.population_confusion,
                 1e-8,
             )
 
@@ -360,6 +359,11 @@ class TestBruteForce:
             brute_force_discrete(parse_metric("accuracy"), [(0.7, 0.5), (0.7, 0.5)])
         with pytest.raises(ValueError):
             brute_force_discrete(parse_metric("accuracy"), [(0.5, 1.2), (0.5, 0.5)])
+        # NaN passes both the sign and the sum check, and every eta comparison
+        with pytest.raises(ValueError, match="finite"):
+            brute_force_discrete(parse_metric("accuracy"), [(math.nan, 0.5), (math.nan, 0.5)])
+        with pytest.raises(ValueError, match="eta"):
+            brute_force_discrete(parse_metric("accuracy"), [(0.5, math.nan), (0.5, 0.5)])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 7))
@@ -390,20 +394,21 @@ class TestBruteForce:
             assert not pos or not neg or min(pos) > max(neg)
 
     def test_agrees_with_grid_search_on_matched_dataset(self, rng) -> None:
-        # encode the atoms as a weighted two-point-per-atom sample whose
-        # score equals eta; a fine threshold grid must then recover the
-        # brute-force optimum.
+        # encode the atoms as a sample that repeats each atom's rows in
+        # integer counts, with score equal to eta; a fine threshold grid
+        # must then recover the brute-force optimum.
         spec = parse_metric("fbeta:1")
-        etas = np.array([0.05, 0.25, 0.45, 0.65, 0.85])
-        w = rng.dirichlet(np.ones(5))
-        w = w / w.sum()
-        atoms = list(zip(w.tolist(), etas.tolist()))
+        positives = np.array([1, 5, 9, 13, 17])  # eta = positives / 20 per block
+        blocks = rng.integers(1, 6, size=5)  # each atom holds 20 * blocks rows
+        rows = 20 * blocks
+        etas = positives / 20
+        atoms = list(zip((rows / rows.sum()).tolist(), etas.tolist()))
         best, _ = brute_force_discrete(spec, atoms)
 
-        scores = np.repeat(etas, 2)
-        labels = np.tile([1, -1], 5)
-        weights = np.stack([w * etas, w * (1 - etas)], axis=1).ravel()
-        data = Dataset(np.zeros((10, 1)), labels, weights=weights)
+        pos, neg = positives * blocks, (20 - positives) * blocks
+        scores = np.repeat(np.repeat(etas, 2), np.stack([pos, neg], axis=1).ravel())
+        labels = np.repeat(np.tile([1, -1], 5), np.stack([pos, neg], axis=1).ravel())
+        data = Dataset(np.zeros((rows.sum(), 1)), labels)
         scorer = FixedScorer(scores)
         delta = grid_search_threshold(spec, scorer, data, step=0.01)
         achieved = empirical_utility(spec, scorer, data, delta)
