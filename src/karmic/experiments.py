@@ -154,20 +154,24 @@ class ExperimentConfig:
             metric=raw["metric"].strip(),
             estimator=estimator,
             n_list=tuple(_whole("n_list", v) for v in raw["n_list"].split(",")),
-            seeds=int(raw["seeds"]),
+            seeds=_whole("seeds", raw["seeds"]),
             tolerance=tolerance,
             eval_mode=raw.get("eval", "").strip(),
             mc_samples=_whole("mc_samples", raw.get("mc_samples", 1_000_000)),
-            workers=int(raw.get("workers", 1)),
+            workers=_whole("workers", raw.get("workers", 1)),
             out=raw.get("out"),
         )
 
 
 def _whole(key: str, text) -> int:
-    """One integer config value; ``1e6`` is allowed, a non-finite value is not."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"config key {key!r} must be finite, got {str(text).strip()!r}")
+    """One integer config value; ``1e6`` is allowed, a fraction or a non-finite
+    value is not."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value.is_integer():
+        raise ValueError(f"config key {key!r} must be a whole number, got {str(text).strip()!r}")
     return int(value)
 
 

@@ -1,20 +1,22 @@
 """Confusion-matrix utilities: values, analytic gradients, Karmic functionals.
 
 A metric is a smooth function ``G(C)`` of the confusion vector
-``C = (TP, FP, FN, TN)``.  With ``P = TP + FN`` and ``N = FP + TN`` the
-registered closed forms are
+``C = (TP, FP, FN, TN)``, with ``P = TP + FN`` and ``N = FP + TN``.  The
+built-ins come in two families, plus ``accuracy = TP + TN``:
 
-    accuracy   TP + TN
-    am         (TPR + TNR) / 2
-    youden     TPR + TNR - 1
-    fbeta      (1 + b^2) TP / ((1 + b^2) TP + FP + b^2 FN)
-    gmean      sqrt(TPR * TNR)
-    qmean      1 - sqrt((FNR^2 + FPR^2) / 2)
-    hmean      2 / (1/TPR + 1/TNR)
-    jaccard    TP / (TP + FP + FN)
+    ratios a.C / b.C (LinearFractional; also linfrac:a/b)
+      fbeta    (1 + b^2) TP / ((1 + b^2) TP + FP + b^2 FN)
+      jaccard  TP / (TP + FP + FN)
+    G(TPR, TNR) with TPR = TP/P, TNR = TN/N (SmoothClosedForm)
+      am       (TPR + TNR) / 2
+      youden   TPR + TNR - 1
+      gmean    sqrt(TPR * TNR)
+      qmean    1 - sqrt((FNR^2 + FPR^2) / 2), FNR = 1-TPR, FPR = 1-TNR
+      hmean    2 / (1/TPR + 1/TNR)
 
-where TPR = TP/P, TNR = TN/N, FNR = 1-TPR, FPR = 1-TNR.  Arbitrary ratios
-``a.C / b.C`` are available as :class:`LinearFractional`.
+A ratio's gradient is ``(a (b.C) - b (a.C)) / (b.C)^2``.  A rate metric
+gives only dG/dTPR and dG/dTNR; one chain rule, through d(TPR)/dC =
+(FN, 0, -TP, 0)/P^2 and d(TNR)/dC = (0, -TN, 0, FP)/N^2, serves all five.
 
 Two contractions of the gradient drive everything downstream:
 
@@ -33,6 +35,7 @@ as a test oracle.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +66,9 @@ DOMAIN_EPS = 1e-12
 KARMIC_DIRECTION = np.array([1.0, -1.0, -1.0, 1.0])
 _NUMERATOR_DIRECTION = np.array([0.0, -1.0, 0.0, 1.0])
 
-_SMOOTH_TAGS = ("accuracy", "am", "youden", "fbeta", "gmean", "qmean", "hmean", "jaccard")
+_SMOOTH_TAGS = ("accuracy", "am", "youden", "gmean", "qmean", "hmean")
+# the registry, each name once: the smooth tags with the two ratio examples
+_REGISTERED = _SMOOTH_TAGS[:3] + ("fbeta:1",) + _SMOOTH_TAGS[3:] + ("jaccard",)
 
 
 @dataclass(frozen=True)
@@ -74,25 +79,22 @@ class LinearFractional:
     b: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
-        for name, coeffs in (("a", self.a), ("b", self.b)):
-            if len(coeffs) != 4:
-                raise ValueError(f"coefficient vector {name} must have 4 entries")
-        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
-        object.__setattr__(self, "b", tuple(float(v) for v in self.b))
+        for name in ("a", "b"):
+            coeffs = tuple(float(v) for v in getattr(self, name))
+            if len(coeffs) != 4 or not all(math.isfinite(v) for v in coeffs):
+                raise ValueError(f"coefficients {name} must be 4 finite numbers: {coeffs}")
+            object.__setattr__(self, name, coeffs)
 
 
 @dataclass(frozen=True)
 class SmoothClosedForm:
-    """A named closed-form metric; ``beta`` only applies to the fbeta tag."""
+    """A named closed-form metric: accuracy or a function of TPR and TNR."""
 
     tag: str
-    beta: float = 1.0
 
     def __post_init__(self) -> None:
         if self.tag not in _SMOOTH_TAGS:
             raise ValueError(f"unknown metric tag {self.tag!r}")
-        if self.tag == "fbeta" and not self.beta > 0:
-            raise ValueError("fbeta requires beta > 0")
 
 
 @dataclass(frozen=True)
@@ -101,18 +103,6 @@ class MetricSpec:
 
     name: str
     kind: LinearFractional | SmoothClosedForm
-
-
-def _fractional_coefficients(kind) -> tuple[np.ndarray, np.ndarray] | None:
-    """(a, b) for kinds that reduce to a linear-fractional form."""
-    if isinstance(kind, LinearFractional):
-        return np.array(kind.a), np.array(kind.b)
-    if kind.tag == "fbeta":
-        b2 = kind.beta**2
-        return np.array([1.0 + b2, 0.0, 0.0, 0.0]), np.array([1.0 + b2, 1.0, b2, 0.0])
-    if kind.tag == "jaccard":
-        return np.array([1.0, 0.0, 0.0, 0.0]), np.array([1.0, 1.0, 1.0, 0.0])
-    return None
 
 
 def _evaluate(spec: MetricSpec, C: np.ndarray, with_grad: bool):
@@ -128,9 +118,8 @@ def _evaluate(spec: MetricSpec, C: np.ndarray, with_grad: bool):
     c1, c2, c3, c4 = (C[..., i] for i in range(4))
     grad = np.zeros_like(C) if with_grad else None
 
-    coeffs = _fractional_coefficients(spec.kind)
-    if coeffs is not None:
-        a, b = coeffs
+    if isinstance(spec.kind, LinearFractional):
+        a, b = np.array(spec.kind.a), np.array(spec.kind.b)
         ac = C @ a
         bc = C @ b
         valid = np.abs(bc) >= DOMAIN_EPS
@@ -149,7 +138,8 @@ def _evaluate(spec: MetricSpec, C: np.ndarray, with_grad: bool):
             grad[..., 3] = 1.0
         return value, grad, valid
 
-    # the remaining tags are built from the class-conditional rates
+    # the remaining tags are G(TPR, TNR): each sets its value, its extra
+    # domain condition and, for gradients, d_tpr = dG/dTPR and d_tnr = dG/dTNR
     P = c1 + c3
     N = c2 + c4
     valid = (P >= DOMAIN_EPS) & (N >= DOMAIN_EPS)
@@ -157,25 +147,16 @@ def _evaluate(spec: MetricSpec, C: np.ndarray, with_grad: bool):
     Ns = np.where(valid, N, 1.0)
     tpr = c1 / Ps
     tnr = c4 / Ns
-    # d(TPR)/dC = (c3, 0, -c1, 0)/P^2 and d(TNR)/dC = (0, -c4, 0, c2)/N^2
     if tag in ("am", "youden"):
         scale = 0.5 if tag == "am" else 1.0
         value = scale * (tpr + tnr) - (0.0 if tag == "am" else 1.0)
-        if with_grad:
-            grad[..., 0] = scale * c3 / Ps**2
-            grad[..., 1] = -scale * c4 / Ns**2
-            grad[..., 2] = -scale * c1 / Ps**2
-            grad[..., 3] = scale * c2 / Ns**2
+        d_tpr = d_tnr = scale
     elif tag == "gmean":
         valid = valid & (c1 >= DOMAIN_EPS) & (c4 >= DOMAIN_EPS)
-        prod = np.where(valid, tpr * tnr, 1.0)
-        value = np.sqrt(prod)
+        value = np.sqrt(np.where(valid, tpr * tnr, 1.0))
         if with_grad:
-            half = 0.5 / value
-            grad[..., 0] = half * tnr * c3 / Ps**2
-            grad[..., 1] = -half * tpr * c4 / Ns**2
-            grad[..., 2] = -half * tnr * c1 / Ps**2
-            grad[..., 3] = half * tpr * c2 / Ns**2
+            d_tpr = 0.5 / value * tnr
+            d_tnr = 0.5 / value * tpr
     elif tag == "qmean":
         fnr = c3 / Ps
         fpr = c2 / Ns
@@ -184,26 +165,21 @@ def _evaluate(spec: MetricSpec, C: np.ndarray, with_grad: bool):
         r = np.sqrt(np.where(valid, msq, 1.0))
         value = 1.0 - r
         if with_grad:
-            half = 0.5 / r
-            grad[..., 0] = half * fnr * c3 / Ps**2
-            grad[..., 1] = -half * fpr * c4 / Ns**2
-            grad[..., 2] = -half * fnr * c1 / Ps**2
-            grad[..., 3] = half * fpr * c2 / Ns**2
-    elif tag == "hmean":
+            d_tpr = 0.5 / r * fnr
+            d_tnr = 0.5 / r * fpr
+    else:  # hmean
         s = tpr + tnr
         valid = valid & (s >= DOMAIN_EPS)
         ss = np.where(valid, s, 1.0)
         value = 2.0 * tpr * tnr / ss
         if with_grad:
-            # chain rule through dG/dTPR = 2 TNR^2 / s^2, dG/dTNR = 2 TPR^2 / s^2
-            gt = 2.0 * tnr**2 / ss**2
-            gu = 2.0 * tpr**2 / ss**2
-            grad[..., 0] = gt * c3 / Ps**2
-            grad[..., 1] = -gu * c4 / Ns**2
-            grad[..., 2] = -gt * c1 / Ps**2
-            grad[..., 3] = gu * c2 / Ns**2
-    else:  # pragma: no cover - tags are validated at construction
-        raise AssertionError(f"unhandled tag {tag!r}")
+            d_tpr = 2.0 * tnr**2 / ss**2
+            d_tnr = 2.0 * tpr**2 / ss**2
+    if with_grad:  # the chain rule through d(TPR)/dC and d(TNR)/dC
+        grad[..., 0] = d_tpr * c3 / Ps**2
+        grad[..., 1] = -d_tnr * c4 / Ns**2
+        grad[..., 2] = -d_tpr * c1 / Ps**2
+        grad[..., 3] = d_tnr * c2 / Ns**2
 
     value = np.where(valid, value, np.nan)
     return value, grad, valid
@@ -278,48 +254,42 @@ def threshold_map(spec: MetricSpec, c) -> float:
 
 def registered_metrics() -> tuple[MetricSpec, ...]:
     """The eight built-in metrics (fbeta at beta=1, jaccard as the ratio example)."""
-    return (
-        MetricSpec("accuracy", SmoothClosedForm("accuracy")),
-        MetricSpec("am", SmoothClosedForm("am")),
-        MetricSpec("youden", SmoothClosedForm("youden")),
-        MetricSpec("fbeta:1", SmoothClosedForm("fbeta", beta=1.0)),
-        MetricSpec("gmean", SmoothClosedForm("gmean")),
-        MetricSpec("qmean", SmoothClosedForm("qmean")),
-        MetricSpec("hmean", SmoothClosedForm("hmean")),
-        MetricSpec("jaccard", SmoothClosedForm("jaccard")),
-    )
+    return tuple(parse_metric(name) for name in _REGISTERED)
 
 
 def parse_metric(name: str) -> MetricSpec:
     """Parse a metric name string.
 
     Grammar: ``accuracy | am | youden | gmean | qmean | hmean | jaccard |
-    fbeta:<beta> | linfrac:<a1,a2,a3,a4>/<b1,b2,b3,b4>``.
+    fbeta:<beta> | linfrac:<a1,a2,a3,a4>/<b1,b2,b3,b4>``; a bare ``fbeta`` is
+    ``fbeta:1``.  fbeta and jaccard parse to their :class:`LinearFractional`
+    ratios.
     """
     text = name.strip().lower()
-    if text in ("accuracy", "am", "youden", "gmean", "qmean", "hmean", "jaccard"):
+    if text in _SMOOTH_TAGS:
         return MetricSpec(text, SmoothClosedForm(text))
+    if text == "jaccard":
+        return MetricSpec(text, LinearFractional((1.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 0.0)))
     if text == "fbeta":
-        return MetricSpec("fbeta:1", SmoothClosedForm("fbeta", beta=1.0))
+        text = "fbeta:1"
     if text.startswith("fbeta:"):
         try:
             beta = float(text.split(":", 1)[1])
-        except ValueError as exc:
-            raise ValueError(f"bad fbeta parameter in {name!r}") from exc
-        if not beta > 0:
-            raise ValueError("fbeta requires beta > 0")
-        return MetricSpec(f"fbeta:{beta:g}", SmoothClosedForm("fbeta", beta=beta))
+            b2 = beta**2
+        except (ValueError, OverflowError):
+            beta = b2 = math.nan
+        if not (beta > 0 and math.isfinite(b2)):
+            raise ValueError(f"bad fbeta parameter in {name!r}: beta must be a finite "
+                             "number > 0 with a finite square")
+        return MetricSpec(f"fbeta:{beta:g}",
+                          LinearFractional((1.0 + b2, 0.0, 0.0, 0.0), (1.0 + b2, 1.0, b2, 0.0)))
     if text.startswith("linfrac:"):
-        body = text.split(":", 1)[1]
-        parts = body.split("/")
-        if len(parts) != 2:
-            raise ValueError(f"linfrac needs <a>/<b> coefficient lists, got {name!r}")
+        parts = text.split(":", 1)[1].split("/")
         try:
-            a = tuple(float(v) for v in parts[0].split(","))
-            b = tuple(float(v) for v in parts[1].split(","))
+            if len(parts) != 2:
+                raise ValueError("expected <a>/<b> coefficient lists")
+            a, b = (tuple(float(v) for v in part.split(",")) for part in parts)
+            return MetricSpec(text, LinearFractional(a, b))
         except ValueError as exc:
-            raise ValueError(f"bad linfrac coefficients in {name!r}") from exc
-        if len(a) != 4 or len(b) != 4:
-            raise ValueError("linfrac coefficient lists must have 4 entries each")
-        return MetricSpec(text, LinearFractional(a, b))
+            raise ValueError(f"bad linfrac coefficients in {name!r}: {exc}") from exc
     raise ValueError(f"unknown metric name {name!r}")

@@ -38,12 +38,10 @@ from .scorers import (
     TrueEtaScorer,
     fit_kernel_smoother,
     fit_logistic_mle,
-    number_field,
-    require_fields,
     scorer_from_dict,
     scorer_to_dict,
 )
-from .synth import GaussianModel, HolderModel
+from .synth import GaussianModel, HolderModel, number_field, require_fields
 from .thresholds import ThresholdSearchConfig, binary_search_threshold, fixed_point_threshold
 
 __all__ = [

@@ -30,7 +30,7 @@ from .errors import (
     ModeUnsupportedError,
     SeparableDataError,
 )
-from .synth import GaussianModel, HolderModel, model_from_dict
+from .synth import GaussianModel, HolderModel, model_from_dict, number_field, require_fields
 
 __all__ = [
     "Scorer",
@@ -457,29 +457,6 @@ def scorer_to_dict(scorer: Scorer, kernel_train_path: str | None = None) -> dict
     raise TypeError(f"cannot serialize scorer of type {type(scorer).__name__}")
 
 
-def require_fields(payload, what: str, fields: tuple[str, ...]) -> dict:
-    """``payload`` if it is a JSON object holding ``fields``; else ValueError."""
-    if not isinstance(payload, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(payload).__name__}")
-    missing = [name for name in fields if name not in payload]
-    if missing:
-        raise ValueError(f"{what} lacks the field(s) {', '.join(missing)}")
-    return payload
-
-
-def number_field(payload: dict, name: str, ndim: int = 0):
-    """``payload[name]`` as a float (``ndim`` 0) or a float array of ``ndim``
-    dimensions; a ValueError naming the field when it holds anything else."""
-    try:
-        value = np.asarray(payload[name], dtype=float)
-    except (TypeError, ValueError):
-        value = None
-    if value is None or value.ndim != ndim:
-        kind = "a number" if ndim == 0 else "a list of numbers"
-        raise ValueError(f"field {name!r} must be {kind}, got {payload[name]!r}")
-    return float(value) if ndim == 0 else value
-
-
 def scorer_from_dict(payload: dict) -> Scorer:
     """Inverse of :func:`scorer_to_dict`; kernel variants reload their file."""
     kind = require_fields(payload, "scorer", ("kind",))["kind"]
@@ -489,8 +466,7 @@ def scorer_from_dict(payload: dict) -> Scorer:
         return LogisticScorer(number_field(payload, "weights", 1),
                               number_field(payload, "intercept"))
     if kind == "true-eta":
-        return TrueEtaScorer(model_from_dict(require_fields(payload["model"], "model",
-                                                            ("model",))))
+        return TrueEtaScorer(model_from_dict(payload["model"]))
     if kind == "kernel":
         from .dataio import load_dataset_csv
 

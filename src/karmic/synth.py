@@ -254,13 +254,35 @@ class HolderModel:
         return np.array([tp, fp, 0.5 - tp, 0.5 - fp])
 
 
-def model_from_dict(payload: dict) -> GaussianModel | HolderModel:
+def require_fields(payload, what: str, fields: tuple[str, ...]) -> dict:
+    """``payload`` if it is a JSON object holding ``fields``; else ValueError."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(payload).__name__}")
+    missing = [name for name in fields if name not in payload]
+    if missing:
+        raise ValueError(f"{what} lacks the field(s) {', '.join(missing)}")
+    return payload
+
+
+def number_field(payload: dict, name: str, ndim: int = 0):
+    """``payload[name]`` as a float (``ndim`` 0) or a float array of ``ndim``
+    dimensions; a ValueError naming the field when it holds anything else."""
+    try:
+        value = np.asarray(payload[name], dtype=float)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or value.ndim != ndim:
+        kind = "a number" if ndim == 0 else "a list of numbers"
+        raise ValueError(f"field {name!r} must be {kind}, got {payload[name]!r}")
+    return float(value) if ndim == 0 else value
+
+
+def model_from_dict(payload) -> GaussianModel | HolderModel:
     """Inverse of ``to_dict``; a ``beta`` entry written by older versions is ignored."""
-    tag = payload.get("model")
+    tag = require_fields(payload, "model", ("model",))["model"]
     if tag == "gaussian":
-        if "mu" not in payload or "kappa" not in payload:
-            raise ValueError("gaussian model needs 'mu' and 'kappa'")
-        return GaussianModel(np.asarray(payload["mu"], dtype=float), float(payload["kappa"]))
+        require_fields(payload, "gaussian model", ("mu", "kappa"))
+        return GaussianModel(number_field(payload, "mu", 1), number_field(payload, "kappa"))
     if tag == "holder":
         return HolderModel(payload.get("eta_tag", "sine"))
     raise ValueError(f"unknown model {tag!r}; use 'gaussian' or 'holder'")

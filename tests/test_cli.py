@@ -201,7 +201,11 @@ class TestTrainEvaluate:
          ({**LOGISTIC_CLASSIFIER,
            "scorer": {**LOGISTIC_CLASSIFIER["scorer"], "weights": {"a": 1}}}, "weights"),
          ({**LOGISTIC_CLASSIFIER,
-           "scorer": {**LOGISTIC_CLASSIFIER["scorer"], "intercept": [1]}}, "intercept")],
+           "scorer": {**LOGISTIC_CLASSIFIER["scorer"], "intercept": [1]}}, "intercept"),
+         ({"scorer": {"kind": "true-eta", "model": {"model": "gaussian", "mu": {"a": 1},
+                                                    "kappa": 0.5}}, "delta": 0.5}, "mu"),
+         ({"scorer": {"kind": "true-eta", "model": {"model": "gaussian", "mu": [2, 0],
+                                                    "kappa": [0.5]}}, "delta": 0.5}, "kappa")],
     )
     def test_malformed_classifier_json(self, tmp_path, capsys, payload, field) -> None:
         clf_path = tmp_path / "bad.json"
@@ -325,6 +329,20 @@ class TestOracle:
             assert code == 1
             assert out is None
             assert json.loads(err)["error"] == "invalid-argument"
+
+    @pytest.mark.parametrize(
+        "metric", ["linfrac:nan,0,0,0/1,1,1,1", "fbeta:inf", "fbeta:1e200"],
+    )
+    def test_non_finite_metric_parameters_rejected(self, capsys, metric: str) -> None:
+        # unchecked, these gave a NaN regret, a NaN utility and an
+        # OverflowError from beta**2 respectively
+        code, out, err = run_cli(capsys, "oracle", "--metric", metric,
+                                 "--discrete", "0.5:0.3,0.5:0.7")
+        assert code == 1
+        assert out is None
+        failure = json.loads(err)
+        assert failure["error"] == "invalid-argument"
+        assert metric in failure["message"]
 
 
 class TestRate:

@@ -164,11 +164,18 @@ class TestConfigText:
             ExperimentConfig.from_mapping({"model": "gaussian", "fuel": "coal"})
         with pytest.raises(ValueError, match="missing config keys"):
             ExperimentConfig.from_mapping({"model": "gaussian", "mu": "1", "kappa": "0.5"})
-        # a count too large for a float is infinite, which int() cannot take
+        # a count too large for a float is infinite, which int() cannot take;
+        # a fraction or a word is no count either, and every error names its key
         raw = parse_config_text(TestConfigText.GAUSSIAN_TEXT)
-        for key, value in (("n_list", "256, 1e400"), ("mc_samples", "1e400")):
+        for key, value in (("n_list", "256, 1e400"), ("mc_samples", "1e400"),
+                           ("n_list", "256.7"), ("mc_samples", "1000.9"),
+                           ("seeds", "2.5"), ("seeds", "two"), ("workers", "1.5"),
+                           ("workers", "nan")):
             with pytest.raises(ValueError, match=key):
                 ExperimentConfig.from_mapping({**raw, key: value})
+        # every integer key reads 1e1 alike
+        cfg = ExperimentConfig.from_mapping({**raw, "seeds": "1e1", "workers": "2.0"})
+        assert (cfg.seeds, cfg.workers) == (10, 2)
 
     def test_from_file(self, tmp_path) -> None:
         path = tmp_path / "exp.cfg"

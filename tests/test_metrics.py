@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from karmic import (
+    LinearFractional,
     MetricDomainError,
     NonKarmicPointError,
+    SmoothClosedForm,
     karmic_sensitivity,
     metric_gradient,
     metric_value,
@@ -203,11 +208,37 @@ class TestParsing:
             "linfrac:1,0,0,0",
             "linfrac:1,x,0,0/1,1,1,1",
             "",
+            "fbeta:inf",
+            "fbeta:nan",
+            "fbeta:1e200",  # finite, but its square overflows
+            "linfrac:nan,0,0,0/1,1,1,1",
+            "linfrac:1,0,0,0/1,inf,1,1",
+            "linfrac:1,0,0,0/1,1,1,-1e400",
         ],
     )
     def test_bad_names_rejected(self, bad: str) -> None:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
             parse_metric(bad)
+
+    @pytest.mark.parametrize("coeffs", [(math.nan, 0, 0, 0), (1, 0, math.inf, 0)])
+    def test_linear_fractional_rejects_non_finite(self, coeffs) -> None:
+        with pytest.raises(ValueError, match="finite"):
+            LinearFractional(coeffs, (1, 1, 1, 1))
+        with pytest.raises(ValueError, match="finite"):
+            LinearFractional((1, 1, 1, 1), coeffs)
+
+    def test_ratio_metrics_parse_to_linear_fractional(self) -> None:
+        assert parse_metric("fbeta:2").kind == LinearFractional((5, 0, 0, 0), (5, 1, 4, 0))
+        assert parse_metric("jaccard").kind == LinearFractional((1, 0, 0, 0), (1, 1, 1, 0))
+        assert parse_metric("fbeta").kind == parse_metric("fbeta:1").kind
+        for spec in registered_metrics():
+            ratio = spec.name in ("fbeta:1", "jaccard")
+            assert type(spec.kind) is (LinearFractional if ratio else SmoothClosedForm)
+
+    @pytest.mark.parametrize("tag", ["fbeta", "jaccard"])
+    def test_smooth_closed_form_tags_are_the_rate_metrics(self, tag: str) -> None:
+        with pytest.raises(ValueError, match="unknown metric tag"):
+            SmoothClosedForm(tag)
 
     def test_linfrac_roundtrip(self) -> None:
         spec = parse_metric("linfrac:1,0,0,0/1,1,0,0")
