@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from .confusion import Dataset, ScoreProfile
@@ -25,7 +24,7 @@ from .errors import KarmicError
 from .experiments import ExperimentConfig, estimator_from_config, model_from_config, run_rate_experiment
 from .metrics import metric_value, parse_metric
 from .pipeline import PluginClassifier, population_regret, train_plugin
-from .scorers import KernelScorer, scorer_from_dict
+from .scorers import scorer_from_dict
 from .thresholds import ThresholdSearchConfig, binary_search_threshold, brute_force_discrete, grid_search_threshold
 
 __all__ = ["main", "build_parser"]
@@ -118,18 +117,7 @@ def _cmd_train(args) -> int:
     data = _load_data(args.data)
     estimator = estimator_from_config({"estimator": "logistic", **_config_keys(args)})
     clf = train_plugin(metric, data, estimator, _search_config(args), seed=args.seed)
-    train_ref = None
-    if isinstance(clf.scorer, KernelScorer):
-        if not args.out:
-            raise ValueError("kernel classifiers need --out (the fitting half is "
-                             "saved alongside as <out>.train.csv)")
-        train_path = f"{args.out}.train.csv"
-        save_dataset_csv(clf.fit_data, train_path,
-                         {"role": "kernel-train", "metric": metric.name,
-                          "seed": args.seed})
-        # named relative to the classifier JSON, which sits in the same directory
-        train_ref = os.path.basename(train_path)
-    payload = clf.to_dict(train_ref)
+    payload = clf.to_dict()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -144,13 +132,7 @@ def _cmd_evaluate(args) -> int:
     metric = parse_metric(args.metric)
     model = model_from_config(_config_keys(args))
     with open(args.classifier, encoding="utf-8") as fh:
-        stored = json.load(fh)
-    # a kernel scorer names its training CSV relative to the classifier JSON
-    scorer = stored.get("scorer") if isinstance(stored, dict) else None
-    if isinstance(scorer, dict) and "train_path" in scorer:
-        scorer["train_path"] = os.path.join(os.path.dirname(args.classifier),
-                                            str(scorer["train_path"]))
-    clf = PluginClassifier.from_dict(stored)
+        clf = PluginClassifier.from_dict(json.load(fh))
     report = population_regret(metric, clf, model, mode=args.mode,
                                mc_samples=args.mc_samples, mc_seed=args.mc_seed)
     payload = report.to_dict()

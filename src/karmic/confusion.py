@@ -41,7 +41,7 @@ class Dataset:
         if not ((y == 1) | (y == -1)).all():
             raise ValueError("labels must be -1 or +1")
         self.features = X
-        self.labels = y.astype(int)
+        self.labels = y.astype(int, copy=False)
 
     @property
     def n(self) -> int:

@@ -286,7 +286,7 @@ class RateTable:
         try:
             slope, intercept, r2 = fit_loglog_slope(self)
             payload["slope"] = {"slope": slope, "intercept": intercept, "r2": r2}
-        except (InsufficientPointsError, KarmicError) as exc:
+        except KarmicError as exc:
             payload["slope"] = {"error": getattr(exc, "code", "error"), "message": str(exc)}
         payload["total_wall_time"] = float(sum(row.wall_time for row in self.rows))
         payload["failures"] = sum(not row.ok for row in self.rows)

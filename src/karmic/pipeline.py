@@ -80,6 +80,12 @@ class EstimatorSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("logistic", "kernel", "true-eta", "constant"):
             raise ValueError(f"unknown estimator kind {self.kind!r}")
+        for name, value in (("kernel_beta", self.kernel_beta),
+                            ("bandwidth_const (config key kernel_const)", self.bandwidth_const)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"constant score p must lie in [0, 1], got {self.p!r}")
         if self.kind == "true-eta" and self.model is None:
             raise ValueError("true-eta estimator needs the generating model")
 
@@ -95,24 +101,22 @@ class EstimatorSpec:
 
 
 class PluginClassifier:
-    """A scorer plus a threshold; predicts +1 iff score(x) > delta."""
+    """A scorer plus a threshold; predicts +1 iff score(x) > delta.  ``to_dict``
+    is the whole classifier, a kernel scorer's training sample included."""
 
-    def __init__(self, scorer: Scorer, delta: float, provenance: dict | None = None,
-                 fit_data: Dataset | None = None) -> None:
+    def __init__(self, scorer: Scorer, delta: float, provenance: dict | None = None) -> None:
         if not 0.0 <= delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
         self.scorer = scorer
         self.delta = float(delta)
         self.provenance = dict(provenance or {})
-        #: the estimation half used to fit the scorer (kept for export; not serialized)
-        self.fit_data = fit_data
 
     def predict(self, X) -> np.ndarray:
         return np.where(self.scorer.scores(X) > self.delta, 1, -1)
 
-    def to_dict(self, kernel_train_path: str | None = None) -> dict:
+    def to_dict(self) -> dict:
         return {
-            "scorer": scorer_to_dict(self.scorer, kernel_train_path),
+            "scorer": scorer_to_dict(self.scorer),
             "delta": self.delta,
             "provenance": self.provenance,
         }
@@ -172,7 +176,7 @@ def train_plugin(
             "final_h": result.h_trace[-1][1] if result.h_trace else None,
         },
     }
-    return PluginClassifier(scorer, result.delta_hat, provenance, fit_data=fit_half)
+    return PluginClassifier(scorer, result.delta_hat, provenance)
 
 
 def population_confusion_of_model(model: GaussianModel | HolderModel):

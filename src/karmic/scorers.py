@@ -5,6 +5,8 @@ Four variants share the interface: a constant, the exact conditional
 probability of a synthetic model, a logistic model fit by Newton maximum
 likelihood, and a Nadaraya-Watson kernel smoother with the Epanechnikov
 kernel.  Fitted scorers are immutable and safe to share across threads.
+``scorer_to_dict`` gives each scorer a whole JSON form: a kernel scorer is a
+function of its training sample, so it carries that sample inline.
 
 For exact population evaluation a scorer describes its decision rule
 ``score(x) > delta`` in the form a synthetic model integrates:
@@ -169,25 +171,22 @@ class KernelScorer(Scorer):
     downstream thresholds stay evaluable.
 
     For 1-d training data the window sums are O(log n) per query via
-    prefix sums of the first three moments, split by label.
+    prefix sums of the first three moments, split by label.  The training
+    arrays are kept by reference as ``train_x`` and ``train_y``.
     """
 
-    def __init__(self, train_x, train_y, bandwidth: float, beta: float) -> None:
-        X = np.asarray(train_x, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
-        y = np.asarray(train_y)
-        if X.shape[0] == 0:
+    def __init__(self, train_x, train_y, bandwidth: float) -> None:
+        sample = Dataset(train_x, train_y)  # finite features, labels in {-1, +1}
+        if sample.n == 0:
             raise EmptyDataError("kernel smoother needs training data")
-        if y.shape != (X.shape[0],):
-            raise ValueError("labels must be one per training row")
-        if not bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
-        self.bandwidth = float(bandwidth)
-        self.beta = float(beta)
-        self.dim = X.shape[1]
+        h = float(bandwidth)
+        if not (h > 0.0 and 0.0 < h * h < math.inf):
+            raise ValueError(f"bandwidth must be positive with a finite square, got {h!r}")
+        self.train_x = X = sample.features
+        self.train_y = y = sample.labels
+        self.bandwidth = h
+        self.dim = sample.dim
         self.global_rate = float(np.clip((y == 1).mean(), KERNEL_CLIP, 1 - KERNEL_CLIP))
-        self._n = X.shape[0]
         if self.dim == 1:
             order = np.argsort(X[:, 0], kind="stable")
             x = X[order, 0]
@@ -195,9 +194,6 @@ class KernelScorer(Scorer):
             self._x = x
             self._moments = self._prefix_moments(x, np.ones_like(x))
             self._pos_moments = self._prefix_moments(x, pos)
-        else:
-            self._train = X
-            self._pos = (y == 1).astype(float)
 
     @staticmethod
     def _prefix_moments(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -241,13 +237,14 @@ class KernelScorer(Scorer):
         else:
             den = np.empty(arr.shape[0])
             num = np.empty(arr.shape[0])
-            chunk = max(1, int(2**22 // max(self._n, 1)))
+            pos = (self.train_y == 1).astype(float)
+            chunk = max(1, 2**22 // self.train_x.shape[0])
             for start in range(0, arr.shape[0], chunk):
                 block = arr[start : start + chunk]
-                d2 = ((block[:, None, :] - self._train[None, :, :]) ** 2).sum(axis=2)
+                d2 = ((block[:, None, :] - self.train_x[None, :, :]) ** 2).sum(axis=2)
                 w = np.maximum(0.0, 1.0 - d2 / self.bandwidth**2)
                 den[start : start + block.shape[0]] = w.sum(axis=1)
-                num[start : start + block.shape[0]] = w @ self._pos
+                num[start : start + block.shape[0]] = w @ pos
         out = np.full(arr.shape[0], self.global_rate)
         ok = den > _KERNEL_MIN_WEIGHT
         out[ok] = num[ok] / den[ok]
@@ -420,20 +417,17 @@ def fit_kernel_smoother(
         raise EmptyDataError("cannot fit a kernel smoother on no data")
     if data.n < 10:
         raise ValueError("kernel smoother needs n >= 10")
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    if not bandwidth_const > 0:
-        raise ValueError("bandwidth_const must be positive")
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta!r}")
+    if not 0.0 < bandwidth_const < math.inf:
+        raise ValueError(f"bandwidth_const must be positive and finite, got {bandwidth_const!r}")
     h = bandwidth_const * data.n ** (-1.0 / (2.0 * beta + data.dim))
-    return KernelScorer(data.features, data.labels, h, beta)
+    return KernelScorer(data.features, data.labels, h)
 
 
-def scorer_to_dict(scorer: Scorer, kernel_train_path: str | None = None) -> dict:
-    """JSON-ready form of a scorer.
-
-    Kernel scorers store a reference to their training file rather than the
-    sample itself; pass its path via ``kernel_train_path``.
-    """
+def scorer_to_dict(scorer: Scorer) -> dict:
+    """JSON-ready form of a scorer; a kernel scorer writes its training
+    sample inline (``x`` as rows, ``y`` as labels), so the form is whole."""
     if isinstance(scorer, ConstantScorer):
         return {"kind": "constant", "p": scorer.p}
     if isinstance(scorer, LogisticScorer):
@@ -445,20 +439,17 @@ def scorer_to_dict(scorer: Scorer, kernel_train_path: str | None = None) -> dict
     if isinstance(scorer, TrueEtaScorer):
         return {"kind": "true-eta", "model": scorer.model.to_dict()}
     if isinstance(scorer, KernelScorer):
-        if kernel_train_path is None:
-            raise ValueError("kernel scorers serialize by training-file reference; "
-                             "pass kernel_train_path")
         return {
             "kind": "kernel",
-            "train_path": kernel_train_path,
+            "x": scorer.train_x.tolist(),
+            "y": scorer.train_y.tolist(),
             "bandwidth": scorer.bandwidth,
-            "beta": scorer.beta,
         }
     raise TypeError(f"cannot serialize scorer of type {type(scorer).__name__}")
 
 
 def scorer_from_dict(payload: dict) -> Scorer:
-    """Inverse of :func:`scorer_to_dict`; kernel variants reload their file."""
+    """Inverse of :func:`scorer_to_dict`."""
     kind = require_fields(payload, "scorer", ("kind",))["kind"]
     if kind == "constant":
         return ConstantScorer(number_field(payload, "p"))
@@ -468,10 +459,7 @@ def scorer_from_dict(payload: dict) -> Scorer:
     if kind == "true-eta":
         return TrueEtaScorer(model_from_dict(payload["model"]))
     if kind == "kernel":
-        from .dataio import load_dataset_csv
-
-        data, _ = load_dataset_csv(payload["train_path"])
-        return KernelScorer(data.features, data.labels,
-                            number_field(payload, "bandwidth"),
-                            number_field(payload, "beta"))
+        require_fields(payload, "kernel scorer", ("x", "y", "bandwidth"))
+        return KernelScorer(number_field(payload, "x", 2), number_field(payload, "y", 1),
+                            number_field(payload, "bandwidth"))
     raise ValueError(f"unknown scorer kind {kind!r}")

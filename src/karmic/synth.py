@@ -31,6 +31,7 @@ generation order.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,8 +273,8 @@ def number_field(payload: dict, name: str, ndim: int = 0):
     except (TypeError, ValueError):
         value = None
     if value is None or value.ndim != ndim:
-        kind = "a number" if ndim == 0 else "a list of numbers"
-        raise ValueError(f"field {name!r} must be {kind}, got {payload[name]!r}")
+        kind = ("a number", "a list of numbers", "a list of rows of numbers")[ndim]
+        raise ValueError(f"field {name!r} must be {kind}, got {reprlib.repr(payload[name])}")
     return float(value) if ndim == 0 else value
 
 

@@ -13,11 +13,14 @@ import pytest
 import karmic.cli
 from karmic import (
     Dataset,
+    EstimatorSpec,
     ExperimentConfig,
+    GaussianModel,
     HolderModel,
     PluginClassifier,
     parse_metric,
     population_regret,
+    train_plugin,
 )
 from karmic.cli import main
 from karmic.dataio import load_dataset_csv, read_sidecar, save_dataset_csv
@@ -127,28 +130,56 @@ class TestTrainEvaluate:
         assert report["regret"] < 0.05
         assert report["metric"] == "fbeta:1"
 
-    def test_kernel_train_writes_fit_half(self, tmp_path, capsys) -> None:
+    def test_kernel_train_writes_one_json(self, tmp_path, capsys) -> None:
         data_path = str(tmp_path / "h.csv")
         run_cli(capsys, "gen", "--model", "holder", "--n", "600", "--seed", "2",
                 "--out", data_path)
-        clf_path = str(tmp_path / "kclf.json")
-        code, payload, _ = run_cli(
+        (tmp_path / "out").mkdir()
+        clf_path = tmp_path / "out" / "kclf.json"
+        code, payload, err = run_cli(
             capsys, "train", "--metric", "fbeta:1", "--data", data_path,
-            "--estimator", "kernel", "--out", clf_path,
+            "--estimator", "kernel", "--seed", "4", "--out", str(clf_path),
         )
-        assert code == 0
-        train_path = f"{clf_path}.train.csv"
-        half, meta = load_dataset_csv(train_path)
-        assert half.n == 300
-        assert meta["role"] == "kernel-train"
+        assert code == 0, err
+        assert sorted(os.listdir(tmp_path / "out")) == ["kclf.json"]
+        stored = json.loads(clf_path.read_text(encoding="utf-8"))
+        assert sorted(stored["scorer"]) == ["bandwidth", "kind", "x", "y"]
+        assert len(stored["scorer"]["x"]) == len(stored["scorer"]["y"]) == 300
+        # the JSON alone, moved into a fresh directory, is the whole classifier
+        (tmp_path / "fresh").mkdir()
+        moved = tmp_path / "fresh" / "moved.json"
+        clf_path.rename(moved)
+        code, report, err = run_cli(capsys, "evaluate", "--classifier", str(moved),
+                                    "--metric", "fbeta:1", "--model", "holder")
+        assert code == 0, err
+        data, _ = load_dataset_csv(data_path)
+        trained = train_plugin(parse_metric("fbeta:1"), data, EstimatorSpec("kernel"), seed=4)
+        want = population_regret(parse_metric("fbeta:1"), trained, HolderModel("sine"))
+        assert report == {**want.to_dict(), "metric": "fbeta:1"}
+
+    def test_kernel_classifier_on_gaussian_data_reloads_exactly(
+        self, gaussian_csv, tmp_path, capsys
+    ) -> None:
+        clf_path = str(tmp_path / "k2.json")
+        code, _, err = run_cli(capsys, "train", "--metric", "fbeta:1", "--data", gaussian_csv,
+                               "--estimator", "kernel", "--seed", "1", "--out", clf_path)
+        assert code == 0, err
+        code, report, err = run_cli(
+            capsys, "evaluate", "--classifier", clf_path, "--metric", "fbeta:1",
+            "--model", "gaussian", "--mu", "2,0", "--kappa", "0.5",
+            "--mode", "monte-carlo", "--mc-samples", "20000", "--mc-seed", "3",
+        )
+        assert code == 0, err
+        data, _ = load_dataset_csv(gaussian_csv)
+        trained = train_plugin(parse_metric("fbeta:1"), data, EstimatorSpec("kernel"), seed=1)
         with open(clf_path, encoding="utf-8") as fh:
-            stored = json.load(fh)
-        assert stored["scorer"]["kind"] == "kernel"
-        # the training file is named relative to the classifier JSON
-        assert stored["scorer"]["train_path"] == "kclf.json.train.csv"
-        stored["scorer"]["train_path"] = train_path
-        clf = PluginClassifier.from_dict(stored)
-        assert 0.0 <= clf.delta <= 1.0
+            reloaded = PluginClassifier.from_dict(json.load(fh))
+        queries = np.random.default_rng(0).normal(size=(500, 2))
+        assert np.array_equal(reloaded.scorer.scores(queries), trained.scorer.scores(queries))
+        want = population_regret(parse_metric("fbeta:1"), trained,
+                                 GaussianModel(np.array([2.0, 0.0]), 0.5),
+                                 mode="monte-carlo", mc_samples=20000, mc_seed=3)
+        assert report == {**want.to_dict(), "metric": "fbeta:1"}
 
     def test_kernel_classifier_evaluates_from_any_directory(
         self, tmp_path, capsys, monkeypatch
@@ -185,7 +216,6 @@ class TestTrainEvaluate:
         assert report["mode"] == {"mode": "closed-form"}
         with open(clf_path, encoding="utf-8") as fh:
             stored = json.load(fh)
-        stored["scorer"]["train_path"] = f"{clf_path}.train.csv"
         want = population_regret(parse_metric("fbeta:1"), PluginClassifier.from_dict(stored),
                                  HolderModel("sine")).to_dict()
         assert report == {**want, "metric": "fbeta:1"}
@@ -205,7 +235,16 @@ class TestTrainEvaluate:
          ({"scorer": {"kind": "true-eta", "model": {"model": "gaussian", "mu": {"a": 1},
                                                     "kappa": 0.5}}, "delta": 0.5}, "mu"),
          ({"scorer": {"kind": "true-eta", "model": {"model": "gaussian", "mu": [2, 0],
-                                                    "kappa": [0.5]}}, "delta": 0.5}, "kappa")],
+                                                    "kappa": [0.5]}}, "delta": 0.5}, "kappa"),
+         # the kernel form of earlier versions, which named a training CSV
+         ({"scorer": {"kind": "kernel", "train_path": "k.json.train.csv", "bandwidth": 0.1,
+                      "beta": 1.0}, "delta": 0.5}, "field(s) x"),
+         ({"scorer": {"kind": "kernel", "x": [0.5] * 5000, "y": [1] * 5000, "bandwidth": 0.1},
+           "delta": 0.5}, "'x'"),
+         ({"scorer": {"kind": "kernel", "x": [[0.5], [0.25]], "y": [[1], [-1]],
+                      "bandwidth": 0.1}, "delta": 0.5}, "'y'"),
+         ({"scorer": {"kind": "kernel", "x": [[0.5], [0.25]], "y": [1, -1]}, "delta": 0.5},
+          "bandwidth")],
     )
     def test_malformed_classifier_json(self, tmp_path, capsys, payload, field) -> None:
         clf_path = tmp_path / "bad.json"
@@ -219,8 +258,9 @@ class TestTrainEvaluate:
         failure = json.loads(err)
         assert failure["error"] == "invalid-argument"
         assert field in failure["message"]
+        assert len(failure["message"]) < 300  # a long field value is abbreviated
 
-    def test_kernel_train_without_out_fails(self, tmp_path, capsys) -> None:
+    def test_kernel_train_without_out_prints_classifier(self, tmp_path, capsys) -> None:
         data_path = str(tmp_path / "h.csv")
         run_cli(capsys, "gen", "--model", "holder", "--n", "200", "--seed", "2",
                 "--out", data_path)
@@ -228,8 +268,29 @@ class TestTrainEvaluate:
             capsys, "train", "--metric", "accuracy", "--data", data_path,
             "--estimator", "kernel",
         )
+        assert code == 0, err
+        assert payload["scorer"]["kind"] == "kernel"
+        assert len(payload["scorer"]["x"]) == payload["provenance"]["n1"] == 100
+        assert PluginClassifier.from_dict(payload).delta == payload["delta"]
+
+    @pytest.mark.parametrize(
+        ("flags", "field"),
+        [(("--kernel-const", "inf"), "kernel_const"), (("--kernel-const", "nan"), "kernel_const"),
+         (("--kernel-beta", "-1"), "kernel_beta"), (("--kernel-beta", "inf"), "kernel_beta"),
+         # finite, but the bandwidth's square overflows
+         (("--kernel-const", "1e200"), "bandwidth")],
+    )
+    def test_bad_kernel_parameters_rejected(self, tmp_path, capsys, flags, field) -> None:
+        data_path = str(tmp_path / "h.csv")
+        run_cli(capsys, "gen", "--model", "holder", "--n", "200", "--seed", "2",
+                "--out", data_path)
+        code, out, err = run_cli(capsys, "train", "--metric", "fbeta:1", "--data", data_path,
+                                 "--estimator", "kernel", *flags)
         assert code == 1
-        assert json.loads(err)["error"] == "invalid-argument"
+        assert out is None
+        failure = json.loads(err)
+        assert failure["error"] == "invalid-argument"
+        assert field in failure["message"]
 
     def test_train_too_small_maps_to_error_json(self, tmp_path, capsys) -> None:
         data_path = str(tmp_path / "small.csv")
@@ -287,6 +348,33 @@ class TestDatasetFiles:
         code, payload, _ = run_cli(capsys, "train", "--metric", "fbeta:1", "--data", path)
         assert code == 0
         assert payload["provenance"]["n1"] + payload["provenance"]["n2"] == 2000
+
+
+class TestScorerJson:
+    def test_kernel_scorer_from_another_directory(self, tmp_path, capsys, monkeypatch) -> None:
+        monkeypatch.chdir(tmp_path)
+        run_cli(capsys, "gen", "--model", "holder", "--n", "2000", "--seed", "4",
+                "--out", "h.csv")
+        (tmp_path / "sub").mkdir()
+        code, stored, err = run_cli(capsys, "train", "--metric", "fbeta:1", "--data", "h.csv",
+                                    "--estimator", "kernel")
+        assert code == 0, err
+        (tmp_path / "sub" / "scorer.json").write_text(json.dumps(stored["scorer"]),
+                                                      encoding="utf-8")
+        commands = [("threshold", "--metric", "fbeta:1"),
+                    ("oracle", "--metric", "fbeta:1", "--step", "0.01")]
+        from_parent = []
+        for argv in commands:
+            code, payload, err = run_cli(capsys, *argv, "--data", "h.csv",
+                                         "--scorer-json", os.path.join("sub", "scorer.json"))
+            assert code == 0, err
+            from_parent.append(payload)
+        monkeypatch.chdir(tmp_path / "sub")
+        for argv, want in zip(commands, from_parent):
+            code, payload, err = run_cli(capsys, *argv, "--data", os.path.join("..", "h.csv"),
+                                         "--scorer-json", "scorer.json")
+            assert code == 0, err
+            assert payload == want
 
 
 class TestOracle:
@@ -381,6 +469,28 @@ class TestRate:
         code, _, err = run_cli(capsys, "rate", "--config", str(cfg_path))
         assert code == 1
         assert json.loads(err)["error"] == "invalid-argument"
+
+    @pytest.mark.parametrize(
+        ("line", "field"),
+        [("kernel_beta = -1", "kernel_beta"), ("kernel_const = inf", "kernel_const"),
+         ("estimator = constant:1.5", "p")],
+    )
+    def test_bad_estimator_parameters_fail_before_any_row(
+        self, tmp_path, capsys, line, field
+    ) -> None:
+        cfg_path = tmp_path / "exp.cfg"
+        # a key given twice takes its last value, so `line` overrides the kernel
+        cfg_path.write_text("model = holder\nmetric = fbeta:1\nestimator = kernel\n"
+                            f"n_list = 24, 32, 48\nseeds = 2\n{line}\n", encoding="utf-8")
+        prefix = tmp_path / "run"
+        code, out, err = run_cli(capsys, "rate", "--config", str(cfg_path),
+                                 "--out", str(prefix))
+        assert code == 1
+        assert out is None
+        failure = json.loads(err)
+        assert failure["error"] == "invalid-argument"
+        assert field in failure["message"]
+        assert not (tmp_path / "run.csv").exists()
 
     def test_missing_config_file(self, tmp_path, capsys) -> None:
         code, _, err = run_cli(

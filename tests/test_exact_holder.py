@@ -115,7 +115,7 @@ class TestKernel:
     def test_two_dimensional_kernel_has_no_intervals(self) -> None:
         rng = np.random.default_rng(0)
         scorer = KernelScorer(rng.random((50, 2)), np.where(rng.random(50) < 0.5, 1, -1),
-                              0.3, 1.0)
+                              0.3)
         with pytest.raises(ModeUnsupportedError):
             scorer.acceptance_intervals(0.5)
         with pytest.raises(DimensionMismatchError):

@@ -47,6 +47,19 @@ class TestEstimatorSpec:
         with pytest.raises(ValueError):
             EstimatorSpec("true-eta").build(sample_gaussian(MODEL, 50, seed=0))
 
+    @pytest.mark.parametrize(
+        ("kwargs", "field"),
+        [({"kernel_beta": -1.0}, "kernel_beta"), ({"kernel_beta": np.inf}, "kernel_beta"),
+         ({"kernel_beta": np.nan}, "kernel_beta"), ({"bandwidth_const": 0.0}, "kernel_const"),
+         ({"bandwidth_const": np.inf}, "kernel_const"), ({"p": 1.5}, "p"),
+         ({"p": -0.1}, "p"), ({"p": np.nan}, "p")],
+    )
+    def test_bad_parameters_rejected_at_construction(self, kwargs, field) -> None:
+        # the checks hold for every kind, so a config fails before any row runs
+        for kind in ("kernel", "constant"):
+            with pytest.raises(ValueError, match=field):
+                EstimatorSpec(kind, **kwargs)
+
 
 class TestPluginClassifier:
     def test_strict_tie_rule(self) -> None:
@@ -90,7 +103,6 @@ class TestTrainPlugin:
         assert prov["split_attempts"] >= 1
         assert prov["search"]["iterations"] == prov["search"]["evaluations"]
         assert prov["search"]["tolerance"] == pytest.approx(np.log(251) / 251)
-        assert clf.fit_data.n == 250
 
     def test_accuracy_threshold_near_half(self) -> None:
         data = sample_gaussian(MODEL, 100_000, seed=11)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from scipy.special import expit, logit
@@ -149,7 +151,7 @@ class TestKernelScorer:
         x = rng.random(n)
         y = rng.choice([-1, 1], size=n)
         h = 0.07
-        scorer = KernelScorer(x, y, bandwidth=h, beta=1.0)
+        scorer = KernelScorer(x, y, bandwidth=h)
         queries = np.concatenate([rng.random(150), x[:25], [0.0, 1.0, -0.5, 1.5]])
         want = naive_epanechnikov(x, y, h, queries)
         np.testing.assert_allclose(scorer.scores(queries), want, atol=1e-12)
@@ -159,22 +161,22 @@ class TestKernelScorer:
         X = rng.random((n, 2))
         y = rng.choice([-1, 1], size=n)
         h = 0.2
-        scorer = KernelScorer(X, y, bandwidth=h, beta=1.0)
+        scorer = KernelScorer(X, y, bandwidth=h)
         Q = rng.random((80, 2))
         np.testing.assert_allclose(scorer.scores(Q), naive_epanechnikov(X, y, h, Q), atol=1e-12)
 
     def test_empty_window_falls_back_to_global_rate(self) -> None:
         x = np.full(20, 0.5)
         y = np.array([1] * 15 + [-1] * 5)
-        scorer = KernelScorer(x, y, bandwidth=0.01, beta=1.0)
+        scorer = KernelScorer(x, y, bandwidth=0.01)
         np.testing.assert_allclose(scorer.scores(np.array([0.9])), [0.75])
 
     def test_outputs_clipped_away_from_zero_and_one(self) -> None:
         x = np.linspace(0, 1, 50)
-        scorer = KernelScorer(x, np.ones(50, dtype=int), bandwidth=0.2, beta=1.0)
+        scorer = KernelScorer(x, np.ones(50, dtype=int), bandwidth=0.2)
         vals = scorer.scores(np.linspace(0, 1, 11))
         assert vals.max() == 1 - KERNEL_CLIP
-        scorer = KernelScorer(x, -np.ones(50, dtype=int), bandwidth=0.2, beta=1.0)
+        scorer = KernelScorer(x, -np.ones(50, dtype=int), bandwidth=0.2)
         assert scorer.scores(np.array([0.5]))[0] == KERNEL_CLIP
 
     def test_flat_curve_recovered(self) -> None:
@@ -216,12 +218,33 @@ class TestKernelScorer:
             fit_kernel_smoother(Dataset(np.zeros((0, 1)), np.array([], dtype=int)), beta=1.0)
         with pytest.raises(ValueError, match="n >= 10"):
             fit_kernel_smoother(data.subset(range(9)), beta=1.0)
-        with pytest.raises(ValueError, match="beta"):
-            fit_kernel_smoother(data, beta=0.0)
-        with pytest.raises(ValueError, match="bandwidth_const"):
-            fit_kernel_smoother(data, beta=1.0, bandwidth_const=-1.0)
-        with pytest.raises(ValueError, match="bandwidth"):
-            KernelScorer(np.array([0.5]), np.array([1]), bandwidth=0.0, beta=1.0)
+        for beta in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="beta"):
+                fit_kernel_smoother(data, beta=beta)
+        for const in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="bandwidth_const"):
+                fit_kernel_smoother(data, beta=1.0, bandwidth_const=const)
+        # 1e200 is finite, but its square overflows in every window sum
+        for h in (0.0, -0.5, np.inf, np.nan, 1e200, 1e-200):
+            with pytest.raises(ValueError, match="bandwidth"):
+                KernelScorer(np.array([0.5]), np.array([1]), bandwidth=h)
+
+    @pytest.mark.parametrize(
+        ("x", "y", "match"),
+        [([0.5, np.nan], [1, -1], "finite"), ([0.5, np.inf], [1, -1], "finite"),
+         ([0.5, 0.25], [1, 0], "-1 or \\+1"), ([0.5, 0.25], [1, 1.5], "-1 or \\+1"),
+         ([0.5, 0.25], [1], "one per")],
+    )
+    def test_rejects_a_sample_it_could_not_write_back(self, x, y, match) -> None:
+        with pytest.raises(ValueError, match=match):
+            KernelScorer(np.array(x), np.array(y), bandwidth=0.1)
+
+    def test_keeps_its_training_arrays(self) -> None:
+        data = sample_holder(HolderModel("sine"), 200, seed=4)
+        scorer = fit_kernel_smoother(data, beta=1.0)
+        assert scorer.train_x is data.features
+        assert scorer.train_y is data.labels
+        assert not hasattr(scorer, "beta")
 
 
 class TestSerialization:
@@ -253,21 +276,25 @@ class TestSerialization:
                    "model": {"model": "holder", "eta_tag": "flat", "beta": 2.0}}
         assert scorer_from_dict(payload).model == HolderModel("flat")
 
-    def test_kernel_requires_training_reference(self, tmp_path) -> None:
-        data = sample_holder(HolderModel("sine"), 100, seed=5)
+    @pytest.mark.parametrize(
+        "data",
+        [sample_holder(HolderModel("sine"), 300, seed=5),
+         sample_gaussian(GaussianModel(np.array([2.0, 0.0]), 0.5), 300, seed=5)],
+        ids=["holder-1d", "gaussian-2d"],
+    )
+    def test_kernel_roundtrip_carries_its_sample(self, data) -> None:
         scorer = fit_kernel_smoother(data, beta=1.0)
-        with pytest.raises(ValueError):
-            scorer_to_dict(scorer)
-        from karmic.dataio import save_dataset_csv
-
-        path = str(tmp_path / "train.csv")
-        save_dataset_csv(data, path)
-        payload = scorer_to_dict(scorer, kernel_train_path=path)
+        payload = json.loads(json.dumps(scorer_to_dict(scorer)))
+        assert sorted(payload) == ["bandwidth", "kind", "x", "y"]
+        assert len(payload["x"]) == data.n and len(payload["x"][0]) == data.dim
+        assert set(payload["y"]) == {-1, 1}
         again = scorer_from_dict(payload)
         assert isinstance(again, KernelScorer)
         assert again.bandwidth == scorer.bandwidth
-        grid = np.linspace(0, 1, 17)[:, None]
-        np.testing.assert_allclose(again.scores(grid), scorer.scores(grid), atol=1e-12)
+        np.testing.assert_array_equal(again.train_x, data.features)
+        np.testing.assert_array_equal(again.train_y, data.labels)
+        queries = np.random.default_rng(0).random((257, data.dim))
+        assert np.array_equal(again.scores(queries), scorer.scores(queries))
 
     def test_unknown_kind_rejected(self) -> None:
         with pytest.raises(ValueError):
