@@ -120,7 +120,8 @@ def _cmd_train(args) -> int:
     payload = clf.to_dict()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            # compact: a kernel scorer carries its training sample inline
+            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
             fh.write("\n")
         _emit({"written": args.out, "delta": clf.delta})
     else:

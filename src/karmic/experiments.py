@@ -20,8 +20,8 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -338,13 +338,22 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateTable:
     Row order is (n ascending, seed ascending) regardless of the worker
     pool, and all randomness is derived per row, so the table is a pure
     function of the config.  The population optimum is solved once, here,
-    and shared by every row.
+    and shared by every row.  The pool has at most one process per row and
+    per usable cpu; a smaller pool than ``cfg.workers`` is logged.
     """
     tasks = [(n, seed) for n in cfg.n_list for seed in range(cfg.seeds)]
     optimum = _solve_optimum(cfg)
-    if cfg.workers > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (4 * cfg.workers))
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    cpus = len(os.sched_getaffinity(0))
+    workers = min(cfg.workers, len(tasks), cpus)
+    if workers < cfg.workers:
+        logger.warning("capped the worker pool at %d processes (asked for %d; %d rows, %d cpus)",
+                       workers, cfg.workers, len(tasks), cpus)
+    if workers > 1:
+        # a serial run never loads the pool, nor multiprocessing behind it
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunk = max(1, len(tasks) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(
                 pool.map(
                     _run_row,

@@ -147,10 +147,12 @@ def train_plugin(
     n = data.n
     if n < 20:
         raise SplitDegenerateError(f"need at least 20 samples to split, got {n}")
-    children = np.random.SeedSequence([int(seed), _SPLIT_TAG]).spawn(_SPLIT_RETRIES)
+    # the k-th spawn(1) is the k-th child of spawn(_SPLIT_RETRIES), so spawning
+    # one at a time keeps every split and skips the children a row never uses
+    streams = np.random.SeedSequence([int(seed), _SPLIT_TAG])
     n1 = n // 2
-    for attempt, child in enumerate(children, start=1):
-        perm = np.random.default_rng(child).permutation(n)
+    for attempt in range(1, _SPLIT_RETRIES + 1):
+        perm = np.random.default_rng(streams.spawn(1)[0]).permutation(n)
         fit_half = data.subset(perm[:n1])
         threshold_half = data.subset(perm[n1:])
         if all((half.labels == 1).any() and (half.labels == -1).any()

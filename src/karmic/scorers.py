@@ -14,6 +14,11 @@ For exact population evaluation a scorer describes its decision rule
 true eta of the Gaussian model), and ``acceptance_intervals`` gives the
 acceptance set of a 1-d scorer on [0, 1] as sorted disjoint intervals
 (every scorer on 1-d data).
+
+``expit`` and ``logit`` come from :mod:`karmic.synth`, which loads
+``scipy.special`` the first time one is called.  A logistic fit or score
+and any closed-form evaluation on the Gaussian model load it; a kernel
+scorer, a constant and the Holder model's true eta on [0, 1] never do.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .confusion import Dataset
 from .errors import (
@@ -32,7 +36,15 @@ from .errors import (
     ModeUnsupportedError,
     SeparableDataError,
 )
-from .synth import GaussianModel, HolderModel, model_from_dict, number_field, require_fields
+from .synth import (
+    GaussianModel,
+    HolderModel,
+    expit,
+    logit,
+    model_from_dict,
+    number_field,
+    require_fields,
+)
 
 __all__ = [
     "Scorer",

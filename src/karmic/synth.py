@@ -26,6 +26,11 @@ called with the model as first argument.
 Sampling uses one named child stream per role (labels, features) spawned
 from the seed, so datasets are bit-reproducible and independent of
 generation order.
+
+The Gaussian closed forms and the logistic scorer need ``expit``, ``logit``
+and ``ndtr``.  They are defined here as thin wrappers that import
+``scipy.special`` (about 0.2 s) on first call, so the Holder model, the
+kernel scorer and every command that touches neither never load scipy.
 """
 
 from __future__ import annotations
@@ -35,14 +40,12 @@ import reprlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit, ndtr
 
 from .confusion import Dataset
 from .errors import (
     BoundaryThresholdError,
     DegenerateDistributionError,
     DimensionMismatchError,
-    InsufficientMassError,
 )
 
 __all__ = [
@@ -51,12 +54,34 @@ __all__ = [
     "sample_gaussian",
     "sample_holder",
     "gaussian_halfspace_confusion",
-    "margin_exponent_estimate",
     "model_from_dict",
 ]
 
 _SINE_AMPLITUDE = 0.45
 _TWO_PI = 2.0 * math.pi
+
+
+# scipy's own ufuncs compute every value: numpy or math forms of these
+# functions are not bit-identical to them.
+def expit(x):
+    """``scipy.special.expit``: the logistic sigmoid ``1 / (1 + exp(-x))``."""
+    from scipy.special import expit as ufunc
+
+    return ufunc(x)
+
+
+def logit(p):
+    """``scipy.special.logit``: ``log(p / (1 - p))``."""
+    from scipy.special import logit as ufunc
+
+    return ufunc(p)
+
+
+def ndtr(z):
+    """``scipy.special.ndtr``: the standard normal CDF."""
+    from scipy.special import ndtr as ufunc
+
+    return ufunc(z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,30 +365,3 @@ def _sine_arc(level: float) -> tuple[float, float]:
 def _sine_antiderivative(x: float) -> float:
     """Antiderivative of 0.5 + 0.45 sin(2 pi x)."""
     return 0.5 * x - _SINE_AMPLITUDE * math.cos(_TWO_PI * x) / _TWO_PI
-
-
-def margin_exponent_estimate(eta_values, delta_star: float, t_grid) -> float:
-    """Log-log slope of the mass of {0 < |eta - delta*| <= t} against t.
-
-    A slope near alpha means the eta distribution puts mass ~ t^alpha in
-    shrinking neighborhoods of the threshold (low-noise exponent).
-    """
-    eta_values = np.asarray(eta_values, dtype=float).ravel()
-    if eta_values.size < 10_000:
-        raise ValueError("need at least 1e4 eta draws for a stable estimate")
-    t_grid = np.asarray(t_grid, dtype=float).ravel()
-    limit = min(delta_star, 1.0 - delta_star)
-    if t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly increasing")
-    if t_grid[0] <= 0.0 or t_grid[-1] >= limit:
-        raise ValueError(f"t_grid must lie inside (0, {limit:.3g})")
-    gaps = np.abs(eta_values - delta_star)
-    gaps = gaps[gaps > 0.0]
-    mass = np.array([(gaps <= t).mean() for t in t_grid]) * (gaps.size / eta_values.size)
-    keep = mass > 0.0
-    if keep.sum() < 3:
-        raise InsufficientMassError(
-            "fewer than 3 grid points carry mass near the threshold"
-        )
-    slope, _ = np.polyfit(np.log(t_grid[keep]), np.log(mass[keep]), 1)
-    return float(slope)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from karmic import metric_value
+from karmic import InsufficientMassError, metric_value
 
 
 class FixedScorer:
@@ -146,3 +146,30 @@ def symmetric_difference_with_ray(intervals, cut: float):
         if inside != (probe > cut):
             out.append((a, b))
     return out
+
+
+def margin_exponent_estimate(eta_values, delta_star: float, t_grid) -> float:
+    """Log-log slope of the mass of {0 < |eta - delta*| <= t} against t.
+
+    A slope near alpha means the eta distribution puts mass ~ t^alpha in
+    shrinking neighborhoods of the threshold (low-noise exponent).
+    """
+    eta_values = np.asarray(eta_values, dtype=float).ravel()
+    if eta_values.size < 10_000:
+        raise ValueError("need at least 1e4 eta draws for a stable estimate")
+    t_grid = np.asarray(t_grid, dtype=float).ravel()
+    limit = min(delta_star, 1.0 - delta_star)
+    if t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
+        raise ValueError("t_grid must be strictly increasing")
+    if t_grid[0] <= 0.0 or t_grid[-1] >= limit:
+        raise ValueError(f"t_grid must lie inside (0, {limit:.3g})")
+    gaps = np.abs(eta_values - delta_star)
+    gaps = gaps[gaps > 0.0]
+    mass = np.array([(gaps <= t).mean() for t in t_grid]) * (gaps.size / eta_values.size)
+    keep = mass > 0.0
+    if keep.sum() < 3:
+        raise InsufficientMassError(
+            "fewer than 3 grid points carry mass near the threshold"
+        )
+    slope, _ = np.polyfit(np.log(t_grid[keep]), np.log(mass[keep]), 1)
+    return float(slope)

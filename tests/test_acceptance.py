@@ -39,7 +39,6 @@ from karmic import (
     fixed_point_threshold,
     gaussian_halfspace_confusion,
     grid_search_threshold,
-    margin_exponent_estimate,
     metric_gradient,
     metric_value,
     parse_metric,
@@ -51,6 +50,7 @@ from karmic.metrics import KARMIC_DIRECTION, metric_gradients_masked, metric_val
 
 from helpers import (
     central_difference_gradient,
+    margin_exponent_estimate,
     random_interior_confusions,
     sign_positive_intervals,
     symmetric_difference_with_ray,

@@ -157,6 +157,35 @@ class TestTrainEvaluate:
         want = population_regret(parse_metric("fbeta:1"), trained, HolderModel("sine"))
         assert report == {**want.to_dict(), "metric": "fbeta:1"}
 
+    def test_classifier_file_is_compact_and_reloads_exactly(self, tmp_path, capsys) -> None:
+        data_path = str(tmp_path / "h.csv")
+        run_cli(capsys, "gen", "--model", "holder", "--n", "2000", "--seed", "3",
+                "--out", data_path)
+        clf_path = tmp_path / "kclf.json"
+        code, _, err = run_cli(capsys, "train", "--metric", "fbeta:1", "--data", data_path,
+                               "--estimator", "kernel", "--seed", "1", "--out", str(clf_path))
+        assert code == 0, err
+        text = clf_path.read_text(encoding="utf-8")
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        assert ": " not in text and ", " not in text
+        stored = json.loads(text)
+        data, _ = load_dataset_csv(data_path)
+        trained = train_plugin(parse_metric("fbeta:1"), data, EstimatorSpec("kernel"), seed=1)
+        assert stored == json.loads(json.dumps(trained.to_dict()))
+        queries = np.linspace(0.0, 1.0, 1001)[:, None]
+        reloaded = PluginClassifier.from_dict(stored)
+        assert np.array_equal(reloaded.scorer.scores(queries), trained.scorer.scores(queries))
+        # the indented file earlier versions wrote gives the same report, byte for byte
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(stored, indent=2, sort_keys=True) + "\n",
+                            encoding="utf-8")
+        reports = []
+        for path in (clf_path, indented):
+            assert main(["evaluate", "--classifier", str(path), "--metric", "fbeta:1",
+                         "--model", "holder"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
     def test_kernel_classifier_on_gaussian_data_reloads_exactly(
         self, gaussian_csv, tmp_path, capsys
     ) -> None:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import math
+import os
 import pathlib
 
 import numpy as np
@@ -298,7 +300,9 @@ class TestRunExperiment:
         b = run_rate_experiment(tiny_config())
         assert a.csv_text() == b.csv_text()
 
-    def test_workers_do_not_change_results(self) -> None:
+    def test_workers_do_not_change_results(self, monkeypatch) -> None:
+        # two cpus even on a one-cpu host, so that a real pool of two runs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         cfg = tiny_config(n_list=(24, 32, 48), seeds=4)
         serial = run_rate_experiment(cfg)
         parallel = run_rate_experiment(dataclasses.replace(cfg, workers=2))
@@ -321,6 +325,51 @@ class TestRunExperiment:
         summary = table.summary()
         assert summary["schema"] == 1
         assert summary["config"]["metric"] == "fbeta:1"
+
+
+class TestWorkerPool:
+    """The pool is sized ``min(workers, rows, cpus)``; a fake pool that maps
+    serially stands in for the real one, so no process is started."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch) -> list[int]:
+        sizes: list[int] = []
+
+        class RecordingPool:
+            def __init__(self, max_workers: int) -> None:
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc) -> None:
+                pass
+
+            def map(self, fn, *iterables, chunksize: int = 1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    @pytest.mark.parametrize(("workers", "cpus", "size"), [(5000, 8, 6), (5000, 3, 3), (4, 8, 4)])
+    def test_pool_capped_at_rows_and_cpus(self, pool_sizes, monkeypatch, caplog,
+                                          workers, cpus, size) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        cfg = tiny_config()  # 6 rows
+        with caplog.at_level("WARNING", logger="karmic.experiments"):
+            table = run_rate_experiment(dataclasses.replace(cfg, workers=workers))
+        assert pool_sizes == [size]
+        assert any("capped the worker pool" in r.message
+                   for r in caplog.records) == (size < workers)
+        assert table.csv_text() == run_rate_experiment(cfg).csv_text()
+
+    @pytest.mark.parametrize(("workers", "cpus", "seeds"), [(1, 8, 3), (5000, 1, 3), (8, 8, 1)])
+    def test_one_process_runs_serially(self, pool_sizes, monkeypatch,
+                                       workers, cpus, seeds) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        table = run_rate_experiment(tiny_config(n_list=(24,), seeds=seeds, workers=workers))
+        assert len(table.rows) == seeds
+        assert pool_sizes == []
 
 
 class TestExactHolderStudy:

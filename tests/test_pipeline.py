@@ -24,7 +24,7 @@ from karmic import (
     sample_holder,
     train_plugin,
 )
-from karmic.pipeline import _monte_carlo_confusion
+from karmic.pipeline import _SPLIT_RETRIES, _SPLIT_TAG, _monte_carlo_confusion
 
 MODEL = GaussianModel(np.array([2.0, 0.0]), 0.5)
 
@@ -147,6 +147,23 @@ class TestTrainPlugin:
             attempts.append(clf.provenance["split_attempts"])
         assert all(1 <= a <= 10 for a in attempts)
         assert max(attempts) > 1
+
+    @pytest.mark.parametrize("seed", [0, 2, 8])  # 4, 5 and 2 attempts
+    def test_retried_split_is_the_attempt_th_child(self, seed: int) -> None:
+        # the split streams are spawned one per attempt; the k-th attempt must
+        # still permute with the k-th child of one spawn of all ten
+        rng = np.random.default_rng(5)
+        labels = np.full(40, -1)
+        labels[:2] = 1
+        data = Dataset(rng.standard_normal((40, 1)), labels)
+        clf = train_plugin(parse_metric("accuracy"), data, EstimatorSpec("kernel"), seed=seed)
+        attempts = clf.provenance["split_attempts"]
+        assert attempts > 1
+        child = np.random.SeedSequence([seed, _SPLIT_TAG]).spawn(_SPLIT_RETRIES)[attempts - 1]
+        fit_rows = np.random.default_rng(child).permutation(data.n)[: data.n // 2]
+        # a kernel scorer keeps its fitting half as given, in split order
+        assert np.array_equal(clf.scorer.train_x, data.features[fit_rows])
+        assert np.array_equal(clf.scorer.train_y, data.labels[fit_rows])
 
 
 class TestMonteCarloConfusion:

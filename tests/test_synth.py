@@ -19,11 +19,12 @@ from karmic import (
     InsufficientMassError,
     ScoreProfile,
     TrueEtaScorer,
-    margin_exponent_estimate,
     sample_gaussian,
     sample_holder,
     gaussian_halfspace_confusion,
 )
+
+from helpers import margin_exponent_estimate
 
 
 class TestModels:
