@@ -17,7 +17,6 @@ __all__ = [
     "SeparableDataError",
     "DegenerateDesignError",
     "DimensionMismatchError",
-    "InsufficientMassError",
     "BoundaryThresholdError",
     "SplitDegenerateError",
     "ModeUnsupportedError",
@@ -65,10 +64,6 @@ class DegenerateDesignError(KarmicError):
 
 class DimensionMismatchError(KarmicError):
     code = "dimension-mismatch"
-
-
-class InsufficientMassError(KarmicError):
-    code = "insufficient-mass"
 
 
 class BoundaryThresholdError(KarmicError):

@@ -129,7 +129,8 @@ class ConstantScorer(Scorer):
 
 
 class TrueEtaScorer(Scorer):
-    """Exact conditional probability of a synthetic model."""
+    """Exact conditional probability of a synthetic model; its decision rule
+    is the model's own ``halfspace`` or ``superlevel_intervals``."""
 
     def __init__(self, model: GaussianModel | HolderModel) -> None:
         self.model = model
@@ -139,14 +140,11 @@ class TrueEtaScorer(Scorer):
         return self.model.eta(self._check_matrix(X))
 
     def halfspace(self, dim: int) -> tuple[np.ndarray, float]:
-        if isinstance(self.model, GaussianModel):
-            return self.model.mu, float(logit(self.model.kappa))
-        return super().halfspace(dim)
+        return self.model.halfspace(dim)
 
     def acceptance_intervals(self, delta: float) -> np.ndarray:
-        if isinstance(self.model, HolderModel):
-            return self.model.superlevel_intervals(delta)
-        return super().acceptance_intervals(delta)
+        pieces = self.model.superlevel_intervals(delta)
+        return pieces[pieces[:, 1] > pieces[:, 0]]  # drop the zero-width rows
 
 
 class LogisticScorer(Scorer):

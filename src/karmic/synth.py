@@ -10,18 +10,20 @@ Two families:
 * One-dimensional smooth model on [0, 1]: ``X ~ Uniform[0,1]`` with a
   fixed conditional-probability curve (tag "sine":
   ``eta(x) = 0.5 + 0.45 sin(2 pi x)``; tag "flat": ``eta = 0.5``).  Level
-  sets of the sine curve are explicit arcsin intervals, so its population
-  confusion is also exact.
+  sets of the sine curve are explicit arcsin intervals, and eta has a
+  closed-form integral over any interval, so its population confusion is
+  also exact.
 
 Each model class holds everything model-specific: ``sample(n, seed)``,
 ``eta(X)``, ``draw_features(rng, k)`` for Monte-Carlo evaluation,
-``population_confusion(deltas)`` for thresholding the true eta, and
 ``classifier_confusion(scorer, delta)`` for the exact population confusion
-of a fitted score rule: a half-space mass on the Gaussian model (affine
-scorers hand over ``halfspace``), an integral of eta over intervals on the
-Holder model (1-d scorers hand over ``acceptance_intervals``).  The free
-names ``sample_gaussian`` and ``sample_holder`` are the ``sample`` methods,
-called with the model as first argument.
+of a score rule, and ``population_confusion(deltas)``, the same computation
+on eta's own rule for many thresholds at once.  The Gaussian rule is a
+half-space (``halfspace``), whose mass is a normal tail; the Holder rule is
+a set of intervals of [0, 1] (``acceptance_intervals`` of a 1-d scorer,
+``superlevel_intervals`` of the model), which one integrator integrates.
+The free names ``sample_gaussian`` and ``sample_holder`` are the
+``sample`` methods, called with the model as first argument.
 
 Sampling uses one named child stream per role (labels, features) spawned
 from the seed, so datasets are bit-reproducible and independent of
@@ -46,6 +48,7 @@ from .errors import (
     BoundaryThresholdError,
     DegenerateDistributionError,
     DimensionMismatchError,
+    ModeUnsupportedError,
 )
 
 __all__ = [
@@ -152,19 +155,24 @@ class GaussianModel:
     def population_confusion(self, deltas) -> np.ndarray:
         """Exact population confusion of thresholding the true eta at each delta.
 
-        Vectorized like :func:`gaussian_halfspace_confusion`; every delta must
-        lie strictly inside (0, 1).
+        eta is the affine rule :meth:`halfspace`, so this is
+        :func:`gaussian_halfspace_confusion` at the true ``(mu, logit(kappa))``:
+        shape ``deltas.shape + (4,)``, every delta strictly inside (0, 1).
         """
-        deltas = np.asarray(deltas, dtype=float)
-        if ((deltas == 0.0) | (deltas == 1.0)).any():
-            raise BoundaryThresholdError("population confusion needs delta in (0, 1)")
-        if not ((deltas > 0.0) & (deltas < 1.0)).all():
-            raise ValueError("delta must lie in (0, 1)")
+        deltas = _open_unit_thresholds(deltas)
         if self.margin_norm == 0.0:
             raise DegenerateDistributionError(
                 "closed-form confusion needs separated class means (|mu| > 0)"
             )
-        return gaussian_halfspace_confusion(self, self.mu, float(logit(self.kappa)), deltas)
+        return gaussian_halfspace_confusion(self, *self.halfspace(self.dim), deltas)
+
+    def halfspace(self, dim: int) -> tuple[np.ndarray, float]:
+        """``(mu, logit(kappa))``: eta is ``sigmoid(mu.x + logit(kappa))``."""
+        return self.mu, float(logit(self.kappa))
+
+    def superlevel_intervals(self, deltas) -> np.ndarray:
+        """Raises ``ModeUnsupportedError``: eta lives on R^d, not on [0, 1]."""
+        raise ModeUnsupportedError("the Gaussian eta has no acceptance intervals on [0, 1]")
 
     def classifier_confusion(self, scorer, delta: float) -> np.ndarray:
         """Exact population confusion of ``predict +1 iff scorer(x) > delta``.
@@ -213,71 +221,71 @@ class HolderModel:
         """k uniform feature rows."""
         return rng.random((k, 1))
 
-    def population_confusion(self, delta: float) -> np.ndarray:
-        """Exact population confusion of thresholding eta at one delta.
+    def population_confusion(self, deltas) -> np.ndarray:
+        """Exact population confusion of thresholding eta at each delta.
 
-        For the sine tag the super-level set {eta > delta} is one arc of the
-        period, located by arcsin; the positive mass over any interval comes
-        from the closed-form antiderivative of eta.  Returns ``(TP, FP, FN,
-        TN)`` as a length-4 array.
+        It is :meth:`classifier_confusion` of eta itself: eta integrated over
+        its own :meth:`superlevel_intervals`.  Shape ``deltas.shape + (4,)``;
+        every delta must lie strictly inside (0, 1).
         """
-        if delta in (0.0, 1.0):
-            raise BoundaryThresholdError("population confusion needs delta in (0, 1)")
-        if not 0.0 < delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        pos_total = 0.5  # integral of eta over [0,1] for both tags
-        if self.eta_tag == "flat":
-            predicted = 1.0 if delta < 0.5 else 0.0
-            tp = pos_total * predicted
-            fp = (1.0 - pos_total) * predicted
-            return np.array([tp, fp, pos_total - tp, (1.0 - pos_total) - fp])
-        level = (delta - 0.5) / _SINE_AMPLITUDE
-        if level >= 1.0:
-            return np.array([0.0, 0.0, pos_total, 1.0 - pos_total])
-        if level <= -1.0:
-            return np.array([pos_total, 1.0 - pos_total, 0.0, 0.0])
-        x_lo, x_hi = _sine_arc(level)
-        # Super-level set on [0,1] is (x_lo, x_hi) shifted into the unit period:
-        # for negative x_lo it wraps to [0, x_hi) and (x_lo + 1, 1].
-        mass = x_hi - x_lo
-        tp = _sine_antiderivative(x_hi) - _sine_antiderivative(x_lo)
-        fp = mass - tp
-        return np.array([tp, fp, pos_total - tp, (1.0 - pos_total) - fp])
+        return self._integrate(self.superlevel_intervals(_open_unit_thresholds(deltas)))
 
-    def superlevel_intervals(self, delta: float) -> np.ndarray:
-        """``{x in [0, 1] : eta(x) > delta}`` as sorted disjoint ``(k, 2)`` rows."""
+    def halfspace(self, dim: int) -> tuple[np.ndarray, float]:
+        """Raises ``ModeUnsupportedError``: eta is not an affine score rule."""
+        raise ModeUnsupportedError("the Holder eta is not an affine score rule")
+
+    def superlevel_intervals(self, deltas) -> np.ndarray:
+        """``{x in [0, 1] : eta(x) > delta}`` for each delta, as two sorted
+        ``(a, b)`` rows: shape ``deltas.shape + (2, 2)``.
+
+        An absent piece is a zero-width row.  Under the sine tag the set is
+        the arc ``(asin(level), pi - asin(level)) / 2 pi`` of the period, with
+        ``level = (delta - 0.5) / 0.45`` clipped to [-1, 1]; a negative left
+        end wraps the arc into ``[0, b]`` and ``[a + 1, 1]``.
+        """
+        deltas = np.asarray(deltas, dtype=float)
+        pieces = np.ones(deltas.shape + (2, 2))
         if self.eta_tag == "flat":
-            return np.array([[0.0, 1.0]]) if delta < 0.5 else np.empty((0, 2))
-        level = (delta - 0.5) / _SINE_AMPLITUDE
-        if level >= 1.0:
-            return np.empty((0, 2))
-        if level <= -1.0:
-            return np.array([[0.0, 1.0]])
-        x_lo, x_hi = _sine_arc(level)
-        if x_lo < 0.0:
-            return np.array([[0.0, x_hi], [x_lo + 1.0, 1.0]])
-        return np.array([[x_lo, x_hi]])
+            pieces[..., 0, 0] = 0.0
+            pieces[..., 0, 1] = deltas < 0.5
+            return pieces
+        theta = np.arcsin(np.clip((deltas - 0.5) / _SINE_AMPLITUDE, -1.0, 1.0))
+        x_lo = theta / _TWO_PI
+        np.maximum(x_lo, 0.0, out=pieces[..., 0, 0])
+        pieces[..., 0, 1] = (math.pi - theta) / _TWO_PI
+        np.minimum(x_lo + 1.0, 1.0, out=pieces[..., 1, 0])
+        return pieces
 
     def classifier_confusion(self, scorer, delta: float) -> np.ndarray:
-        """Exact population confusion of ``predict +1 iff scorer(x) > delta``.
+        """Exact population confusion of ``predict +1 iff scorer(x) > delta``:
+        eta integrated over the scorer's ``acceptance_intervals``, the set
+        ``{x : score(x) > delta}`` as intervals of [0, 1].
 
-        The scorer's ``acceptance_intervals`` give ``{x : score(x) > delta}``
-        as intervals of [0, 1]; the positive mass over ``[a, b]`` is half its
-        length plus, for the sine tag, ``0.45 (cos 2 pi a - cos 2 pi b) / 2 pi``.
         A scorer without intervals raises ``ModeUnsupportedError``.
         """
         if scorer.dim not in (None, 1):
             raise DimensionMismatchError(
                 f"the Holder model is 1-d; the scorer expects dimension {scorer.dim}"
             )
-        a, b = scorer.acceptance_intervals(delta).T
-        mass = float((b - a).sum())
+        return self._integrate(scorer.acceptance_intervals(delta))
+
+    def _integrate(self, pieces: np.ndarray) -> np.ndarray:
+        """``(TP, FP, FN, TN)`` of predicting +1 on the ``(..., k, 2)`` interval
+        rows, shape ``(..., 4)``.  The positive mass over ``[a, b]`` is half
+        its length plus, for the sine tag, ``0.45 (cos 2 pi a - cos 2 pi b) / 2 pi``;
+        both tags put half of the unit mass on each label.
+        """
+        mass = (pieces[..., 1] - pieces[..., 0]).sum(axis=-1)
         tp = 0.5 * mass
         if self.eta_tag == "sine":
-            swing = np.cos(_TWO_PI * a) - np.cos(_TWO_PI * b)
-            tp += _SINE_AMPLITUDE / _TWO_PI * float(swing.sum())
-        fp = mass - tp
-        return np.array([tp, fp, 0.5 - tp, 0.5 - fp])
+            ends = np.cos(_TWO_PI * pieces)
+            tp += _SINE_AMPLITUDE / _TWO_PI * (ends[..., 0] - ends[..., 1]).sum(axis=-1)
+        # filled in place: np.stack costs more than the arithmetic at one delta
+        out = np.empty(np.shape(tp) + (4,))
+        out[..., 0] = tp
+        out[..., 1] = mass - tp
+        out[..., 2:] = 0.5 - out[..., :2]
+        return out
 
 
 def require_fields(payload, what: str, fields: tuple[str, ...]) -> dict:
@@ -323,6 +331,17 @@ def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     return np.random.default_rng(label_seq), np.random.default_rng(feature_seq)
 
 
+def _open_unit_thresholds(deltas) -> np.ndarray:
+    """``deltas`` as a float array, each strictly inside (0, 1): a threshold at
+    0 or 1 raises ``BoundaryThresholdError``, any other outside ``ValueError``."""
+    deltas = np.asarray(deltas, dtype=float)
+    if not ((deltas > 0.0) & (deltas < 1.0)).all():
+        if ((deltas == 0.0) | (deltas == 1.0)).any():
+            raise BoundaryThresholdError("population confusion needs delta in (0, 1)")
+        raise ValueError("delta must lie in (0, 1)")
+    return deltas
+
+
 def gaussian_halfspace_confusion(
     model: GaussianModel, w: np.ndarray, b: float, deltas
 ) -> np.ndarray:
@@ -353,15 +372,3 @@ def gaussian_halfspace_confusion(
         rate_neg = ndtr((-shift - cut) / norm)
     return np.stack([kappa * rate_pos, (1 - kappa) * rate_neg,
                      kappa * (1 - rate_pos), (1 - kappa) * (1 - rate_neg)], axis=-1)
-
-
-def _sine_arc(level: float) -> tuple[float, float]:
-    """Ends of the arc of the period where ``sin(2 pi x) > level``, for
-    ``|level| < 1``; the left end is negative for a negative level."""
-    theta = math.asin(level)
-    return theta / _TWO_PI, (math.pi - theta) / _TWO_PI
-
-
-def _sine_antiderivative(x: float) -> float:
-    """Antiderivative of 0.5 + 0.45 sin(2 pi x)."""
-    return 0.5 * x - _SINE_AMPLITUDE * math.cos(_TWO_PI * x) / _TWO_PI

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from karmic import InsufficientMassError, metric_value
+from karmic import metric_value
 
 
 class FixedScorer:
@@ -168,8 +168,6 @@ def margin_exponent_estimate(eta_values, delta_star: float, t_grid) -> float:
     mass = np.array([(gaps <= t).mean() for t in t_grid]) * (gaps.size / eta_values.size)
     keep = mass > 0.0
     if keep.sum() < 3:
-        raise InsufficientMassError(
-            "fewer than 3 grid points carry mass near the threshold"
-        )
+        raise ValueError("fewer than 3 grid points carry mass near the threshold")
     slope, _ = np.polyfit(np.log(t_grid[keep]), np.log(mass[keep]), 1)
     return float(slope)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,7 +336,7 @@ class TestTrainEvaluate:
 class TestNonFiniteFeatures:
     @pytest.fixture
     def nan_csv(self, gaussian_csv, tmp_path) -> str:
-        lines = open(gaussian_csv, encoding="utf-8").read().splitlines()
+        lines = Path(gaussian_csv).read_text(encoding="utf-8").splitlines()
         row = lines[5].split(",")
         lines[5] = ",".join(["nan", *row[1:]])
         path = tmp_path / "nan.csv"

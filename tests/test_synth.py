@@ -16,7 +16,6 @@ from karmic import (
     DimensionMismatchError,
     GaussianModel,
     HolderModel,
-    InsufficientMassError,
     ScoreProfile,
     TrueEtaScorer,
     sample_gaussian,
@@ -168,23 +167,6 @@ class TestGaussianConfusion:
         assert (np.diff(tp) <= 1e-12).all()
         assert (np.diff(tn) >= -1e-12).all()
 
-    def test_curve_matches_scalar_calls(self) -> None:
-        m = GaussianModel(np.array([2.0, 1.0]), 0.3)
-        deltas = np.array([[0.2, 0.5, 0.9], [0.01, 0.33, 0.99]])
-        curve = m.population_confusion(deltas)
-        assert curve.shape == (2, 3, 4)
-        for row, delta in zip(curve.reshape(-1, 4), deltas.ravel()):
-            # bitwise: the scalar and the vectorized calls share one arithmetic
-            np.testing.assert_array_equal(row, m.population_confusion(float(delta)))
-
-    @pytest.mark.parametrize("delta", [0.0, 1.0])
-    def test_boundary_thresholds_rejected(self, delta: float) -> None:
-        m = GaussianModel(np.array([1.0]), 0.5)
-        with pytest.raises(BoundaryThresholdError):
-            m.population_confusion(delta)
-        with pytest.raises(BoundaryThresholdError):
-            m.population_confusion([0.5, delta])
-
     def test_zero_margin_rejected(self) -> None:
         m = GaussianModel(np.array([0.0]), 0.5)
         with pytest.raises(DegenerateDistributionError):
@@ -201,6 +183,34 @@ class TestGaussianConfusion:
             mc = ScoreProfile.from_scorer(TrueEtaScorer(m), data).confusion(delta)
             exact = m.population_confusion(delta)
             np.testing.assert_allclose(mc, exact, atol=5e-3)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [GaussianModel(np.array([2.0, 1.0]), 0.3), HolderModel("sine"), HolderModel("flat")],
+    ids=["gaussian", "sine", "flat"],
+)
+class TestPopulationCurve:
+    def test_curve_matches_scalar_calls(self, m) -> None:
+        deltas = np.array([[0.2, 0.5, 0.9], [0.01, 0.33, 0.99]])
+        curve = m.population_confusion(deltas)
+        assert curve.shape == (2, 3, 4)
+        for row, delta in zip(curve.reshape(-1, 4), deltas.ravel()):
+            # bitwise: the scalar and the vectorized calls share one arithmetic
+            np.testing.assert_array_equal(row, m.population_confusion(float(delta)))
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    def test_boundary_thresholds_rejected(self, m, delta: float) -> None:
+        with pytest.raises(BoundaryThresholdError):
+            m.population_confusion(delta)
+        with pytest.raises(BoundaryThresholdError):
+            m.population_confusion([0.5, delta])
+
+    def test_curve_is_the_true_eta_classifier(self, m) -> None:
+        # bitwise: thresholding eta is the classifier rule of its own scorer
+        for delta in [0.02, 0.2, 0.3, 0.5, 0.7, 0.97]:
+            np.testing.assert_array_equal(m.population_confusion(delta),
+                                          m.classifier_confusion(TrueEtaScorer(m), delta))
 
 
 class TestHalfspaceConfusion:
@@ -327,5 +337,5 @@ class TestMarginExponent:
 
     def test_no_mass_near_threshold(self) -> None:
         eta = np.full(20_000, 0.9)
-        with pytest.raises(InsufficientMassError):
+        with pytest.raises(ValueError, match="carry mass near the threshold"):
             margin_exponent_estimate(eta, 0.5, np.linspace(0.01, 0.35, 12))
