@@ -63,17 +63,19 @@ class ScoreProfile:
     Built once from the scores of a fixed sample, it answers "confusion at
     threshold delta" queries for any number of thresholds without rescoring,
     using suffix counts over the score order.  Strict rule: score > delta
-    counts as a positive prediction, so ties at delta predict -1.
+    counts as a positive prediction, so ties at delta predict -1.  The
+    counts are integers read only at the edge of a tie group, so any order
+    of tied scores gives the same numbers.
     """
 
     def __init__(self, scores, labels) -> None:
         s = np.asarray(scores, dtype=float)
         if s.size == 0:
             raise EmptyDataError("cannot profile an empty sample")
-        if s.min() < 0.0 or s.max() > 1.0:
-            raise ValueError("scores must lie in [0, 1]")
+        if not ((s >= 0.0) & (s <= 1.0)).all():
+            raise ValueError("scores must lie in [0, 1] (found NaN or a value outside)")
         n = s.size
-        order = np.argsort(s, kind="stable")
+        order = np.argsort(s)
         self._scores = s[order]
         # suffix counts: pos_tail[i] = positives among the samples of rank >= i
         pos_tail = np.append(np.cumsum(np.asarray(labels)[order][::-1] == 1)[::-1], 0)

@@ -181,7 +181,11 @@ class KernelScorer(Scorer):
     downstream thresholds stay evaluable.
 
     For 1-d training data the window sums are O(log n) per query via
-    prefix sums of the first three moments, split by label.  The training
+    prefix sums of the first three moments, split by label, over the
+    points in x order.  Any order of tied x gives the same numbers: windows
+    start and end at tie-group edges, where each prefix sum is the same
+    float, because a group adds identical rows (all points) or one row and
+    zeros (positives).  Queries are looked up in sorted order.  The training
     arrays are kept by reference as ``train_x`` and ``train_y``.
     """
 
@@ -198,7 +202,7 @@ class KernelScorer(Scorer):
         self.dim = sample.dim
         self.global_rate = float(np.clip((y == 1).mean(), KERNEL_CLIP, 1 - KERNEL_CLIP))
         if self.dim == 1:
-            order = np.argsort(X[:, 0], kind="stable")
+            order = np.argsort(X[:, 0])
             x = X[order, 0]
             pos = (y[order] == 1).astype(float)
             self._x = x
@@ -213,23 +217,14 @@ class KernelScorer(Scorer):
         np.cumsum(stacked, axis=0, out=out[1:])
         return out
 
-    def _window_sum(self, moments: np.ndarray, lo, hi, q: np.ndarray) -> np.ndarray:
-        """Sum of Epanechnikov weights over ranks [lo, hi) at queries q.
-
-        Expands sum(1 - (x - q)^2 / h^2) into the three window moments.
-        """
+    def _window_sum(self, moments: np.ndarray, lo, hi, q: np.ndarray):
+        """Sum of Epanechnikov weights over ranks [lo, hi) at queries q,
+        ``s0 (1 - q^2 / h^2) + s1 (2 q / h^2) - s2 / h^2``, and the window
+        moments ``(s0, s1, s2)`` from the same gather."""
         h2 = self.bandwidth**2
-        s0 = moments[hi, 0] - moments[lo, 0]
-        s1 = moments[hi, 1] - moments[lo, 1]
-        s2 = moments[hi, 2] - moments[lo, 2]
-        return s0 * (1.0 - q * q / h2) + s1 * (2.0 * q / h2) - s2 / h2
-
-    def _window_quadratic(self, moments: np.ndarray, lo, hi) -> np.ndarray:
-        """Coefficients ``(c2, c1, c0)`` of ``_window_sum`` as a quadratic in q,
-        one column per window, shape ``(3, windows)``."""
-        h2 = self.bandwidth**2
-        s0, s1, s2 = (moments[hi] - moments[lo]).T
-        return np.stack([-s0 / h2, 2.0 * s1 / h2, s0 - s2 / h2])
+        # take gathers rows faster than fancy indexing does
+        s0, s1, s2 = (moments.take(hi, axis=0) - moments.take(lo, axis=0)).T
+        return s0 * (1.0 - q * q / h2) + s1 * (2.0 * q / h2) - s2 / h2, (s0, s1, s2)
 
     def _window(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rank range ``[lo, hi)`` of the training points within h of each query."""
@@ -237,28 +232,34 @@ class KernelScorer(Scorer):
         hi = np.searchsorted(self._x, q + self.bandwidth, side="right")
         return lo, hi
 
-    def scores(self, X) -> np.ndarray:
-        arr = self._check_matrix(X)
-        if self.dim == 1:
-            q = arr[:, 0]
-            lo, hi = self._window(q)
-            den = self._window_sum(self._moments, lo, hi, q)
-            num = self._window_sum(self._pos_moments, lo, hi, q)
-        else:
-            den = np.empty(arr.shape[0])
-            num = np.empty(arr.shape[0])
-            pos = (self.train_y == 1).astype(float)
-            chunk = max(1, 2**22 // self.train_x.shape[0])
-            for start in range(0, arr.shape[0], chunk):
-                block = arr[start : start + chunk]
-                d2 = ((block[:, None, :] - self.train_x[None, :, :]) ** 2).sum(axis=2)
-                w = np.maximum(0.0, 1.0 - d2 / self.bandwidth**2)
-                den[start : start + block.shape[0]] = w.sum(axis=1)
-                num[start : start + block.shape[0]] = w @ pos
-        out = np.full(arr.shape[0], self.global_rate)
+    def _estimate(self, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+        """``num / den``, the global rate where ``den`` vanishes, clipped."""
+        out = np.full(den.shape, self.global_rate)
         ok = den > _KERNEL_MIN_WEIGHT
         out[ok] = num[ok] / den[ok]
         return np.clip(out, KERNEL_CLIP, 1 - KERNEL_CLIP)
+
+    def scores(self, X) -> np.ndarray:
+        arr = self._check_matrix(X)
+        if self.dim == 1:
+            order = np.argsort(arr[:, 0])
+            q = arr[order, 0]
+            lo, hi = self._window(q)
+            out = np.empty(q.size)
+            out[order] = self._estimate(self._window_sum(self._pos_moments, lo, hi, q)[0],
+                                        self._window_sum(self._moments, lo, hi, q)[0])
+            return out
+        den = np.empty(arr.shape[0])
+        num = np.empty(arr.shape[0])
+        pos = (self.train_y == 1).astype(float)
+        chunk = max(1, 2**22 // self.train_x.shape[0])
+        for start in range(0, arr.shape[0], chunk):
+            block = arr[start : start + chunk]
+            d2 = ((block[:, None, :] - self.train_x[None, :, :]) ** 2).sum(axis=2)
+            w = np.maximum(0.0, 1.0 - d2 / self.bandwidth**2)
+            den[start : start + block.shape[0]] = w.sum(axis=1)
+            num[start : start + block.shape[0]] = w @ pos
+        return self._estimate(num, den)
 
     def acceptance_intervals(self, delta: float) -> np.ndarray:
         """The 1-d acceptance set, exactly.
@@ -268,7 +269,9 @@ class KernelScorer(Scorer):
         quadratics in q.  Cutting each piece at the roots of ``num - delta
         den`` and of ``den - 1e-12`` leaves sub-intervals on which the
         score's side of delta cannot change; the score at each midpoint
-        decides it, global-rate fallback and clipping included.
+        decides it, global-rate fallback and clipping included.  A piece no
+        root cuts keeps the midpoint and window that gave its quadratics, so
+        the sums gathered there decide it; only cut pieces are rescored.
         """
         if self.dim != 1:
             return super().acceptance_intervals(delta)
@@ -276,13 +279,20 @@ class KernelScorer(Scorer):
         breaks = np.concatenate([self._x - h, self._x + h])
         edges = np.unique(np.concatenate([[0.0, 1.0], breaks[(breaks > 0.0) & (breaks < 1.0)]]))
         left, right = edges[:-1], edges[1:]
-        lo, hi = self._window(0.5 * (left + right))
-        den = self._window_quadratic(self._moments, lo, hi)
-        num = self._window_quadratic(self._pos_moments, lo, hi)
+        mid = 0.5 * (left + right)
+        lo, hi = self._window(mid)
+        (den_mid, den), (num_mid, num) = (self._window_sum(m, lo, hi, mid)
+                                          for m in (self._moments, self._pos_moments))
+        h2 = self.bandwidth**2
+        den, num = (np.stack([-s0 / h2, 2.0 * s1 / h2, s0 - s2 / h2]) for s0, s1, s2 in (den, num))
         floor = den - np.array([[0.0], [0.0], [_KERNEL_MIN_WEIGHT]])
-        cuts = np.unique(np.concatenate([edges, *_roots_inside(num - delta * den, left, right),
-                                         *_roots_inside(floor, left, right)]))
-        accepted = self.scores(0.5 * (cuts[:-1] + cuts[1:])) > delta
+        roots = np.unique(np.concatenate([*_roots_inside(num - delta * den, left, right),
+                                          *_roots_inside(floor, left, right)]))
+        piece = np.searchsorted(edges, roots) - 1  # the one piece each root cuts
+        cuts = np.insert(edges, piece + 1, roots)
+        accepted = np.insert(self._estimate(num_mid, den_mid) > delta, piece + 1, False)
+        redo = np.isin(np.insert(np.arange(left.size), piece + 1, piece), piece)
+        accepted[redo] = self.scores(0.5 * (cuts[:-1] + cuts[1:])[redo]) > delta
         change = np.diff(np.concatenate([[0], accepted.astype(np.int8), [0]]))
         return np.column_stack([cuts[change == 1], cuts[change == -1]])
 

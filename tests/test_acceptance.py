@@ -18,7 +18,9 @@ tests/test_thresholds.py::TestBisectionVersusGrid.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -56,6 +58,7 @@ from helpers import (
     symmetric_difference_with_ray,
 )
 
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 REF_MODEL = GaussianModel(np.array([2.0, 0.0]), 0.5)
 F1 = "fbeta:1"
 
@@ -116,6 +119,16 @@ def parametric_rate_config() -> ExperimentConfig:
     )
 
 
+def nonparametric_rate_config() -> ExperimentConfig:
+    return ExperimentConfig(
+        model=HolderModel("sine"),
+        metric=F1,
+        estimator=EstimatorSpec("kernel", kernel_beta=1.0),
+        n_list=tuple(2**k for k in range(10, 17)),
+        seeds=50,
+    )
+
+
 @pytest.fixture(scope="session")
 def search_comparison():
     start = time.perf_counter()
@@ -127,6 +140,13 @@ def search_comparison():
 def parametric_rate_run():
     start = time.perf_counter()
     table = run_rate_experiment(parametric_rate_config())
+    return table, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def nonparametric_rate_run():
+    start = time.perf_counter()
+    table = run_rate_experiment(nonparametric_rate_config())
     return table, time.perf_counter() - start
 
 
@@ -360,22 +380,13 @@ def test_criterion_08_parametric_rate(parametric_rate_run) -> None:
 
 
 @pytest.mark.slow
-def test_criterion_09_nonparametric_rate() -> None:
-    start = time.perf_counter()
-    cfg = ExperimentConfig(
-        model=HolderModel("sine"),
-        metric=F1,
-        estimator=EstimatorSpec("kernel", kernel_beta=1.0),
-        n_list=tuple(2**k for k in range(10, 17)),
-        seeds=50,
-    )
-    assert cfg.eval_mode == "closed-form"
-    table = run_rate_experiment(cfg)
+def test_criterion_09_nonparametric_rate(nonparametric_rate_run) -> None:
+    assert nonparametric_rate_config().eval_mode == "closed-form"
+    table, elapsed = nonparametric_rate_run
     slope, _, r2 = fit_loglog_slope(table)
     medians = [entry["median_regret"] for entry in table.aggregates()]
     monotone = all(a > b for a, b in zip(medians, medians[1:]))
     failures = sum(not row.ok for row in table.rows)
-    elapsed = time.perf_counter() - start
     report(
         9,
         f"median-regret slope {slope:.4f} (must be <= -0.4), medians decreasing: "
@@ -402,3 +413,25 @@ def test_criterion_10_reproducibility(search_comparison, parametric_rate_run) ->
     )
     assert first_csv == second_csv
     assert rate_first == rate_second
+
+
+@pytest.mark.slow
+def test_committed_study_hashes(parametric_rate_run, nonparametric_rate_run) -> None:
+    """Both committed studies, run in full, give CSVs of pinned sha256.
+
+    Criteria 8 and 9 run the same configs as ``configs/``, so their tables
+    are reused; ``to_dict`` covers every field the CSV depends on.  The
+    hashes were taken with numpy 2.4.6 and scipy 1.17.1, as the golden CSVs
+    in tests/data were.
+    """
+    studies = [
+        ("rate_gaussian_f1.cfg", parametric_rate_config(), parametric_rate_run[0],
+         "b1170bac82bfd3b56ac53e83e62ba64222ae86353bf16828336f8cf2300921d2"),
+        ("rate_holder_f1.cfg", nonparametric_rate_config(), nonparametric_rate_run[0],
+         "cc3c57cf21a327fa2dc84b93d87b3f96d93f2df7a467de14ed25c695483dacb4"),
+    ]
+    for name, cfg, table, want in studies:
+        committed = ExperimentConfig.from_file(str(CONFIGS / name))
+        assert committed.to_dict() == cfg.to_dict(), name
+        got = hashlib.sha256(table.csv_text().encode("utf-8")).hexdigest()
+        assert got == want, name

@@ -64,6 +64,12 @@ class TestEmpiricalConfusion:
         with pytest.raises(ValueError):
             ScoreProfile.from_scorer(FixedScorer([0.5, 1.5]), data)
 
+    def test_nan_score_rejected(self) -> None:
+        # a NaN passes a min/max range check, and then counts as a positive
+        # prediction at every threshold
+        with pytest.raises(ValueError, match="NaN"):
+            ScoreProfile(np.array([np.nan, 0.2, 0.7]), np.array([1, -1, 1]))
+
     def test_matches_loop_oracle(self, rng) -> None:
         n = 257
         scores = rng.random(n)
@@ -86,6 +92,20 @@ class TestScoreProfile:
             [[0.75, 0.25, 0.0, 0.0], [0.0, 0.25, 0.75, 0.0], [0.0, 0.0, 0.75, 0.25]],
         )
         assert prof.confusion(np.zeros((2, 3))).shape == (2, 3, 4)
+
+    def test_order_of_tied_scores(self) -> None:
+        # the profile sorts without stability: shuffling tied (score, label)
+        # pairs must leave every confusion row the same, bit for bit
+        gen = np.random.default_rng(5)
+        scores = gen.integers(0, 12, size=3000) / 11.0
+        labels = np.where(gen.random(3000) < 0.5, 1, -1)
+        ties = np.unique(scores)
+        deltas = np.concatenate([ties, 0.5 * (ties[:-1] + ties[1:]), [-0.5, 0.0, 1.0, 1.5]])
+        want = ScoreProfile(scores, labels).confusion(deltas)
+        for seed in range(3):
+            perm = np.random.default_rng(seed).permutation(scores.size)
+            got = ScoreProfile(scores[perm], labels[perm]).confusion(deltas)
+            assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))

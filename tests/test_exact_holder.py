@@ -33,7 +33,7 @@ from karmic import (
     sample_holder,
     train_plugin,
 )
-from karmic.scorers import KERNEL_CLIP
+from karmic.scorers import _KERNEL_MIN_WEIGHT, KERNEL_CLIP, _roots_inside
 
 SINE = HolderModel("sine")
 F1 = parse_metric("fbeta:1")
@@ -120,6 +120,58 @@ class TestKernel:
             scorer.acceptance_intervals(0.5)
         with pytest.raises(DimensionMismatchError):
             SINE.classifier_confusion(scorer, 0.5)
+
+
+def rescored_intervals(scorer: KernelScorer, delta: float) -> np.ndarray:
+    """Reference for ``KernelScorer.acceptance_intervals``: the same pieces
+    and cuts, but every cut midpoint, cut piece or not, is scored again
+    through ``scores``."""
+    h = scorer.bandwidth
+    h2 = h**2
+    breaks = np.concatenate([scorer._x - h, scorer._x + h])
+    edges = np.unique(np.concatenate([[0.0, 1.0], breaks[(breaks > 0.0) & (breaks < 1.0)]]))
+    left, right = edges[:-1], edges[1:]
+    lo, hi = scorer._window(0.5 * (left + right))
+
+    def quadratic(moments: np.ndarray) -> np.ndarray:
+        s0, s1, s2 = (moments[hi] - moments[lo]).T
+        return np.stack([-s0 / h2, 2.0 * s1 / h2, s0 - s2 / h2])
+
+    den, num = quadratic(scorer._moments), quadratic(scorer._pos_moments)
+    floor = den - np.array([[0.0], [0.0], [_KERNEL_MIN_WEIGHT]])
+    cuts = np.unique(np.concatenate([edges, *_roots_inside(num - delta * den, left, right),
+                                     *_roots_inside(floor, left, right)]))
+    accepted = scorer.scores(0.5 * (cuts[:-1] + cuts[1:])) > delta
+    change = np.diff(np.concatenate([[0], accepted.astype(np.int8), [0]]))
+    return np.column_stack([cuts[change == 1], cuts[change == -1]])
+
+
+class TestIntervalsMatchRescoring:
+    """An uncut piece is decided by the sums gathered at its midpoint; the
+    result must equal rescoring every midpoint exactly, not within a
+    tolerance as the midpoint rule above checks it."""
+
+    @staticmethod
+    def check(scorer: KernelScorer, deltas) -> None:
+        for delta in deltas:
+            got = scorer.acceptance_intervals(delta)
+            assert np.array_equal(got, rescored_intervals(scorer, delta)), delta
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1024, 65536])
+    def test_trained_classifiers(self, n: int, seed: int) -> None:
+        clf = train_plugin(F1, sample_holder(SINE, n, seed), EstimatorSpec("kernel"), seed=seed)
+        self.check(clf.scorer, (clf.delta, 0.2, 0.5, 0.8))
+
+    def test_empty_windows(self) -> None:
+        scorer = fit_kernel_smoother(sample_holder(SINE, 100, 3), 1.0, bandwidth_const=0.05)
+        rate = scorer.global_rate
+        self.check(scorer, (rate - 1e-3, rate, rate + 1e-3, 0.5))
+
+    def test_thresholds_at_the_clip(self) -> None:
+        scorer = fit_kernel_smoother(sample_holder(SINE, 400, 5), 1.0, bandwidth_const=0.3)
+        self.check(scorer, (KERNEL_CLIP / 2, KERNEL_CLIP, 2 * KERNEL_CLIP, 1 - 2 * KERNEL_CLIP,
+                            1 - KERNEL_CLIP, 1 - KERNEL_CLIP / 2, 0.0, 1.0))
 
 
 class TestHalfLineScorers:

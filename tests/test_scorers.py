@@ -247,6 +247,49 @@ class TestKernelScorer:
         assert not hasattr(scorer, "beta")
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestKernelOrderFree:
+    """The 1-d kernel path sorts without stability and looks queries up in
+    sorted order; neither the row order of tied training x nor the order of
+    the queries may change a bit of its output."""
+
+    def test_row_order_of_tied_x(self) -> None:
+        # 40 distinct x, 15 copies each, and both labels in every tie group
+        x = np.repeat(np.arange(40) / 39.0, 15)
+        y = np.where(np.random.default_rng(11).random(x.size) < 0.2 + 0.6 * x, 1, -1)
+        y[::15], y[1::15] = 1, -1
+        sine = HolderModel("sine")
+        scorers = [KernelScorer(x[perm], y[perm], 0.06) for perm in
+                   (np.arange(x.size), np.random.default_rng(12).permutation(x.size),
+                    np.arange(x.size)[::-1])]
+        ties = np.unique(x)
+        queries = np.concatenate([ties, 0.5 * (ties[:-1] + ties[1:]), ties + 0.06,
+                                  np.linspace(-0.1, 1.1, 601)])
+        first = scorers[0]
+        for other in scorers[1:]:
+            assert same_bits(other.scores(queries), first.scores(queries))
+            for delta in (0.3, 0.5, 0.65, first.global_rate):
+                assert same_bits(other.acceptance_intervals(delta),
+                                 first.acceptance_intervals(delta))
+                assert same_bits(sine.classifier_confusion(other, delta),
+                                 sine.classifier_confusion(first, delta))
+
+    def test_query_order(self) -> None:
+        scorer = fit_kernel_smoother(sample_holder(HolderModel("sine"), 4096, seed=1), beta=1.0)
+        gen = np.random.default_rng(3)
+        q = np.concatenate([gen.uniform(-0.1, 1.1, 5000), scorer.train_x[:300, 0],
+                            np.full(20, 0.25)])
+        perm = gen.permutation(q.size)
+        out = scorer.scores(q)
+        assert same_bits(scorer.scores(q[perm]), out[perm])
+        assert same_bits(scorer.scores(q[:, None]), out)
+        assert scorer.scores(np.empty((0, 1))).shape == (0,)
+        assert [scorer.score(v) for v in q[:40]] == out[:40].tolist()
+
+
 class TestSerialization:
     def test_constant_roundtrip(self) -> None:
         payload = scorer_to_dict(ConstantScorer(0.25))
