@@ -82,11 +82,6 @@ def _load_data(path: str) -> Dataset:
     return data
 
 
-def _search_config(args) -> ThresholdSearchConfig:
-    return ThresholdSearchConfig(tolerance=args.tolerance,
-                                 max_iterations=args.max_iterations)
-
-
 def _cmd_gen(args) -> int:
     model = model_from_config(_config_keys(args))
     data = model.sample(args.n, args.seed)
@@ -103,7 +98,7 @@ def _cmd_threshold(args) -> int:
     metric = parse_metric(args.metric)
     data = _load_data(args.data)
     scorer = _resolve_scorer(args, data)
-    result = binary_search_threshold(metric, scorer, data, _search_config(args))
+    result = binary_search_threshold(metric, scorer, data, ThresholdSearchConfig(args.tolerance))
     payload = result.to_dict()
     payload["metric"] = metric.name
     profile = ScoreProfile.from_scorer(scorer, data)
@@ -116,7 +111,8 @@ def _cmd_train(args) -> int:
     metric = parse_metric(args.metric)
     data = _load_data(args.data)
     estimator = estimator_from_config({"estimator": "logistic", **_config_keys(args)})
-    clf = train_plugin(metric, data, estimator, _search_config(args), seed=args.seed)
+    clf = train_plugin(metric, data, estimator, ThresholdSearchConfig(args.tolerance),
+                       seed=args.seed)
     payload = clf.to_dict()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -152,11 +148,8 @@ def _cmd_rate(args) -> int:
         raise ValueError("set 'out' in the config or pass --out for the CSV/JSON prefix")
     table = run_rate_experiment(cfg)
     table.write_csv(f"{cfg.out}.csv")
-    table.write_summary(f"{cfg.out}.json")
-    summary = table.summary()
-    summary["csv"] = f"{cfg.out}.csv"
-    summary["summary"] = f"{cfg.out}.json"
-    _emit(summary)
+    summary = table.write_summary(f"{cfg.out}.json")
+    _emit({**summary, "csv": f"{cfg.out}.csv", "summary": f"{cfg.out}.json"})
     return 0
 
 
@@ -211,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scorer_args(p)
     _add_model_args(p, required=False)
     p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--max-iterations", type=int, default=64)
     p.set_defaults(handler=_cmd_threshold)
 
     p = sub.add_parser("train", help="split/fit/threshold; emit classifier JSON")
@@ -221,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p, required=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--max-iterations", type=int, default=64)
     p.add_argument("--out", help="classifier JSON path (default: stdout)")
     p.set_defaults(handler=_cmd_train)
 

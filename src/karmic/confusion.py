@@ -54,7 +54,7 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         """The rows at ``indices``."""
         idx = np.asarray(indices, dtype=int)
-        return Dataset(self.features[idx], self.labels[idx])
+        return Dataset(self.features.take(idx, axis=0), self.labels.take(idx))
 
 
 class ScoreProfile:

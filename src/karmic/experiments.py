@@ -49,17 +49,19 @@ logger = logging.getLogger(__name__)
 _EVAL_SEED_BASE = 1 << 40
 _EVAL_SEED_STRIDE = 10007
 CSV_COLUMNS = ("n", "seed", "regret", "delta_hat", "delta_star", "error")
+CONFIG_KEYS = frozenset({
+    "model", "mu", "kappa", "eta", "metric", "estimator", "kernel_beta", "kernel_const",
+    "n_list", "seeds", "tolerance", "mc_samples", "workers", "out",
+})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of a rate experiment.
 
-    ``tolerance`` is either the string "logn-over-n" (per-search default,
-    max(log n2 / n2, 1e-8) on the threshold half) or a fixed float.
-    ``eval_mode`` defaults to closed-form (exact) wherever it exists: the
-    Holder model with any estimator and the Gaussian model with any but the
-    kernel; a kernel on the Gaussian model defaults to Monte Carlo.
+    ``tolerance`` is a fixed float, or None for the per-search default
+    max(log n2 / n2, 1e-8) on the threshold half (config text
+    ``logn-over-n``).  ``eval_mode`` follows from the model and estimator.
     """
 
     model: GaussianModel | HolderModel
@@ -67,14 +69,14 @@ class ExperimentConfig:
     estimator: EstimatorSpec
     n_list: tuple[int, ...]
     seeds: int
-    tolerance: str | float = "logn-over-n"
-    eval_mode: str = ""
+    tolerance: float | None = None
     mc_samples: int = 1_000_000
     workers: int = 1
     out: str | None = None
 
     def __post_init__(self) -> None:
         parse_metric(self.metric)  # validate the name eagerly
+        self.search_config()  # and the tolerance
         n_list = tuple(int(n) for n in self.n_list)
         object.__setattr__(self, "n_list", n_list)
         if len(n_list) < 1 or any(n < 20 for n in n_list):
@@ -83,25 +85,20 @@ class ExperimentConfig:
             raise ValueError("n_list must be strictly increasing")
         if not 1 <= self.seeds <= 10_000:
             raise ValueError("seeds must lie in [1, 10000]")
-        if isinstance(self.tolerance, str):
-            if self.tolerance != "logn-over-n":
-                raise ValueError("tolerance must be 'logn-over-n' or a float")
-        elif not 0.0 < float(self.tolerance) < 1.0:
-            raise ValueError("fixed tolerance must lie in (0, 1)")
-        if not self.eval_mode:
-            closed = isinstance(self.model, HolderModel) or self.estimator.kind != "kernel"
-            object.__setattr__(self, "eval_mode", "closed-form" if closed else "monte-carlo")
-        if self.eval_mode not in ("closed-form", "monte-carlo"):
-            raise ValueError("eval_mode must be 'closed-form' or 'monte-carlo'")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
+    @property
+    def eval_mode(self) -> str:
+        """Closed form (exact) wherever the model can integrate the rule: all
+        but a kernel on the Gaussian model, which takes Monte Carlo."""
+        exact = isinstance(self.model, HolderModel) or self.estimator.kind != "kernel"
+        return "closed-form" if exact else "monte-carlo"
+
     def search_config(self) -> ThresholdSearchConfig:
-        if isinstance(self.tolerance, str):
-            return ThresholdSearchConfig()
-        return ThresholdSearchConfig(tolerance=float(self.tolerance))
+        return ThresholdSearchConfig(self.tolerance)
 
     def to_dict(self) -> dict:
         est = {
@@ -117,7 +114,7 @@ class ExperimentConfig:
             "estimator": est,
             "n_list": list(self.n_list),
             "seeds": self.seeds,
-            "tolerance": self.tolerance,
+            "tolerance": "logn-over-n" if self.tolerance is None else self.tolerance,
             "eval_mode": self.eval_mode,
             "workers": self.workers,
         }
@@ -133,30 +130,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, raw: dict[str, str]) -> "ExperimentConfig":
-        known = {
-            "model", "mu", "kappa", "eta", "metric", "estimator",
-            "kernel_beta", "kernel_const", "n_list", "seeds", "tolerance",
-            "eval", "mc_samples", "workers", "out",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - CONFIG_KEYS
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         missing = {"model", "metric", "estimator", "n_list", "seeds"} - set(raw)
         if missing:
             raise ValueError(f"missing config keys: {sorted(missing)}")
-        model = model_from_config(raw)
-        estimator = estimator_from_config(raw)
-        tolerance: str | float = raw.get("tolerance", "logn-over-n").strip()
-        if tolerance != "logn-over-n":
-            tolerance = float(tolerance)
+        tolerance = raw.get("tolerance", "logn-over-n").strip()
         return cls(
-            model=model,
+            model=model_from_config(raw),
             metric=raw["metric"].strip(),
-            estimator=estimator,
+            estimator=estimator_from_config(raw),
             n_list=tuple(_whole("n_list", v) for v in raw["n_list"].split(",")),
             seeds=_whole("seeds", raw["seeds"]),
-            tolerance=tolerance,
-            eval_mode=raw.get("eval", "").strip(),
+            tolerance=None if tolerance == "logn-over-n" else float(tolerance),
             mc_samples=_whole("mc_samples", raw.get("mc_samples", 1_000_000)),
             workers=_whole("workers", raw.get("workers", 1)),
             out=raw.get("out"),
@@ -210,14 +197,19 @@ def estimator_from_config(raw: dict[str, str]) -> EstimatorSpec:
 def parse_config_text(text: str) -> dict[str, str]:
     """Parse ``key = value`` lines; '#' starts a comment, blanks ignored."""
     out: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         key, sep, value = body.partition("=")
-        if not sep or not key.strip() or not value.strip():
+        key = key.strip().lower()
+        if not sep or not key or not value.strip():
             raise ValueError(f"config line {lineno} is not 'key = value': {line!r}")
-        out[key.strip().lower()] = value.strip()
+        if key in lines:
+            raise ValueError(f"config key {key!r} is set on lines {lines[key]} and {lineno}")
+        lines[key] = lineno
+        out[key] = value.strip()
     return out
 
 
@@ -292,10 +284,12 @@ class RateTable:
         payload["failures"] = sum(not row.ok for row in self.rows)
         return payload
 
-    def write_summary(self, path: str) -> None:
+    def write_summary(self, path: str) -> dict:
+        summary = self.summary()
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
+            json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        return summary
 
 
 def eval_seed_for(n: int, seed: int) -> int:

@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -300,15 +301,26 @@ def require_fields(payload, what: str, fields: tuple[str, ...]) -> dict:
 
 def number_field(payload: dict, name: str, ndim: int = 0):
     """``payload[name]`` as a float (``ndim`` 0) or a float array of ``ndim``
-    dimensions; a ValueError naming the field when it holds anything else."""
+    dimensions; a ValueError naming the field when it holds anything else,
+    a boolean or a string included, which numpy would read as a number."""
+    raw = payload[name]
     try:
-        value = np.asarray(payload[name], dtype=float)
+        value = np.asarray(raw, dtype=float)
     except (TypeError, ValueError):
         value = None
-    if value is None or value.ndim != ndim:
+    if value is None or value.ndim != ndim or not _numbers_only(raw, ndim):
         kind = ("a number", "a list of numbers", "a list of rows of numbers")[ndim]
         raise ValueError(f"field {name!r} must be {kind}, got {reprlib.repr(payload[name])}")
     return float(value) if ndim == 0 else value
+
+
+def _numbers_only(raw, ndim: int) -> bool:
+    """Whether every entry of ``raw``, nested ``ndim`` deep, is a number."""
+    items = [raw]
+    for _ in range(ndim):
+        items = chain.from_iterable(items)
+    return all(issubclass(t, (int, float, np.integer, np.floating)) and t is not bool
+               for t in set(map(type, items)))
 
 
 def model_from_dict(payload) -> GaussianModel | HolderModel:

@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 _NUDGE_ATTEMPTS = 8
+#: midpoints of [0, 1] are exact dyadics, so the bracket is 2^-k wide after
+#: k halvings and this cap binds only at a tolerance of 2^-64 or less
+_MAX_ITERATIONS = 64
 
 
 def default_tolerance(n: int) -> float:
@@ -69,13 +72,11 @@ class ThresholdSearchConfig:
     """
 
     tolerance: float | None = None
-    max_iterations: int = 64
 
     def __post_init__(self) -> None:
-        if self.tolerance is not None and not 0.0 < self.tolerance < 1.0:
-            raise ValueError("tolerance must lie in (0, 1)")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if self.tolerance is not None and not (isinstance(self.tolerance, float)
+                                               and 0.0 < self.tolerance < 1.0):
+            raise ValueError(f"tolerance must be a float in (0, 1), got {self.tolerance!r}")
 
     def resolve_tolerance(self, n: int) -> float:
         return self.tolerance if self.tolerance is not None else default_tolerance(n)
@@ -145,7 +146,7 @@ def binary_search_threshold(
 
     The sign is taken at the bracket midpoint; an exact zero counts as
     non-negative (the left edge moves up).  Stops when the bracket width
-    drops below the resolved tolerance or ``max_iterations`` is reached.
+    drops below the resolved tolerance, or after 64 halvings.
     """
     config = config or ThresholdSearchConfig()
     profile = ScoreProfile.from_scorer(scorer, data)
@@ -153,7 +154,7 @@ def binary_search_threshold(
     lo, hi = 0.0, 1.0
     iterations = 0
     trace: list[tuple[float, float, int]] = []
-    while (hi - lo) >= eps0 and iterations < config.max_iterations:
+    while (hi - lo) >= eps0 and iterations < _MAX_ITERATIONS:
         mid = 0.5 * (lo + hi)
         used, h = _h_with_nudges(metric, profile, mid, data.n)
         sign = 1 if h >= 0.0 else -1

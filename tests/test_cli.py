@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import karmic.cli
+import karmic.experiments
 from karmic import (
     Dataset,
     EstimatorSpec,
@@ -274,7 +275,17 @@ class TestTrainEvaluate:
          ({"scorer": {"kind": "kernel", "x": [[0.5], [0.25]], "y": [[1], [-1]],
                       "bandwidth": 0.1}, "delta": 0.5}, "'y'"),
          ({"scorer": {"kind": "kernel", "x": [[0.5], [0.25]], "y": [1, -1]}, "delta": 0.5},
-          "bandwidth")],
+          "bandwidth"),
+         # numpy reads a JSON boolean, or a string of digits, as a number
+         ({"scorer": {"kind": "constant", "p": True}, "delta": 0.5}, "'p'"),
+         ({"scorer": {"kind": "constant", "p": 0.5}, "delta": False}, "'delta'"),
+         ({**LOGISTIC_CLASSIFIER,
+           "scorer": {**LOGISTIC_CLASSIFIER["scorer"], "weights": [True, 2.0]}}, "'weights'"),
+         ({"scorer": {"kind": "kernel", "x": [[0.5], [True]], "y": [1, -1], "bandwidth": 0.1},
+           "delta": 0.5}, "'x'"),
+         ({"scorer": {"kind": "kernel", "x": [[0.5], [0.25]], "y": [1, False],
+                      "bandwidth": 0.1}, "delta": 0.5}, "'y'"),
+         ({**LOGISTIC_CLASSIFIER, "delta": "0.5"}, "'delta'")],
     )
     def test_malformed_classifier_json(self, tmp_path, capsys, payload, field) -> None:
         clf_path = tmp_path / "bad.json"
@@ -503,14 +514,16 @@ class TestRate:
     @pytest.mark.parametrize(
         ("line", "field"),
         [("kernel_beta = -1", "kernel_beta"), ("kernel_const = inf", "kernel_const"),
-         ("estimator = constant:1.5", "p")],
+         ("estimator = constant:1.5", "p"),
+         # the evaluator follows from the model and estimator; it is no key
+         ("eval = closed-form", "'eval'")],
     )
     def test_bad_estimator_parameters_fail_before_any_row(
         self, tmp_path, capsys, line, field
     ) -> None:
         cfg_path = tmp_path / "exp.cfg"
-        # a key given twice takes its last value, so `line` overrides the kernel
-        cfg_path.write_text("model = holder\nmetric = fbeta:1\nestimator = kernel\n"
+        kernel = "" if line.startswith("estimator") else "estimator = kernel\n"
+        cfg_path.write_text(f"model = holder\nmetric = fbeta:1\n{kernel}"
                             f"n_list = 24, 32, 48\nseeds = 2\n{line}\n", encoding="utf-8")
         prefix = tmp_path / "run"
         code, out, err = run_cli(capsys, "rate", "--config", str(cfg_path),
@@ -521,6 +534,31 @@ class TestRate:
         assert failure["error"] == "invalid-argument"
         assert field in failure["message"]
         assert not (tmp_path / "run.csv").exists()
+
+    def test_summary_built_once(self, tmp_path, capsys, caplog, monkeypatch) -> None:
+        # every row fails, so the slope fit excludes every n and warns
+        fits = []
+        fit = karmic.experiments.fit_loglog_slope
+
+        def counting(table):
+            fits.append(table)
+            return fit(table)
+
+        monkeypatch.setattr(karmic.experiments, "fit_loglog_slope", counting)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(self.CONFIG.replace("fbeta:1", "gmean")
+                            .replace("logistic", "constant:1.0"), encoding="utf-8")
+        prefix = str(tmp_path / "run")
+        with caplog.at_level("WARNING", logger="karmic.experiments"):
+            code, payload, err = run_cli(capsys, "rate", "--config", str(cfg_path),
+                                         "--out", prefix)
+        assert code == 0, err
+        assert len(fits) == 1
+        assert sum("excluded" in r.message for r in caplog.records) == 1
+        assert payload["slope"]["error"] == "insufficient-points"
+        with open(f"{prefix}.json", encoding="utf-8") as fh:
+            stored = json.load(fh)
+        assert {**stored, "csv": payload["csv"], "summary": payload["summary"]} == payload
 
     def test_missing_config_file(self, tmp_path, capsys) -> None:
         code, _, err = run_cli(
@@ -600,6 +638,9 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["train", "--metric", "fbeta:1", "--data", "d.csv", "--scorer-json", "s.json"],
         ["gen", "--model", "holder", "--beta", "2", "--n", "10", "--out", "d.csv"],
+        # the bisection stops on its tolerance alone
+        ["threshold", "--metric", "fbeta:1", "--data", "d.csv", "--max-iterations", "5"],
+        ["train", "--metric", "fbeta:1", "--data", "d.csv", "--max-iterations", "5"],
     ])
     def test_flags_a_command_lacks_exit_2(self, argv: list[str]) -> None:
         with pytest.raises(SystemExit) as exc:

@@ -26,6 +26,7 @@ from karmic import (
     run_rate_experiment,
 )
 from karmic.experiments import (
+    CONFIG_KEYS,
     CSV_COLUMNS,
     eval_seed_for,
     parse_config_text,
@@ -69,7 +70,7 @@ class TestConfigValidation:
             {"tolerance": "adaptive"},
             {"tolerance": 0.0},
             {"tolerance": 1.0},
-            {"eval_mode": "exactly"},
+            {"tolerance": "0.5"},
             {"mc_samples": 0},
             {"workers": 0},
             {"metric": "f1"},
@@ -92,7 +93,7 @@ class TestConfigValidation:
 
     def test_to_dict_records_mc_samples_only_for_monte_carlo(self) -> None:
         assert "mc_samples" not in tiny_config(mc_samples=5000).to_dict()
-        payload = tiny_config(eval_mode="monte-carlo", mc_samples=5000).to_dict()
+        payload = tiny_config(estimator=EstimatorSpec("kernel"), mc_samples=5000).to_dict()
         assert payload["mc_samples"] == 5000
 
 
@@ -106,12 +107,22 @@ class TestConfigText:
     estimator = logistic
     n_list = 256, 512, 1024
     seeds = 4
-    eval = closed-form
     """
 
     def test_parse_lines(self) -> None:
         raw = parse_config_text("a = 1\n# comment\n\nb = two words # trailing")
         assert raw == {"a": "1", "b": "two words"}
+
+    def test_repeated_key_names_both_lines(self) -> None:
+        with pytest.raises(ValueError, match=r"'seeds' is set on lines 2 and 4"):
+            parse_config_text("model = gaussian\nseeds = 50\n# later\nSeeds = 2")
+
+    def test_readme_config_block_lists_every_key(self) -> None:
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        keys = {line.split("=", 1)[0].strip() for line in block.splitlines()
+                if "=" in line.split("#", 1)[0]}
+        assert keys == CONFIG_KEYS
 
     @pytest.mark.parametrize("line", ["just-a-token", "= value", "key ="])
     def test_bad_lines_report_position(self, line: str) -> None:
@@ -125,7 +136,8 @@ class TestConfigText:
         assert cfg.n_list == (256, 512, 1024)
         assert cfg.seeds == 4
         assert cfg.estimator.kind == "logistic"
-        assert cfg.tolerance == "logn-over-n"
+        assert cfg.tolerance is None
+        assert cfg.to_dict()["tolerance"] == "logn-over-n"
 
     def test_holder_mapping_with_scientific_n(self) -> None:
         text = """
@@ -160,10 +172,15 @@ class TestConfigText:
         assert cfg.estimator.kind == "constant"
         assert cfg.estimator.p == 0.4
         assert cfg.tolerance == 0.001
+        assert cfg.to_dict()["tolerance"] == 0.001
 
     def test_unknown_and_missing_keys(self) -> None:
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_mapping({"model": "gaussian", "fuel": "coal"})
+        # the evaluator follows from the model and estimator; it is no key
+        with pytest.raises(ValueError, match=r"unknown config keys: \['eval'\]"):
+            ExperimentConfig.from_mapping({**parse_config_text(self.GAUSSIAN_TEXT),
+                                           "eval": "monte-carlo"})
         with pytest.raises(ValueError, match="missing config keys"):
             ExperimentConfig.from_mapping({"model": "gaussian", "mu": "1", "kappa": "0.5"})
         # a count too large for a float is infinite, which int() cannot take;
@@ -404,8 +421,9 @@ class TestOneOptimumPerStudy:
     def test_failed_optimum_on_every_trained_row(self, monkeypatch) -> None:
         # H = -1 everywhere for the predicted-positive rate, so the population
         # fixed point has no sign change; the bisection still trains (at the
-        # left edge).  Closed-form evaluation of a kernel scorer would fail
-        # too, but the optimum's error comes first.  A training error wins.
+        # left edge).  The optimum's error comes first, so no row reaches
+        # the Monte-Carlo evaluation of its kernel scorer.  A training error
+        # wins.
         train = karmic.experiments.train_plugin
 
         def failing_seed_zero(metric, data, estimator, config, seed):
@@ -415,7 +433,7 @@ class TestOneOptimumPerStudy:
 
         monkeypatch.setattr(karmic.experiments, "train_plugin", failing_seed_zero)
         cfg = tiny_config(metric="linfrac:1,1,0,0/1,1,1,1",
-                          estimator=EstimatorSpec("kernel"), eval_mode="closed-form")
+                          estimator=EstimatorSpec("kernel"))
         with pytest.raises(NoSignChangeError):
             karmic.pipeline.population_optimum(karmic.parse_metric(cfg.metric), GAUSS)
         table = run_rate_experiment(cfg)
@@ -427,13 +445,14 @@ class TestOneOptimumPerStudy:
 
 class TestGoldenCsv:
     """The committed studies, shrunk, reproduce the CSVs in tests/data byte
-    for byte.  The Holder study has two: one evaluated by Monte Carlo, as
-    the study was before exact Holder evaluation, and one exact, checked
-    by ``tests/test_exact_holder.py`` against a midpoint rule.  Both ``_v2``
-    files were written once the population optimum came from the same
-    interval integrator as the classifier; against the files they replace,
+    for byte.  Both evaluate exactly; the Holder one is also checked by
+    ``tests/test_exact_holder.py`` against a midpoint rule.  Its ``_v2``
+    file was written once the population optimum came from the same
+    interval integrator as the classifier; against the file it replaces,
     ``delta_hat`` and ``delta_star`` are byte-identical and every regret is
-    within 3.4e-16.
+    within 3.4e-16.  A kernel on the Gaussian model, which no model can
+    integrate, pins the Monte-Carlo path: the per-row evaluation seeds and
+    ``mc_samples``.
 
     The files were produced with numpy 2.4.6 and scipy 1.17.1.  Other
     versions may differ in the last digit of a special function; the files
@@ -449,11 +468,12 @@ class TestGoldenCsv:
         cfg = ExperimentConfig.from_file(str(ROOT / "configs" / "rate_gaussian_f1.cfg"))
         self.check(dataclasses.replace(cfg, seeds=2), "rate_gaussian_f1_seeds2.csv")
 
-    def test_holder_study(self) -> None:
-        cfg = ExperimentConfig.from_file(str(ROOT / "configs" / "rate_holder_f1.cfg"))
-        cfg = dataclasses.replace(cfg, seeds=1, n_list=cfg.n_list[:3], eval_mode="monte-carlo",
-                                  mc_samples=100_000)
-        self.check(cfg, "rate_holder_f1_seed1_n3_v2.csv")
+    def test_gaussian_kernel_study_monte_carlo(self) -> None:
+        cfg = ExperimentConfig.from_file(str(ROOT / "configs" / "rate_gaussian_f1.cfg"))
+        cfg = dataclasses.replace(cfg, estimator=EstimatorSpec("kernel"), n_list=(256, 512),
+                                  seeds=2, mc_samples=20_000)
+        assert cfg.eval_mode == "monte-carlo"
+        self.check(cfg, "rate_gaussian_kernel_mc_seeds2.csv")
 
     def test_holder_study_exact(self) -> None:
         cfg = ExperimentConfig.from_file(str(ROOT / "configs" / "rate_holder_f1.cfg"))

@@ -70,8 +70,8 @@ class TestTolerancePolicy:
             ThresholdSearchConfig(tolerance=0.0)
         with pytest.raises(ValueError):
             ThresholdSearchConfig(tolerance=1.0)
-        with pytest.raises(ValueError):
-            ThresholdSearchConfig(max_iterations=0)
+        with pytest.raises(ValueError, match="tolerance"):
+            ThresholdSearchConfig(tolerance="0.5")
         assert ThresholdSearchConfig().resolve_tolerance(100) == default_tolerance(100)
         assert ThresholdSearchConfig(tolerance=0.125).resolve_tolerance(100) == 0.125
 
@@ -158,10 +158,12 @@ class TestBinarySearch:
         assert result.iterations == 3
 
     def test_iteration_cap(self, rng) -> None:
+        # the bracket is 2^-k wide after k halvings; a tolerance below
+        # 2^-64 still stops after 64
         data, scores = make_data(rng, 64)
-        cfg = ThresholdSearchConfig(tolerance=1e-8, max_iterations=5)
+        cfg = ThresholdSearchConfig(tolerance=1e-30)
         result = binary_search_threshold(parse_metric("accuracy"), FixedScorer(scores), data, cfg)
-        assert result.iterations == 5
+        assert result.iterations == len(result.h_trace) == 64
 
     def test_trace_rows_are_consistent(self, rng) -> None:
         data, scores = make_data(rng, 300, prior=0.4)
