@@ -33,16 +33,14 @@ from .experiments import (
     run_rate_experiment,
 )
 from .metrics import (
-    KARMIC_DIRECTION,
     LinearFractional,
     MetricSpec,
     SmoothClosedForm,
-    karmic_sensitivity,
+    karmic_parts,
     metric_gradient,
     metric_value,
     parse_metric,
     registered_metrics,
-    threshold_map,
 )
 from .pipeline import (
     EstimatorSpec,
@@ -77,10 +75,8 @@ from .thresholds import (
     ThresholdSearchConfig,
     binary_search_threshold,
     brute_force_discrete,
-    direction_vector,
     fixed_point_threshold,
     grid_search_threshold,
-    h_value,
 )
 
 __version__ = "0.1.0"
@@ -106,17 +102,13 @@ __all__ = [
     "MetricSpec",
     "LinearFractional",
     "SmoothClosedForm",
-    "KARMIC_DIRECTION",
     "metric_value",
     "metric_gradient",
-    "karmic_sensitivity",
-    "threshold_map",
+    "karmic_parts",
     "registered_metrics",
     "parse_metric",
     "ThresholdSearchConfig",
     "ThresholdResult",
-    "direction_vector",
-    "h_value",
     "binary_search_threshold",
     "fixed_point_threshold",
     "grid_search_threshold",

@@ -143,7 +143,7 @@ class ExperimentConfig:
             estimator=estimator_from_config(raw),
             n_list=tuple(_whole("n_list", v) for v in raw["n_list"].split(",")),
             seeds=_whole("seeds", raw["seeds"]),
-            tolerance=None if tolerance == "logn-over-n" else float(tolerance),
+            tolerance=None if tolerance == "logn-over-n" else _number("tolerance", tolerance),
             mc_samples=_whole("mc_samples", raw.get("mc_samples", 1_000_000)),
             workers=_whole("workers", raw.get("workers", 1)),
             out=raw.get("out"),
@@ -162,6 +162,15 @@ def _whole(key: str, text) -> int:
     return int(value)
 
 
+def _number(key: str, text) -> float:
+    """One float config value; a value that is not a number names its key."""
+    try:
+        return float(text)
+    except ValueError:
+        pass
+    raise ValueError(f"config key {key!r} must be a number, got {str(text).strip()!r}")
+
+
 def model_from_config(raw: dict[str, str]) -> GaussianModel | HolderModel:
     """The model named by the keys ``model``, ``mu``, ``kappa`` and ``eta``.
 
@@ -173,9 +182,9 @@ def model_from_config(raw: dict[str, str]) -> GaussianModel | HolderModel:
     payload: dict = {"model": raw["model"].strip().lower(),
                      "eta_tag": raw.get("eta", "sine").strip()}
     if "mu" in raw:
-        payload["mu"] = [float(v) for v in raw["mu"].split(",")]
+        payload["mu"] = [_number("mu", v) for v in raw["mu"].split(",")]
     if "kappa" in raw:
-        payload["kappa"] = float(raw["kappa"])
+        payload["kappa"] = _number("kappa", raw["kappa"])
     return model_from_dict(payload)
 
 
@@ -189,8 +198,9 @@ def estimator_from_config(raw: dict[str, str]) -> EstimatorSpec:
     if name == "true-eta":
         return EstimatorSpec("true-eta", model=model_from_config(raw))
     if name in ("logistic", "kernel"):
-        return EstimatorSpec(name, kernel_beta=float(raw.get("kernel_beta", 1.0)),
-                             bandwidth_const=float(raw.get("kernel_const", 1.0)))
+        return EstimatorSpec(
+            name, kernel_beta=_number("kernel_beta", raw.get("kernel_beta", 1.0)),
+            bandwidth_const=_number("kernel_const", raw.get("kernel_const", 1.0)))
     raise ValueError(f"unknown estimator {raw['estimator']!r}")
 
 

@@ -18,14 +18,20 @@ A ratio's gradient is ``(a (b.C) - b (a.C)) / (b.C)^2``.  A rate metric
 gives only dG/dTPR and dG/dTNR; one chain rule, through d(TPR)/dC =
 (FN, 0, -TP, 0)/P^2 and d(TNR)/dC = (0, -TN, 0, FP)/N^2, serves all five.
 
-Two contractions of the gradient drive everything downstream:
+Everything downstream reads two contractions of the gradient, taken row by
+row by ``karmic_parts``:
 
-* ``karmic_sensitivity``: grad(G) . (1, -1, -1, 1), the improvement rate for
-  moving probability mass from errors to correct cells.  A metric is useful
-  for threshold search where this is strictly positive.
-* ``threshold_map``: grad(G) . (0, -1, 0, 1) divided by the sensitivity.
-  For a population confusion curve C(delta), the optimal threshold is the
-  unique fixed point delta* = threshold_map(C(delta*)).
+* the Karmic sensitivity S = grad(G) . (1, -1, -1, 1), the improvement rate
+  for moving probability mass from errors to correct cells.  The Karmic
+  property is S > 0;
+* the numerator N = grad(G) . (0, -1, 0, 1) (below, N is this number, not
+  the negative mass FP + TN).
+
+Raising the threshold delta moves boundary mass along
+v(delta) = (-delta, -(1 - delta), delta, 1 - delta), and grad(G) . v(delta)
+is the ascent functional H = N - delta * S.  Where S > 0, the sign of H is
+the sign of N/S - delta, so the optimal threshold is the fixed point
+delta* = N/S of the population confusion curve C(delta*).
 
 The single-point functions accept any length-4 float sequence.  All
 gradients are hand-derived closed forms; finite differences are used only
@@ -34,17 +40,15 @@ as a test oracle.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MetricDomainError, NonKarmicPointError
+from .errors import MetricDomainError
 
 __all__ = [
     "DOMAIN_EPS",
-    "KARMIC_DIRECTION",
     "LinearFractional",
     "SmoothClosedForm",
     "MetricSpec",
@@ -54,17 +58,11 @@ __all__ = [
     "metric_gradient",
     "metric_values_masked",
     "metric_gradients_masked",
-    "karmic_sensitivity",
-    "threshold_map",
+    "karmic_parts",
 ]
-
-logger = logging.getLogger(__name__)
 
 # Denominators smaller than this are treated as outside the metric's domain.
 DOMAIN_EPS = 1e-12
-
-KARMIC_DIRECTION = np.array([1.0, -1.0, -1.0, 1.0])
-_NUMERATOR_DIRECTION = np.array([0.0, -1.0, 0.0, 1.0])
 
 _SMOOTH_TAGS = ("accuracy", "am", "youden", "gmean", "qmean", "hmean")
 # the registry, each name once: the smooth tags with the two ratio examples
@@ -113,15 +111,16 @@ def _evaluate(spec: MetricSpec, C: np.ndarray, with_grad: bool):
     chosen so that the gradient is finite everywhere the value is defined.
     """
     C = np.asarray(C, dtype=float)
-    if C.shape[-1] != 4:
+    if C.ndim == 0 or C.shape[-1] != 4:
         raise ValueError("confusion arrays must have 4 trailing entries")
     c1, c2, c3, c4 = (C[..., i] for i in range(4))
     grad = np.zeros_like(C) if with_grad else None
 
     if isinstance(spec.kind, LinearFractional):
         a, b = np.array(spec.kind.a), np.array(spec.kind.b)
-        ac = C @ a
-        bc = C @ b
+        # a per-row dot: a batched matrix product rounds by the batch it sees
+        ac = np.vecdot(C, a)
+        bc = np.vecdot(C, b)
         valid = np.abs(bc) >= DOMAIN_EPS
         safe = np.where(valid, bc, 1.0)
         value = np.where(valid, ac / safe, np.nan)
@@ -228,28 +227,16 @@ def metric_gradient(spec: MetricSpec, c) -> np.ndarray:
     return grad[0]
 
 
-def karmic_sensitivity(spec: MetricSpec, c) -> float:
-    """grad(G) . (1, -1, -1, 1): the error-to-correct improvement rate."""
-    return float(metric_gradient(spec, c) @ KARMIC_DIRECTION)
+def karmic_parts(spec: MetricSpec, C) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(numerator, sensitivity, valid)`` at every row of ``C`` (shape (..., 4)).
 
-
-def threshold_map(spec: MetricSpec, c) -> float:
-    """The gradient ratio whose fixed point is the optimal threshold.
-
-    Raises :class:`NonKarmicPointError` where the sensitivity is not
-    strictly positive.  Values outside [0, 1] (possible only by numerical
-    noise) are clamped and logged.
+    From the gradient ``(g_tp, g_fp, g_fn, g_tn)``: N = g_tn - g_fp and
+    S = (g_tp - g_fp) - (g_fn - g_tn).  Both are unspecified where ``valid``
+    is False.
     """
-    grad = metric_gradient(spec, c)
-    denominator = float(grad @ KARMIC_DIRECTION)
-    if denominator <= 0.0:
-        raise NonKarmicPointError(
-            f"{spec.name}: karmic sensitivity {denominator:.3g} is not positive"
-        )
-    value = float(grad @ _NUMERATOR_DIRECTION) / denominator
-    if value < -1e-9 or value > 1.0 + 1e-9:
-        logger.warning("threshold map %.6g for %s outside [0, 1]; clamping", value, spec.name)
-    return min(max(value, 0.0), 1.0)
+    grad, valid = metric_gradients_masked(spec, C)
+    g_tp, g_fp, g_fn, g_tn = (grad[..., i] for i in range(4))
+    return g_tn - g_fp, (g_tp - g_fp) - (g_fn - g_tn), valid
 
 
 def registered_metrics() -> tuple[MetricSpec, ...]:

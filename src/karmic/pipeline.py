@@ -9,8 +9,9 @@ Regret evaluation compares the classifier's population utility
 (``classifier_utility``) against the population optimum
 (``population_optimum``: the threshold from the exact fixed point of the
 model's closed-form confusion curve, which depends only on the metric and
-the model).  In "closed-form" mode the classifier's utility is exact too:
-the model integrates the scorer's decision rule
+the model, and is refused where the metric is not Karmic).  In
+"closed-form" mode the classifier's utility is exact too: the model
+integrates the scorer's decision rule
 (``model.classifier_confusion``), a half-space mass for affine scorers on
 the Gaussian model and an integral of eta over the acceptance intervals of
 any 1-d scorer on the Holder model.  That covers every committed study.
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confusion import Dataset
-from .errors import ModeUnsupportedError, SplitDegenerateError
-from .metrics import MetricSpec, metric_value
+from .errors import ModeUnsupportedError, NonKarmicPointError, SplitDegenerateError
+from .metrics import MetricSpec, karmic_parts, metric_value
 from .scorers import (
     ConstantScorer,
     Scorer,
@@ -231,9 +232,22 @@ def population_optimum(
     metric: MetricSpec, model: GaussianModel | HolderModel
 ) -> tuple[float, float]:
     """``(delta_star, u_star)``: the fixed point of the model's exact
-    confusion curve and the population utility there."""
+    confusion curve and the population utility there.
+
+    Raises :class:`NonKarmicPointError` where the Karmic sensitivity at that
+    confusion is not positive: the root of H is then a minimum, not the
+    optimum.
+    """
     delta_star = fixed_point_threshold(metric, model.population_confusion, _FIXED_POINT_TOL)
-    return float(delta_star), metric_value(metric, model.population_confusion(delta_star))
+    confusion = model.population_confusion(delta_star)
+    u_star = metric_value(metric, confusion)
+    _, sensitivity, _ = karmic_parts(metric, confusion)
+    if not sensitivity > 0.0:
+        raise NonKarmicPointError(
+            f"{metric.name}: karmic sensitivity {float(sensitivity):.3g} is not positive "
+            f"at the root delta={float(delta_star):.6g} of H"
+        )
+    return float(delta_star), u_star
 
 
 def classifier_utility(

@@ -332,16 +332,6 @@ class LogisticFitReport:
     converged: bool
     nll_path: tuple[float, ...] = field(default_factory=tuple)
 
-    def to_dict(self) -> dict:
-        return {
-            "weights": [float(v) for v in self.weights],
-            "intercept": self.intercept,
-            "iterations": self.iterations,
-            "grad_norm": self.grad_norm,
-            "converged": self.converged,
-            "nll_path": list(self.nll_path),
-        }
-
 
 def _mean_nll(margins: np.ndarray) -> float:
     """Mean logistic loss log(1 + exp(-margin)), computed stably."""

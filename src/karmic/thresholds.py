@@ -9,13 +9,14 @@ cells to the predicted-negative cells, so the confusion curve satisfies
 
 and ``p`` the score density.  The scalar
 
-    H(delta) = grad(G)(C(delta)) . v(delta)
+    H(delta) = grad(G)(C(delta)) . v(delta) = N - delta * S
 
-therefore has the same sign as the derivative of the population utility,
-and the optimal threshold is its unique zero crossing for quasi-concave
-utility curves.  ``binary_search_threshold`` halves the bracket [0, 1] on
-the empirical sign of H; the exhaustive oracles (`grid_search_threshold`,
-`brute_force_discrete`) exist to check it.
+with ``(N, S)`` from ``karmic_parts`` at C(delta) therefore has the same
+sign as the derivative of the population utility, and the optimal
+threshold is its unique zero crossing for quasi-concave utility curves.
+Every search here computes H that one way.  ``binary_search_threshold``
+halves the bracket [0, 1] on the empirical sign of H; the exhaustive
+oracles (`grid_search_threshold`, `brute_force_discrete`) exist to check it.
 """
 
 from __future__ import annotations
@@ -32,17 +33,11 @@ from .errors import (
     NoSignChangeError,
     TooManyAtomsError,
 )
-from .metrics import (
-    MetricSpec,
-    metric_gradient,
-    metric_values_masked,
-)
+from .metrics import MetricSpec, karmic_parts, metric_values_masked
 
 __all__ = [
     "ThresholdSearchConfig",
     "ThresholdResult",
-    "direction_vector",
-    "h_value",
     "binary_search_threshold",
     "fixed_point_threshold",
     "grid_search_threshold",
@@ -84,11 +79,15 @@ class ThresholdSearchConfig:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Outcome of a bisection run; ``h_trace`` rows are (delta, H, sign)."""
+    """Outcome of a bisection run; ``h_trace`` rows are (delta, H, sign),
+    one per halving."""
 
     delta_hat: float
-    iterations: int
     h_trace: tuple[tuple[float, float, int], ...] = field(default_factory=tuple)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.h_trace)
 
     def to_dict(self) -> dict:
         return {
@@ -98,25 +97,14 @@ class ThresholdResult:
         }
 
 
-def direction_vector(delta: float) -> np.ndarray:
-    """Boundary-flux direction ``(-delta, -(1-delta), delta, 1-delta)``."""
-    delta = float(delta)
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError("delta must lie in [0, 1]")
-    return np.array([-delta, -(1.0 - delta), delta, 1.0 - delta])
-
-
-def h_value(metric: MetricSpec, confusion, delta: float) -> float:
-    """Ascent functional H = grad(G)(C) . v(delta) at one confusion vector.
-
-    ``confusion`` is 4 floats: an empirical profile row or a population
-    curve value at ``delta``.
-    """
-    return float(metric_gradient(metric, confusion) @ direction_vector(delta))
+def _h(metric: MetricSpec, confusion, delta: float) -> float | None:
+    """H = N - delta * S at one confusion vector, or None off the domain."""
+    numerator, sensitivity, valid = karmic_parts(metric, confusion)
+    return float(numerator - delta * sensitivity) if valid else None
 
 
 def _h_with_nudges(metric: MetricSpec, profile: ScoreProfile, delta: float, n: int):
-    """Evaluate H, stepping the point toward the interior on domain errors.
+    """Evaluate H, stepping the point toward the interior off the domain.
 
     Up to 8 nudges of 1/(2n) each; the empirical confusion is piecewise
     constant so small moves only matter when they cross a sample score.
@@ -127,10 +115,9 @@ def _h_with_nudges(metric: MetricSpec, profile: ScoreProfile, delta: float, n: i
         candidate = delta + direction * k * step
         if not 0.0 < candidate < 1.0 and k > 0:
             continue
-        try:
-            return candidate, h_value(metric, profile.confusion(candidate), candidate)
-        except MetricDomainError:
-            continue
+        h = _h(metric, profile.confusion(candidate), candidate)
+        if h is not None:
+            return candidate, h
     raise DegenerateDistributionError(
         f"H undefined near delta={delta:.6g} even after interior nudges"
     )
@@ -152,9 +139,8 @@ def binary_search_threshold(
     profile = ScoreProfile.from_scorer(scorer, data)
     eps0 = config.resolve_tolerance(data.n)
     lo, hi = 0.0, 1.0
-    iterations = 0
     trace: list[tuple[float, float, int]] = []
-    while (hi - lo) >= eps0 and iterations < _MAX_ITERATIONS:
+    while (hi - lo) >= eps0 and len(trace) < _MAX_ITERATIONS:
         mid = 0.5 * (lo + hi)
         used, h = _h_with_nudges(metric, profile, mid, data.n)
         sign = 1 if h >= 0.0 else -1
@@ -163,23 +149,30 @@ def binary_search_threshold(
             lo = mid
         else:
             hi = mid
-        iterations += 1
-    return ThresholdResult(0.5 * (lo + hi), iterations, tuple(trace))
+    return ThresholdResult(0.5 * (lo + hi), tuple(trace))
 
 
 def fixed_point_threshold(metric: MetricSpec, population_confusion, tol: float) -> float:
     """Root of the population H on (tol, 1 - tol) by bisection.
 
     ``population_confusion`` maps a threshold to its length-4 confusion
-    vector.  The root is the fixed point of the threshold map.  Raises
-    :class:`NoSignChangeError` when H has constant sign on the bracket.
+    vector.  Where the sensitivity S is positive the root is the fixed
+    point delta = N/S.  Raises :class:`NoSignChangeError` when H has
+    constant sign on the bracket, :class:`MetricDomainError` where the
+    gradient is undefined.
     """
     if not 0.0 < tol < 0.5:
         raise ValueError("tol must lie in (0, 0.5)")
     lo, hi = tol, 1.0 - tol
 
     def h(delta: float) -> float:
-        return h_value(metric, population_confusion(delta), delta)
+        value = _h(metric, population_confusion(delta), delta)
+        if value is None:
+            raise MetricDomainError(
+                f"{metric.name}: gradient undefined at the population confusion "
+                f"of delta={delta:.6g}"
+            )
+        return value
 
     h_lo = h(lo)
     h_hi = h(hi)

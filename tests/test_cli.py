@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from karmic import (
     ExperimentConfig,
     GaussianModel,
     HolderModel,
+    KarmicError,
     PluginClassifier,
     parse_metric,
     population_regret,
@@ -68,6 +70,15 @@ class TestGen:
         assert code == 0
         assert payload["n"] == 500
         assert read_sidecar(path)["model"] == "holder"
+
+    def test_mu_that_is_not_a_number_names_the_key(self, tmp_path, capsys) -> None:
+        code, _, err = run_cli(
+            capsys, "gen", "--model", "gaussian", "--mu", "2,x", "--kappa", "0.5",
+            "--n", "100", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 1
+        assert json.loads(err) == {"error": "invalid-argument",
+                                   "message": "config key 'mu' must be a number, got 'x'"}
 
     def test_gaussian_needs_mu_and_kappa(self, tmp_path, capsys) -> None:
         code, payload, err = run_cli(
@@ -131,6 +142,17 @@ class TestTrainEvaluate:
         assert report["regret"] >= -1e-9
         assert report["regret"] < 0.05
         assert report["metric"] == "fbeta:1"
+
+    def test_evaluate_refuses_a_non_karmic_optimum(self, tmp_path, capsys) -> None:
+        clf_path = tmp_path / "clf.json"
+        clf_path.write_text(json.dumps(LOGISTIC_CLASSIFIER), encoding="utf-8")
+        code, report, err = run_cli(
+            capsys, "evaluate", "--classifier", str(clf_path),
+            "--metric", "linfrac:0.2,0.8,0.4,0.0/0.1,0.5,0.2,0.1",
+            "--model", "gaussian", "--mu", "2,0", "--kappa", "0.5",
+        )
+        assert (code, report) == (1, None)
+        assert json.loads(err)["error"] == "non-karmic-point"
 
     def test_kernel_train_writes_one_json(self, tmp_path, capsys) -> None:
         data_path = str(tmp_path / "h.csv")
@@ -665,3 +687,10 @@ class TestUsageErrors:
         assert out.returncode == 0
         assert "threshold" in out.stdout
         assert "oracle" in out.stdout
+
+
+def test_readme_errors_list_every_code() -> None:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Errors\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `([a-z-]+)`", section, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(cls.code for cls in KarmicError.__subclasses__())

@@ -196,6 +196,15 @@ class TestConfigText:
         cfg = ExperimentConfig.from_mapping({**raw, "seeds": "1e1", "workers": "2.0"})
         assert (cfg.seeds, cfg.workers) == (10, 2)
 
+    @pytest.mark.parametrize(("key", "value"), [
+        ("tolerance", "abc"), ("kappa", "abc"), ("mu", "2, x"), ("kernel_beta", "abc"),
+        ("kernel_const", "0.5x"),
+    ])
+    def test_float_key_that_is_not_a_number_names_the_key(self, key: str, value: str) -> None:
+        raw = {**parse_config_text(self.GAUSSIAN_TEXT), "estimator": "kernel", key: value}
+        with pytest.raises(ValueError, match=f"config key '{key}' must be a number"):
+            ExperimentConfig.from_mapping(raw)
+
     def test_from_file(self, tmp_path) -> None:
         path = tmp_path / "exp.cfg"
         path.write_text(self.GAUSSIAN_TEXT, encoding="utf-8")
@@ -334,6 +343,11 @@ class TestRunExperiment:
         assert all(not r.ok for r in table.rows)
         assert {r.error for r in table.rows} == {"degenerate-distribution"}
         assert all(math.isnan(r.regret) for r in table.rows)
+
+    def test_non_karmic_optimum_recorded_on_every_row(self) -> None:
+        table = run_rate_experiment(tiny_config(metric="linfrac:0.2,0.8,0.4,0.0/0.1,0.5,0.2,0.1"))
+        assert {r.error for r in table.rows} == {"non-karmic-point"}
+        assert all(math.isnan(r.delta_star) for r in table.rows)
 
     def test_mixed_success_aggregates(self) -> None:
         table = run_rate_experiment(tiny_config(seeds=4))

@@ -1,10 +1,13 @@
 """Golden bits of every metric's values, domain masks and gradients.
 
-``tests/data/metric_bits.npz`` holds a fixed set of confusion rows and what
-``metric_values_masked`` / ``metric_gradients_masked`` returned on them at a
-commit known to be right.  A refactor of ``karmic.metrics`` must reproduce
-them bit for bit: values (NaN included) and masks on every row, gradients on
-the valid rows.  Regenerate only from a commit known to be right:
+``tests/data/metric_bits_v2.npz`` holds a fixed set of confusion rows and
+what ``metric_values_masked`` / ``metric_gradients_masked`` returned on them
+at a commit known to be right.  A refactor of ``karmic.metrics`` must
+reproduce them bit for bit: values (NaN included) and masks on every row,
+gradients on the valid rows.  (Version 2 takes a ratio's linear forms with a
+per-row dot, so each row's bits no longer depend on the batch around it;
+the smooth metrics' bits are those of version 1.)  Regenerate only from a
+commit known to be right:
 
     PYTHONPATH=src python tests/test_metric_bits.py
 """
@@ -16,10 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from karmic import parse_metric, registered_metrics
+from karmic import metric_gradient, metric_value, parse_metric, registered_metrics
 from karmic.metrics import DOMAIN_EPS, metric_gradients_masked, metric_values_masked
 
-GOLDEN = Path(__file__).parent / "data" / "metric_bits.npz"
+GOLDEN = Path(__file__).parent / "data" / "metric_bits_v2.npz"
 
 # the registered eight, two more betas, and two ratios that are not Karmic on
 # the reference Gaussian model
@@ -95,6 +98,30 @@ def test_bits_unchanged(golden, index: int) -> None:
     np.testing.assert_array_equal(_bits(value), _bits(golden[f"value_{index}"]))
     np.testing.assert_array_equal(_bits(grad[want_valid]),
                                   _bits(golden[f"grad_{index}"][want_valid]))
+
+
+@pytest.mark.parametrize("index", range(len(NAMES)), ids=NAMES)
+def test_batch_rows_equal_single_rows(golden, index: int) -> None:
+    # a row's value and gradient do not depend on the batch it is evaluated in
+    spec = parse_metric(NAMES[index])
+    C = golden["C"]
+    value, valid = metric_values_masked(spec, C)
+    grad, _ = metric_gradients_masked(spec, C)
+    rows = np.flatnonzero(valid)
+    single_value = np.array([metric_value(spec, C[i]) for i in rows])
+    single_grad = np.array([metric_gradient(spec, C[i]) for i in rows])
+    np.testing.assert_array_equal(_bits(value[rows]), _bits(single_value))
+    np.testing.assert_array_equal(_bits(grad[rows]), _bits(single_grad))
+    for i in rows[::97]:
+        one_value, _ = metric_values_masked(spec, C[i])
+        one_grad, _ = metric_gradients_masked(spec, C[i:i + 1])
+        assert _bits(one_value) == _bits(value[i])
+        np.testing.assert_array_equal(_bits(one_grad[0]), _bits(grad[i]))
+    strided_value, _ = metric_values_masked(spec, C[1::3])
+    strided_grad, _ = metric_gradients_masked(spec, C[1::3])
+    np.testing.assert_array_equal(_bits(strided_value), _bits(value[1::3]))
+    keep = valid[1::3]
+    np.testing.assert_array_equal(_bits(strided_grad[keep]), _bits(grad[1::3][keep]))
 
 
 def test_edges_hit_both_sides_of_every_domain(golden) -> None:

@@ -1,4 +1,4 @@
-"""Metric closed forms, analytic gradients, and the threshold map."""
+"""Metric closed forms, analytic gradients, and the Karmic contraction."""
 
 from __future__ import annotations
 
@@ -13,14 +13,12 @@ from hypothesis import strategies as st
 from karmic import (
     LinearFractional,
     MetricDomainError,
-    NonKarmicPointError,
     SmoothClosedForm,
-    karmic_sensitivity,
+    karmic_parts,
     metric_gradient,
     metric_value,
     parse_metric,
     registered_metrics,
-    threshold_map,
 )
 from karmic.metrics import metric_gradients_masked, metric_values_masked
 
@@ -123,22 +121,33 @@ class TestGradients:
             metric_gradient(parse_metric("gmean"), np.array([0.0, 0.5, 0.0, 0.5]))
 
 
+def sensitivity(spec, c) -> float:
+    return float(karmic_parts(spec, c)[1])
+
+
+def threshold_ratio(spec, c) -> float:
+    """N/S, whose fixed point on a population curve is the optimal threshold."""
+    numerator, sens, valid = karmic_parts(spec, c)
+    assert valid
+    return float(numerator / sens)
+
+
 class TestKarmicFunctionals:
     def test_reference_sensitivities(self) -> None:
         # accuracy: grad = (1,0,0,1), sensitivity 2 everywhere.
-        assert karmic_sensitivity(parse_metric("accuracy"), REFERENCE) == pytest.approx(2.0)
+        assert sensitivity(parse_metric("accuracy"), REFERENCE) == pytest.approx(2.0)
         # f1: 2/(2 tp + fp + fn) = 2/(0.8+0.2) = 2.
-        assert karmic_sensitivity(parse_metric("fbeta:1"), REFERENCE) == pytest.approx(2.0)
+        assert sensitivity(parse_metric("fbeta:1"), REFERENCE) == pytest.approx(2.0)
         # am: 1/(2 pi) + 1/(2 (1-pi)) = 2 at pi = 1/2.
-        assert karmic_sensitivity(parse_metric("am"), REFERENCE) == pytest.approx(2.0)
+        assert sensitivity(parse_metric("am"), REFERENCE) == pytest.approx(2.0)
 
     def test_reference_threshold_maps(self) -> None:
-        assert threshold_map(parse_metric("accuracy"), REFERENCE) == pytest.approx(0.5)
+        assert threshold_ratio(parse_metric("accuracy"), REFERENCE) == pytest.approx(0.5)
         # am maps every confusion matrix to the positive prior.
-        assert threshold_map(parse_metric("am"), REFERENCE) == pytest.approx(0.5)
+        assert threshold_ratio(parse_metric("am"), REFERENCE) == pytest.approx(0.5)
         am = parse_metric("am")
         skewed = np.array([0.1, 0.3, 0.2, 0.4])  # prior 0.3
-        assert threshold_map(am, skewed) == pytest.approx(0.3, abs=1e-12)
+        assert threshold_ratio(am, skewed) == pytest.approx(0.3, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -146,29 +155,33 @@ class TestKarmicFunctionals:
         gen = np.random.default_rng(seed)
         spec = parse_metric("fbeta:1")
         c = random_interior_confusions(gen, 1)[0]
-        assert threshold_map(spec, c) == pytest.approx(0.5 * metric_value(spec, c), abs=1e-12)
+        assert threshold_ratio(spec, c) == pytest.approx(0.5 * metric_value(spec, c), abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), name=st.sampled_from(ALL_NAMES))
     def test_map_stays_inside_unit_interval(self, seed: int, name: str) -> None:
+        # every registered metric is Karmic at interior points, with N/S in [0, 1]
         gen = np.random.default_rng(seed)
         c = random_interior_confusions(gen, 1)[0]
-        assert 0.0 <= threshold_map(parse_metric(name), c) <= 1.0
+        spec = parse_metric(name)
+        assert sensitivity(spec, c) > 0.0
+        assert 0.0 <= threshold_ratio(spec, c) <= 1.0
 
     def test_negative_sensitivity_rejected(self) -> None:
-        # the miss rate improves by making errors; its sensitivity is -1
+        # the miss rate improves by making errors; its sensitivity is -1, the
+        # sign population_optimum rejects as non-Karmic
         spec = parse_metric("linfrac:0,0,1,0/1,1,1,1")
-        assert karmic_sensitivity(spec, REFERENCE) == pytest.approx(-1.0)
-        with pytest.raises(NonKarmicPointError):
-            threshold_map(spec, REFERENCE)
+        assert sensitivity(spec, REFERENCE) == pytest.approx(-1.0)
 
-    def test_map_outside_unit_interval_clamps_and_warns(self, caplog) -> None:
-        spec = parse_metric("linfrac:-1,-2,0,2/1,1,1,1")
-        assert karmic_sensitivity(spec, REFERENCE) == pytest.approx(3.0)
-        with caplog.at_level("WARNING", logger="karmic.metrics"):
-            value = threshold_map(spec, REFERENCE)
-        assert value == 1.0
-        assert any("clamping" in r.message for r in caplog.records)
+    def test_batch_of_any_shape(self) -> None:
+        spec = parse_metric("fbeta:1")
+        batch = np.array([[REFERENCE, [0.0, 0.0, 0.0, 1.0]]] * 3)  # shape (3, 2, 4)
+        numerator, sens, valid = karmic_parts(spec, batch)
+        assert numerator.shape == sens.shape == valid.shape == (3, 2)
+        assert valid[:, 0].all() and not valid[:, 1].any()
+        grad = metric_gradient(spec, REFERENCE)
+        assert numerator[0, 0] == grad[3] - grad[1]
+        assert sens[0, 0] == (grad[0] - grad[1]) - (grad[2] - grad[3])
 
 
 class TestInputs:
@@ -176,15 +189,20 @@ class TestInputs:
     def test_arrays_and_matrices_agree(self, name: str) -> None:
         spec = parse_metric(name)
         as_list = [0.4, 0.1, 0.1, 0.4]
-        for fn in (metric_value, karmic_sensitivity, threshold_map):
+        for fn in (metric_value, sensitivity, threshold_ratio):
             assert fn(spec, np.array(as_list)) == fn(spec, tuple(as_list)) == fn(spec, as_list)
         np.testing.assert_array_equal(metric_gradient(spec, np.array(as_list)),
                                       metric_gradient(spec, REFERENCE))
 
-    @pytest.mark.parametrize("bad", [[0.5, 0.5], np.full((2, 4), 0.25)])
+    @pytest.mark.parametrize("bad", [[0.5, 0.5], np.full((2, 4), 0.25), np.float64(0.5)])
     def test_wrong_shape_rejected(self, bad) -> None:
+        spec = parse_metric("accuracy")
         with pytest.raises(ValueError):
-            metric_value(parse_metric("accuracy"), bad)
+            metric_value(spec, bad)
+        if np.shape(bad)[-1:] != (4,):  # not a batch of rows either
+            for fn in (metric_values_masked, metric_gradients_masked, karmic_parts):
+                with pytest.raises(ValueError, match="4 trailing entries"):
+                    fn(spec, bad)
 
 
 class TestParsing:

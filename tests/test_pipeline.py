@@ -13,6 +13,7 @@ from karmic import (
     GaussianModel,
     HolderModel,
     ModeUnsupportedError,
+    NonKarmicPointError,
     PluginClassifier,
     SplitDegenerateError,
     TrueEtaScorer,
@@ -197,7 +198,19 @@ class TestMonteCarloConfusion:
         assert -3e-3 <= report.regret <= 0.3
 
 
+#: ratios whose population H has its one root where the Karmic sensitivity is
+#: negative on both models: that root is a minimum of the utility
+NON_KARMIC = ("linfrac:0.2,0.8,0.4,0.0/0.1,0.5,0.2,0.1",
+              "linfrac:-0.5,0.5,0.4,-0.7/0.4,0.4,0.7,0.5")
+
+
 class TestPopulationRegret:
+    @pytest.mark.parametrize("model", [MODEL, HolderModel("sine")], ids=["gaussian", "holder"])
+    @pytest.mark.parametrize("name", NON_KARMIC)
+    def test_non_karmic_root_is_refused(self, name: str, model) -> None:
+        with pytest.raises(NonKarmicPointError, match="sensitivity"):
+            population_optimum(parse_metric(name), model)
+
     def test_true_optimum_has_zero_regret(self) -> None:
         spec = parse_metric("fbeta:1")
         report = population_regret(spec, PluginClassifier(ConstantScorer(0.5), 0.5), MODEL)

@@ -22,19 +22,20 @@ from karmic import (
     TooManyAtomsError,
     binary_search_threshold,
     brute_force_discrete,
-    direction_vector,
     fit_logistic_mle,
     fixed_point_threshold,
     gaussian_halfspace_confusion,
     grid_search_threshold,
-    h_value,
+    karmic_parts,
+    metric_gradient,
     metric_value,
     parse_metric,
+    registered_metrics,
     sample_gaussian,
 )
 from karmic.thresholds import _h_with_nudges, default_tolerance
 
-from helpers import FixedScorer
+from helpers import FixedScorer, random_interior_confusions
 
 
 def make_data(rng, n: int, prior: float = 0.5) -> tuple[Dataset, np.ndarray]:
@@ -76,6 +77,13 @@ class TestTolerancePolicy:
         assert ThresholdSearchConfig(tolerance=0.125).resolve_tolerance(100) == 0.125
 
 
+def ascent(spec, confusion, delta: float) -> float:
+    """H = N - delta * S, as every search computes it."""
+    numerator, sensitivity, valid = karmic_parts(spec, confusion)
+    assert valid
+    return float(numerator - delta * sensitivity)
+
+
 class TestDirectionVector:
     @pytest.mark.parametrize(
         ("delta", "expected"),
@@ -85,13 +93,13 @@ class TestDirectionVector:
             (0.5, [-0.5, -0.5, 0.5, 0.5]),
         ],
     )
-    def test_endpoints_and_midpoint(self, delta: float, expected) -> None:
-        np.testing.assert_allclose(direction_vector(delta), expected, atol=0)
-
-    @pytest.mark.parametrize("delta", [-0.1, 1.1])
-    def test_out_of_range(self, delta: float) -> None:
-        with pytest.raises(ValueError):
-            direction_vector(delta)
+    def test_endpoints_and_midpoint(self, delta: float, expected, rng) -> None:
+        # N - delta * S is the gradient along the boundary flux
+        # v(delta) = (-delta, -(1 - delta), delta, 1 - delta)
+        for spec in registered_metrics():
+            for c in random_interior_confusions(rng, 20):
+                want = float(metric_gradient(spec, c) @ np.array(expected))
+                assert ascent(spec, c, delta) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def empirical_utility(spec, scorer, data, delta: float) -> float:
@@ -105,7 +113,7 @@ class TestHValue:
         data, scores = make_data(rng, 101)
         profile = ScoreProfile.from_scorer(FixedScorer(scores), data)
         for delta in [0.1, 0.35, 0.5, 0.82]:
-            got = h_value(parse_metric("accuracy"), profile.confusion(delta), delta)
+            got = ascent(parse_metric("accuracy"), profile.confusion(delta), delta)
             assert got == pytest.approx(1.0 - 2.0 * delta, abs=1e-12)
 
     def test_balanced_accuracy_closed_form(self, rng) -> None:
@@ -116,15 +124,14 @@ class TestHValue:
         profile = ScoreProfile.from_scorer(FixedScorer(scores), data)
         for delta in [0.2, 0.5, 0.8]:
             want = (1 - delta) / (2 * (1 - pi)) - delta / (2 * pi)
-            got = h_value(parse_metric("am"), profile.confusion(delta), delta)
+            got = ascent(parse_metric("am"), profile.confusion(delta), delta)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_population_curve_value(self) -> None:
         # the same function scores a population curve: at the fixed point of
         # accuracy (delta = 1/2) H vanishes for any confusion vector.
         model = GaussianModel(np.array([2.0, 0.0]), 0.5)
-        assert h_value(parse_metric("accuracy"),
-                       model.population_confusion(0.5), 0.5) == 0.0
+        assert ascent(parse_metric("accuracy"), model.population_confusion(0.5), 0.5) == 0.0
 
 
 class TestBinarySearch:
@@ -135,6 +142,20 @@ class TestBinarySearch:
         result = binary_search_threshold(parse_metric("accuracy"), FixedScorer(scores), data)
         eps0 = default_tolerance(500)
         assert 0.5 <= result.delta_hat < 0.5 + eps0
+
+    def test_balanced_am_tie_at_half_is_exact(self) -> None:
+        # with balanced classes am's H(1/2) is exactly zero; N - delta * S
+        # computes it as 0.0, so the tie rule, not a rounding residue,
+        # decides the first halving
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            labels = np.array([1, -1] * 150)
+            rng.shuffle(labels)
+            data = Dataset(np.zeros((300, 1)), labels)
+            scorer = FixedScorer(rng.random(300))
+            result = binary_search_threshold(parse_metric("am"), scorer, data)
+            assert result.h_trace[0] == (0.5, 0.0, 1), seed
+            assert result.delta_hat >= 0.5
 
     def test_prior_sensitive_metric_finds_the_prior(self, rng) -> None:
         data, scores = make_data(rng, 2000, prior=0.3)
@@ -185,7 +206,8 @@ class TestBinarySearch:
             binary_search_threshold(parse_metric("gmean"), ConstantScorer(1.0), data)
 
     def test_result_serialization(self) -> None:
-        result = ThresholdResult(0.5, 2, ((0.5, 0.0, 1), (0.75, -0.5, -1)))
+        result = ThresholdResult(0.5, ((0.5, 0.0, 1), (0.75, -0.5, -1)))
+        assert result.iterations == 2
         assert result.to_dict() == {
             "delta_hat": 0.5,
             "iterations": 2,
@@ -252,7 +274,7 @@ class TestBisectionProperty:
 
         profile = ScoreProfile.from_scorer(FixedScorer(scores), data)
         grid = np.linspace(0.0, 1.0, 257)
-        h = np.array([h_value(spec, profile.confusion(d), d) for d in grid])
+        h = np.array([ascent(spec, profile.confusion(d), d) for d in grid])
         down = np.nonzero((h[:-1] >= 0.0) & (h[1:] < 0.0))[0]
         if down.size:
             # the change lies in [grid[i], grid[i + 1]]
