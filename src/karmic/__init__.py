@@ -10,7 +10,6 @@ optima support exact regret experiments.
 
 from .confusion import Dataset, ScoreProfile
 from .errors import (
-    BoundaryThresholdError,
     DegenerateDesignError,
     DegenerateDistributionError,
     DimensionMismatchError,
@@ -66,7 +65,6 @@ from .scorers import (
 from .synth import (
     GaussianModel,
     HolderModel,
-    gaussian_halfspace_confusion,
     sample_gaussian,
     sample_holder,
 )
@@ -95,7 +93,6 @@ __all__ = [
     "SeparableDataError",
     "DegenerateDesignError",
     "DimensionMismatchError",
-    "BoundaryThresholdError",
     "SplitDegenerateError",
     "ModeUnsupportedError",
     "InsufficientPointsError",
@@ -127,7 +124,6 @@ __all__ = [
     "HolderModel",
     "sample_gaussian",
     "sample_holder",
-    "gaussian_halfspace_confusion",
     "EstimatorSpec",
     "PluginClassifier",
     "RegretReport",

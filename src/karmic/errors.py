@@ -17,7 +17,6 @@ __all__ = [
     "SeparableDataError",
     "DegenerateDesignError",
     "DimensionMismatchError",
-    "BoundaryThresholdError",
     "SplitDegenerateError",
     "ModeUnsupportedError",
     "InsufficientPointsError",
@@ -64,10 +63,6 @@ class DegenerateDesignError(KarmicError):
 
 class DimensionMismatchError(KarmicError):
     code = "dimension-mismatch"
-
-
-class BoundaryThresholdError(KarmicError):
-    code = "boundary-threshold"
 
 
 class SplitDegenerateError(KarmicError):

@@ -194,7 +194,7 @@ def estimator_from_config(raw: dict[str, str]) -> EstimatorSpec:
     ``true-eta`` (of the model the same keys name) or ``constant:<p>``."""
     name = raw["estimator"].strip().lower()
     if name.startswith("constant:"):
-        return EstimatorSpec("constant", p=float(name.split(":", 1)[1]))
+        return EstimatorSpec("constant", p=_number("estimator", raw["estimator"].split(":", 1)[1]))
     if name == "true-eta":
         return EstimatorSpec("true-eta", model=model_from_config(raw))
     if name in ("logistic", "kernel"):

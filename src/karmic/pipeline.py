@@ -7,14 +7,15 @@ utility's ascent sign.  The result predicts +1 iff score(x) > delta.
 
 Regret evaluation compares the classifier's population utility
 (``classifier_utility``) against the population optimum
-(``population_optimum``: the threshold from the exact fixed point of the
-model's closed-form confusion curve, which depends only on the metric and
-the model, and is refused where the metric is not Karmic).  In
-"closed-form" mode the classifier's utility is exact too: the model
-integrates the scorer's decision rule
-(``model.classifier_confusion``), a half-space mass for affine scorers on
+(``population_optimum``: the exact fixed point of the population curve,
+which depends only on the metric and the model, and is refused where the
+metric is not Karmic).  Both read the model's one exact evaluator,
+``model.classifier_confusion``: a half-space mass for affine scorers on
 the Gaussian model and an integral of eta over the acceptance intervals of
-any 1-d scorer on the Holder model.  That covers every committed study.
+any 1-d scorer on the Holder model.  The population curve
+(``population_confusion_of_model``) is its true-eta case, because the
+Bayes rule thresholds eta itself.  In "closed-form" mode the classifier's
+utility is exact too.  That covers every committed study.
 The one rule it cannot integrate, a kernel scorer on the Gaussian model,
 needs "monte-carlo" mode: an average over sampled feature points with
 labels integrated out analytically (each point contributes its exact
@@ -25,6 +26,7 @@ variance).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -174,7 +176,6 @@ def train_plugin(
         "split_attempts": attempt,
         "search": {
             "iterations": result.iterations,
-            "evaluations": len(result.h_trace),
             "tolerance": config.resolve_tolerance(threshold_half.n),
             "final_h": result.h_trace[-1][1] if result.h_trace else None,
         },
@@ -183,8 +184,9 @@ def train_plugin(
 
 
 def population_confusion_of_model(model: GaussianModel | HolderModel):
-    """The model's exact threshold -> confusion curve, as a callable."""
-    return model.population_confusion
+    """The population curve: threshold(s) -> exact confusion of thresholding
+    eta itself, ``model.classifier_confusion`` of the true-eta scorer."""
+    return functools.partial(model.classifier_confusion, TrueEtaScorer(model))
 
 
 @dataclass(frozen=True)
@@ -231,15 +233,16 @@ def _monte_carlo_confusion(
 def population_optimum(
     metric: MetricSpec, model: GaussianModel | HolderModel
 ) -> tuple[float, float]:
-    """``(delta_star, u_star)``: the fixed point of the model's exact
-    confusion curve and the population utility there.
+    """``(delta_star, u_star)``: the fixed point of the population curve
+    and the population utility there.
 
     Raises :class:`NonKarmicPointError` where the Karmic sensitivity at that
     confusion is not positive: the root of H is then a minimum, not the
     optimum.
     """
-    delta_star = fixed_point_threshold(metric, model.population_confusion, _FIXED_POINT_TOL)
-    confusion = model.population_confusion(delta_star)
+    curve = population_confusion_of_model(model)
+    delta_star = fixed_point_threshold(metric, curve, _FIXED_POINT_TOL)
+    confusion = curve(delta_star)
     u_star = metric_value(metric, confusion)
     _, sensitivity, _ = karmic_parts(metric, confusion)
     if not sensitivity > 0.0:

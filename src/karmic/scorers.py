@@ -13,7 +13,7 @@ For exact population evaluation a scorer describes its decision rule
 ``halfspace`` gives an affine rule ``sigmoid(w.x + b)`` (constant, logistic,
 true eta of the Gaussian model), and ``acceptance_intervals`` gives the
 acceptance set of a 1-d scorer on [0, 1] as sorted disjoint intervals
-(every scorer on 1-d data).
+(every scorer on 1-d data; a zero-width interval is an empty piece).
 
 ``expit`` and ``logit`` come from :mod:`karmic.synth`, which loads
 ``scipy.special`` the first time one is called.  A logistic fit or score
@@ -88,7 +88,8 @@ class Scorer:
         )
 
     def acceptance_intervals(self, delta: float) -> np.ndarray:
-        """``{x in [0, 1] : score(x) > delta}`` as sorted disjoint ``(k, 2)`` rows."""
+        """``{x in [0, 1] : score(x) > delta}`` as sorted disjoint ``(k, 2)``
+        rows ``(a, b)`` with ``a <= b``; a zero-width row is an empty piece."""
         raise ModeUnsupportedError(
             f"closed-form evaluation on [0, 1] needs the acceptance intervals of a "
             f"1-d score rule; {type(self).__name__} (dimension {self.dim}) has none"
@@ -142,9 +143,8 @@ class TrueEtaScorer(Scorer):
     def halfspace(self, dim: int) -> tuple[np.ndarray, float]:
         return self.model.halfspace(dim)
 
-    def acceptance_intervals(self, delta: float) -> np.ndarray:
-        pieces = self.model.superlevel_intervals(delta)
-        return pieces[pieces[:, 1] > pieces[:, 0]]  # drop the zero-width rows
+    def acceptance_intervals(self, deltas) -> np.ndarray:
+        return self.model.superlevel_intervals(deltas)
 
 
 class LogisticScorer(Scorer):

@@ -15,12 +15,13 @@ Two families:
   also exact.
 
 Each model class holds everything model-specific: ``sample(n, seed)``,
-``eta(X)``, ``draw_features(rng, k)`` for Monte-Carlo evaluation,
-``classifier_confusion(scorer, delta)`` for the exact population confusion
-of a score rule, and ``population_confusion(deltas)``, the same computation
-on eta's own rule for many thresholds at once.  The Gaussian rule is a
-half-space (``halfspace``), whose mass is a normal tail; the Holder rule is
-a set of intervals of [0, 1] (``acceptance_intervals`` of a 1-d scorer,
+``eta(X)``, ``draw_features(rng, k)`` for Monte-Carlo evaluation, and
+``classifier_confusion(scorer, deltas)``, its one exact evaluator: the
+population confusion of a score rule at one threshold or a batch of them.
+The population curve is its true-eta case (``TrueEtaScorer``), since the
+Bayes rule thresholds eta itself.  The Gaussian rule is a half-space
+(``halfspace``), whose mass is a normal tail; the Holder rule is a set of
+intervals of [0, 1] (``acceptance_intervals`` of a 1-d scorer,
 ``superlevel_intervals`` of the model), which one integrator integrates.
 The free names ``sample_gaussian`` and ``sample_holder`` are the
 ``sample`` methods, called with the model as first argument.
@@ -45,19 +46,13 @@ from itertools import chain
 import numpy as np
 
 from .confusion import Dataset
-from .errors import (
-    BoundaryThresholdError,
-    DegenerateDistributionError,
-    DimensionMismatchError,
-    ModeUnsupportedError,
-)
+from .errors import DimensionMismatchError, ModeUnsupportedError
 
 __all__ = [
     "GaussianModel",
     "HolderModel",
     "sample_gaussian",
     "sample_holder",
-    "gaussian_halfspace_confusion",
     "model_from_dict",
 ]
 
@@ -92,8 +87,8 @@ def ndtr(z):
 class GaussianModel:
     """Two spherical Gaussian classes at ``+mu/2`` and ``-mu/2``.
 
-    ``kappa`` is the positive-class prior.  ``mu`` may be zero (pure-noise
-    labels), but the closed-form confusion requires ``|mu| > 0``.
+    ``kappa`` is the positive-class prior.  ``mu`` may be zero: eta is then
+    the constant ``kappa`` (pure-noise labels).
     """
 
     mu: np.ndarray
@@ -111,11 +106,6 @@ class GaussianModel:
     @property
     def dim(self) -> int:
         return int(self.mu.size)
-
-    @property
-    def margin_norm(self) -> float:
-        """Euclidean separation ``|mu|`` between the class means."""
-        return float(np.linalg.norm(self.mu))
 
     def to_dict(self) -> dict:
         return {"model": "gaussian", "mu": [float(v) for v in self.mu], "kappa": self.kappa}
@@ -153,20 +143,6 @@ class GaussianModel:
         X += np.where(comp, 0.5, -0.5)[:, None] * self.mu[None, :]
         return X
 
-    def population_confusion(self, deltas) -> np.ndarray:
-        """Exact population confusion of thresholding the true eta at each delta.
-
-        eta is the affine rule :meth:`halfspace`, so this is
-        :func:`gaussian_halfspace_confusion` at the true ``(mu, logit(kappa))``:
-        shape ``deltas.shape + (4,)``, every delta strictly inside (0, 1).
-        """
-        deltas = _open_unit_thresholds(deltas)
-        if self.margin_norm == 0.0:
-            raise DegenerateDistributionError(
-                "closed-form confusion needs separated class means (|mu| > 0)"
-            )
-        return gaussian_halfspace_confusion(self, *self.halfspace(self.dim), deltas)
-
     def halfspace(self, dim: int) -> tuple[np.ndarray, float]:
         """``(mu, logit(kappa))``: eta is ``sigmoid(mu.x + logit(kappa))``."""
         return self.mu, float(logit(self.kappa))
@@ -175,14 +151,37 @@ class GaussianModel:
         """Raises ``ModeUnsupportedError``: eta lives on R^d, not on [0, 1]."""
         raise ModeUnsupportedError("the Gaussian eta has no acceptance intervals on [0, 1]")
 
-    def classifier_confusion(self, scorer, delta: float) -> np.ndarray:
-        """Exact population confusion of ``predict +1 iff scorer(x) > delta``.
+    def classifier_confusion(self, scorer, deltas) -> np.ndarray:
+        """Exact population confusion of ``predict +1 iff scorer(x) > delta``
+        at each delta in [0, 1]: ``(TP, FP, FN, TN)`` rows of shape
+        ``deltas.shape + (4,)``.
 
-        The scorer's ``halfspace`` gives its affine rule ``sigmoid(w.x + b)``;
-        a scorer without one raises ``ModeUnsupportedError``.
+        The scorer's ``halfspace`` gives its affine rule ``sigmoid(w.x + b)``
+        (a scorer without one raises ``ModeUnsupportedError``), so the rule
+        is the half-space ``w.x > logit(delta) - b``; within class y the
+        projection ``w.x`` is ``N(y w.mu / 2, |w|^2)``, so each entry is a
+        normal tail.  A near-zero ``w`` is the constant rule ``logit(delta) <
+        b``, so ``b = logit(p)`` predicts +1 iff ``p > delta``.
         """
         w, b = scorer.halfspace(self.dim)
-        return gaussian_halfspace_confusion(self, w, b, delta)
+        deltas = np.asarray(deltas, dtype=float)
+        if not ((deltas >= 0.0) & (deltas <= 1.0)).all():
+            raise ValueError("delta must lie in [0, 1]")
+        if np.shape(w) != (self.dim,):
+            raise DimensionMismatchError(
+                f"weight dimension {np.shape(w)} does not match model dimension {self.dim}"
+            )
+        kappa = self.kappa
+        norm = float(np.linalg.norm(w))
+        if norm < 1e-12:
+            rate_pos = rate_neg = np.where(logit(deltas) < b, 1.0, 0.0)
+        else:
+            cut = logit(deltas) - b
+            shift = 0.5 * float(w @ self.mu)
+            rate_pos = ndtr((shift - cut) / norm)
+            rate_neg = ndtr((-shift - cut) / norm)
+        return np.stack([kappa * rate_pos, (1 - kappa) * rate_neg,
+                         kappa * (1 - rate_pos), (1 - kappa) * (1 - rate_neg)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -222,15 +221,6 @@ class HolderModel:
         """k uniform feature rows."""
         return rng.random((k, 1))
 
-    def population_confusion(self, deltas) -> np.ndarray:
-        """Exact population confusion of thresholding eta at each delta.
-
-        It is :meth:`classifier_confusion` of eta itself: eta integrated over
-        its own :meth:`superlevel_intervals`.  Shape ``deltas.shape + (4,)``;
-        every delta must lie strictly inside (0, 1).
-        """
-        return self._integrate(self.superlevel_intervals(_open_unit_thresholds(deltas)))
-
     def halfspace(self, dim: int) -> tuple[np.ndarray, float]:
         """Raises ``ModeUnsupportedError``: eta is not an affine score rule."""
         raise ModeUnsupportedError("the Holder eta is not an affine score rule")
@@ -257,10 +247,12 @@ class HolderModel:
         np.minimum(x_lo + 1.0, 1.0, out=pieces[..., 1, 0])
         return pieces
 
-    def classifier_confusion(self, scorer, delta: float) -> np.ndarray:
+    def classifier_confusion(self, scorer, deltas) -> np.ndarray:
         """Exact population confusion of ``predict +1 iff scorer(x) > delta``:
         eta integrated over the scorer's ``acceptance_intervals``, the set
-        ``{x : score(x) > delta}`` as intervals of [0, 1].
+        ``{x : score(x) > delta}`` as intervals of [0, 1].  Shape
+        ``deltas.shape + (4,)`` for a scorer whose intervals are batched
+        (the true eta's are); the others take one delta.
 
         A scorer without intervals raises ``ModeUnsupportedError``.
         """
@@ -268,7 +260,7 @@ class HolderModel:
             raise DimensionMismatchError(
                 f"the Holder model is 1-d; the scorer expects dimension {scorer.dim}"
             )
-        return self._integrate(scorer.acceptance_intervals(delta))
+        return self._integrate(scorer.acceptance_intervals(deltas))
 
     def _integrate(self, pieces: np.ndarray) -> np.ndarray:
         """``(TP, FP, FN, TN)`` of predicting +1 on the ``(..., k, 2)`` interval
@@ -341,46 +333,3 @@ sample_holder = HolderModel.sample
 def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     label_seq, feature_seq = np.random.SeedSequence(int(seed)).spawn(2)
     return np.random.default_rng(label_seq), np.random.default_rng(feature_seq)
-
-
-def _open_unit_thresholds(deltas) -> np.ndarray:
-    """``deltas`` as a float array, each strictly inside (0, 1): a threshold at
-    0 or 1 raises ``BoundaryThresholdError``, any other outside ``ValueError``."""
-    deltas = np.asarray(deltas, dtype=float)
-    if not ((deltas > 0.0) & (deltas < 1.0)).all():
-        if ((deltas == 0.0) | (deltas == 1.0)).any():
-            raise BoundaryThresholdError("population confusion needs delta in (0, 1)")
-        raise ValueError("delta must lie in (0, 1)")
-    return deltas
-
-
-def gaussian_halfspace_confusion(
-    model: GaussianModel, w: np.ndarray, b: float, deltas
-) -> np.ndarray:
-    """Population confusion of ``predict +1 iff sigmoid(w.x + b) > delta``.
-
-    The rule is the half-space ``w.x > logit(delta) - b``; within class y
-    the projection ``w.x`` is ``N(y w.mu / 2, |w|^2)``, so each entry is a
-    normal tail.  A near-zero ``w`` is the constant rule ``logit(delta) <
-    b``, so ``b = logit(p)`` predicts +1 iff ``p > delta``.  Returns
-    ``(TP, FP, FN, TN)`` rows of shape ``deltas.shape + (4,)``.
-    """
-    deltas = np.asarray(deltas, dtype=float)
-    if not ((deltas >= 0.0) & (deltas <= 1.0)).all():
-        raise ValueError("delta must lie in [0, 1]")
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    if w.shape != (model.dim,):
-        raise DimensionMismatchError(
-            f"weight dimension {w.shape} does not match model dimension {model.dim}"
-        )
-    kappa = model.kappa
-    norm = float(np.linalg.norm(w))
-    if norm < 1e-12:
-        rate_pos = rate_neg = np.where(logit(deltas) < b, 1.0, 0.0)
-    else:
-        cut = logit(deltas) - b
-        shift = 0.5 * float(w @ model.mu)
-        rate_pos = ndtr((shift - cut) / norm)
-        rate_neg = ndtr((-shift - cut) / norm)
-    return np.stack([kappa * rate_pos, (1 - kappa) * rate_neg,
-                     kappa * (1 - rate_pos), (1 - kappa) * (1 - rate_neg)], axis=-1)

@@ -152,10 +152,10 @@ def binary_search_threshold(
     return ThresholdResult(0.5 * (lo + hi), tuple(trace))
 
 
-def fixed_point_threshold(metric: MetricSpec, population_confusion, tol: float) -> float:
+def fixed_point_threshold(metric: MetricSpec, curve, tol: float) -> float:
     """Root of the population H on (tol, 1 - tol) by bisection.
 
-    ``population_confusion`` maps a threshold to its length-4 confusion
+    ``curve`` maps a threshold to its length-4 population confusion
     vector.  Where the sensitivity S is positive the root is the fixed
     point delta = N/S.  Raises :class:`NoSignChangeError` when H has
     constant sign on the bracket, :class:`MetricDomainError` where the
@@ -166,7 +166,7 @@ def fixed_point_threshold(metric: MetricSpec, population_confusion, tol: float) 
     lo, hi = tol, 1.0 - tol
 
     def h(delta: float) -> float:
-        value = _h(metric, population_confusion(delta), delta)
+        value = _h(metric, curve(delta), delta)
         if value is None:
             raise MetricDomainError(
                 f"{metric.name}: gradient undefined at the population confusion "

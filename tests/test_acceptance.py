@@ -6,7 +6,7 @@ tolerance and runtime budget.
 
 Criterion 5 (bisection is as good as the exhaustive grid oracle) judges
 both thresholds by the exact population F1 of the fitted logistic scorer
-(``gaussian_halfspace_confusion``), because the paper's guarantee for the
+(``GaussianModel.classifier_confusion``), because the paper's guarantee for the
 plug-in classifier is about population utility.  Bisection finds the
 zero of the calibrated ascent functional H, not the argmax of the jagged
 in-sample F1 curve; at n = 10^4 the grid overfits that curve by ~1e-3,
@@ -39,7 +39,6 @@ from karmic import (
     fit_logistic_mle,
     fit_loglog_slope,
     fixed_point_threshold,
-    gaussian_halfspace_confusion,
     grid_search_threshold,
     karmic_parts,
     metric_gradient,
@@ -50,6 +49,7 @@ from karmic import (
     sample_gaussian,
 )
 from karmic.metrics import metric_values_masked
+from karmic.pipeline import population_confusion_of_model
 
 from helpers import (
     central_difference_gradient,
@@ -84,9 +84,7 @@ def build_search_comparison_csv() -> tuple[str, np.ndarray, np.ndarray]:
     spec = parse_metric(F1)
 
     def population_f1(scorer, delta: float) -> float:
-        return metric_value(
-            spec, gaussian_halfspace_confusion(REF_MODEL, scorer.weights, scorer.intercept, delta)
-        )
+        return metric_value(spec, REF_MODEL.classifier_confusion(scorer, delta))
 
     lines = ["seed,u_bisection,u_grid,gap,pop_bisection,pop_grid,pop_gap"]
     gaps, pop_gaps = [], []
@@ -173,7 +171,7 @@ def test_criterion_01_gradient_suite() -> None:
 
 def test_criterion_02_fixed_point_thresholds() -> None:
     start = time.perf_counter()
-    curve = REF_MODEL.population_confusion
+    curve = population_confusion_of_model(REF_MODEL)
 
     acc = fixed_point_threshold(parse_metric("accuracy"), curve, 1e-10)
     assert abs(acc - 0.5) <= 1e-8, f"accuracy threshold {acc!r} is not 0.5 +- 1e-8"
@@ -182,7 +180,7 @@ def test_criterion_02_fixed_point_thresholds() -> None:
     for kappa in (0.2, 0.3, 0.5):
         model = GaussianModel(np.array([2.0, 0.0]), kappa)
         root = fixed_point_threshold(
-            parse_metric("am"), model.population_confusion, 1e-10
+            parse_metric("am"), population_confusion_of_model(model), 1e-10
         )
         am_errs.append(abs(root - kappa))
         assert abs(root - kappa) <= 1e-6, f"am threshold {root!r} vs prior {kappa}"
@@ -190,7 +188,7 @@ def test_criterion_02_fixed_point_thresholds() -> None:
     spec = parse_metric(F1)
     f1_star = fixed_point_threshold(spec, curve, 1e-10)
     deltas = np.linspace(1e-3, 1.0 - 1e-3, 100_000)
-    values, valid = metric_values_masked(spec, REF_MODEL.population_confusion(deltas))
+    values, valid = metric_values_masked(spec, curve(deltas))
     assert valid.all()
     f1_grid = float(deltas[int(np.argmax(values))])
     f1_gap = abs(f1_star - f1_grid)
@@ -208,7 +206,7 @@ def test_criterion_02_fixed_point_thresholds() -> None:
 def test_criterion_03_single_sign_change() -> None:
     start = time.perf_counter()
     deltas = np.linspace(1e-3, 1.0 - 1e-3, 10_000)
-    curve = REF_MODEL.population_confusion(deltas)
+    curve = population_confusion_of_model(REF_MODEL)(deltas)
     changes = {}
     for spec in registered_metrics():
         numerator, sensitivity, valid = karmic_parts(spec, curve)
@@ -274,9 +272,9 @@ def test_criterion_05_search_oracle_equivalence(search_comparison) -> None:
 def test_criterion_06_sandwich_inequality() -> None:
     start = time.perf_counter()
     spec = parse_metric(F1)
-    m = REF_MODEL.margin_norm  # 2.0: score margin z ~ N(+-m^2/2, m^2)
+    m = np.linalg.norm(REF_MODEL.mu)  # 2.0: score margin z ~ N(+-m^2/2, m^2)
     kappa = REF_MODEL.kappa
-    curve = REF_MODEL.population_confusion
+    curve = population_confusion_of_model(REF_MODEL)
     delta_star = fixed_point_threshold(spec, curve, 1e-10)
     c_star = curve(delta_star)
     u_star = metric_value(spec, c_star)
@@ -350,7 +348,7 @@ def test_criterion_07_margin_exponent() -> None:
     data = sample_gaussian(REF_MODEL, 100_000, seed=707)
     eta = np.asarray(REF_MODEL.eta(data.features))
     delta_star = fixed_point_threshold(
-        parse_metric(F1), REF_MODEL.population_confusion, 1e-10
+        parse_metric(F1), population_confusion_of_model(REF_MODEL), 1e-10
     )
     t_grid = np.geomspace(0.005, 0.3, 25)
     alpha = margin_exponent_estimate(eta, delta_star, t_grid)

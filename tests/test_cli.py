@@ -154,6 +154,28 @@ class TestTrainEvaluate:
         assert (code, report) == (1, None)
         assert json.loads(err)["error"] == "non-karmic-point"
 
+    def test_constant_score_that_is_not_a_number_names_the_key(self, gaussian_csv,
+                                                                capsys) -> None:
+        code, payload, err = run_cli(
+            capsys, "train", "--metric", "fbeta:1", "--data", gaussian_csv,
+            "--estimator", "constant:abc",
+        )
+        assert (code, payload) == (1, None)
+        assert json.loads(err) == {"error": "invalid-argument",
+                                   "message": "config key 'estimator' must be a number, got 'abc'"}
+
+    def test_zero_margin_model_is_evaluated(self, tmp_path, capsys) -> None:
+        # eta is the constant kappa, so the F1 optimum predicts +1 everywhere
+        clf_path = tmp_path / "clf.json"
+        clf_path.write_text(json.dumps(LOGISTIC_CLASSIFIER), encoding="utf-8")
+        code, report, err = run_cli(
+            capsys, "evaluate", "--classifier", str(clf_path), "--metric", "fbeta:1",
+            "--model", "gaussian", "--mu", "0,0", "--kappa", "0.3",
+        )
+        assert code == 0, err
+        assert abs(report["delta_star"] - 0.3 / 1.3) <= 1e-12
+        assert report["u_star"] == pytest.approx(0.6 / 1.3, rel=1e-15)
+
     def test_kernel_train_writes_one_json(self, tmp_path, capsys) -> None:
         data_path = str(tmp_path / "h.csv")
         run_cli(capsys, "gen", "--model", "holder", "--n", "600", "--seed", "2",
@@ -694,3 +716,12 @@ def test_readme_errors_list_every_code() -> None:
     section = readme.split("\n## Errors\n", 1)[1].split("\n## ", 1)[0]
     listed = re.findall(r"^- `([a-z-]+)`", section, flags=re.MULTILINE)
     assert sorted(listed) == sorted(cls.code for cls in KarmicError.__subclasses__())
+
+
+def test_readme_model_bullets_name_attributes_of_both_models() -> None:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Synthetic models\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `model\.(\w+)", section, flags=re.MULTILINE)
+    assert "classifier_confusion" in listed
+    for model in (GaussianModel(np.array([1.0]), 0.5), HolderModel("sine")):
+        assert [name for name in listed if not hasattr(model, name)] == []

@@ -205,6 +205,11 @@ class TestConfigText:
         with pytest.raises(ValueError, match=f"config key '{key}' must be a number"):
             ExperimentConfig.from_mapping(raw)
 
+    def test_constant_score_that_is_not_a_number_names_the_key(self) -> None:
+        raw = {**parse_config_text(self.GAUSSIAN_TEXT), "estimator": "constant:abc"}
+        with pytest.raises(ValueError, match="config key 'estimator' must be a number, got 'abc'"):
+            ExperimentConfig.from_mapping(raw)
+
     def test_from_file(self, tmp_path) -> None:
         path = tmp_path / "exp.cfg"
         path.write_text(self.GAUSSIAN_TEXT, encoding="utf-8")

@@ -1,8 +1,16 @@
-"""Synthetic models: samplers, closed-form confusion curves, margin mass."""
+"""Synthetic models: samplers, closed-form confusion curves, margin mass.
+
+``tests/data/population_curve_v1.npz`` holds the population curve of four
+models on a 99-point grid, as computed at a commit known to be right; the
+curve must reproduce it bit for bit.  Regenerate only from such a commit:
+
+    PYTHONPATH=src python tests/test_synth.py
+"""
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,26 +19,36 @@ from scipy.optimize import brentq
 from scipy.special import expit, logit, ndtr
 
 from karmic import (
-    BoundaryThresholdError,
-    DegenerateDistributionError,
+    ConstantScorer,
     DimensionMismatchError,
     GaussianModel,
     HolderModel,
+    LogisticScorer,
     ScoreProfile,
     TrueEtaScorer,
+    fit_logistic_mle,
+    parse_metric,
+    population_optimum,
     sample_gaussian,
     sample_holder,
-    gaussian_halfspace_confusion,
 )
+from karmic.pipeline import population_confusion_of_model
 
 from helpers import margin_exponent_estimate
+
+GOLDEN_CURVE = Path(__file__).parent / "data" / "population_curve_v1.npz"
+CURVE_MODELS = {
+    "ref": GaussianModel(np.array([2.0, 0.0]), 0.5),
+    "gauss": GaussianModel([1.2, -0.7], 0.3),
+    "sine": HolderModel("sine"),
+    "flat": HolderModel("flat"),
+}
 
 
 class TestModels:
     def test_gaussian_fields(self) -> None:
         m = GaussianModel(np.array([3.0, 4.0]), 0.25)
         assert m.dim == 2
-        assert m.margin_norm == pytest.approx(5.0)
         assert m.to_dict() == {"model": "gaussian", "mu": [3.0, 4.0], "kappa": 0.25}
 
     def test_gaussian_scalar_mu_promoted(self) -> None:
@@ -140,48 +158,51 @@ class TestGaussianConfusion:
     def test_reference_value(self) -> None:
         # kappa=1/2, |mu|=2, delta=1/2: TP = Phi(1)/2.
         m = GaussianModel(np.array([2.0, 0.0]), 0.5)
-        c = m.population_confusion(0.5)
+        c = population_confusion_of_model(m)(0.5)
         assert c[0] == pytest.approx(0.5 * ndtr(1.0), abs=1e-14)
         assert c[3] == pytest.approx(0.5 * ndtr(1.0), abs=1e-14)
         assert c.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_balanced_symmetry(self) -> None:
-        m = GaussianModel(np.array([1.3]), 0.5)
+        curve = population_confusion_of_model(GaussianModel(np.array([1.3]), 0.5))
         for delta in [0.1, 0.27, 0.44]:
-            a = m.population_confusion(delta)
-            b = m.population_confusion(1.0 - delta)
+            a = curve(delta)
+            b = curve(1.0 - delta)
             np.testing.assert_allclose(a, b[::-1], atol=1e-14)
 
     def test_class_mass_is_threshold_invariant(self) -> None:
         m = GaussianModel(np.array([0.8, 0.4]), 0.35)
         for delta in np.linspace(0.05, 0.95, 7):
-            tp, fp, fn, tn = m.population_confusion(float(delta))
+            tp, fp, fn, tn = population_confusion_of_model(m)(float(delta))
             assert tp + fn == pytest.approx(0.35, abs=1e-12)
             assert fp + tn == pytest.approx(0.65, abs=1e-12)
 
     def test_monotone_in_delta(self) -> None:
         m = GaussianModel(np.array([1.0]), 0.5)
         deltas = np.linspace(0.01, 0.99, 60)
-        curve = m.population_confusion(deltas)
+        curve = population_confusion_of_model(m)(deltas)
         tp, tn = curve[:, 0], curve[:, 3]
         assert (np.diff(tp) <= 1e-12).all()
         assert (np.diff(tn) >= -1e-12).all()
 
-    def test_zero_margin_rejected(self) -> None:
-        m = GaussianModel(np.array([0.0]), 0.5)
-        with pytest.raises(DegenerateDistributionError):
-            m.population_confusion(0.5)
+    @pytest.mark.parametrize("kappa", [0.3, 0.5])
+    def test_zero_margin_optimum_predicts_all_positive(self, kappa: float) -> None:
+        # eta is the constant kappa: the F1 optimum predicts +1 everywhere
+        delta_star, u_star = population_optimum(parse_metric("fbeta:1"),
+                                                GaussianModel([0.0], kappa))
+        assert abs(delta_star - kappa / (1 + kappa)) <= 1e-12
+        assert u_star == pytest.approx(2 * kappa / (1 + kappa), rel=1e-15)
 
     def test_monte_carlo_agreement(self, rng) -> None:
         for _ in range(6):
             kappa = float(rng.uniform(0.2, 0.8))
             m = GaussianModel(rng.uniform(-1.5, 1.5, size=2), kappa)
-            if m.margin_norm < 0.2:
+            if np.linalg.norm(m.mu) < 0.2:
                 m = GaussianModel(np.array([1.0, 0.0]), kappa)
             delta = float(rng.uniform(0.1, 0.9))
             data = sample_gaussian(m, 200_000, seed=int(rng.integers(1 << 31)))
             mc = ScoreProfile.from_scorer(TrueEtaScorer(m), data).confusion(delta)
-            exact = m.population_confusion(delta)
+            exact = population_confusion_of_model(m)(delta)
             np.testing.assert_allclose(mc, exact, atol=5e-3)
 
 
@@ -193,43 +214,59 @@ class TestGaussianConfusion:
 class TestPopulationCurve:
     def test_curve_matches_scalar_calls(self, m) -> None:
         deltas = np.array([[0.2, 0.5, 0.9], [0.01, 0.33, 0.99]])
-        curve = m.population_confusion(deltas)
-        assert curve.shape == (2, 3, 4)
-        for row, delta in zip(curve.reshape(-1, 4), deltas.ravel()):
+        curve = population_confusion_of_model(m)
+        batch = curve(deltas)
+        assert batch.shape == (2, 3, 4)
+        for row, delta in zip(batch.reshape(-1, 4), deltas.ravel()):
             # bitwise: the scalar and the vectorized calls share one arithmetic
-            np.testing.assert_array_equal(row, m.population_confusion(float(delta)))
+            np.testing.assert_array_equal(row, curve(float(delta)))
 
     @pytest.mark.parametrize("delta", [0.0, 1.0])
-    def test_boundary_thresholds_rejected(self, m, delta: float) -> None:
-        with pytest.raises(BoundaryThresholdError):
-            m.population_confusion(delta)
-        with pytest.raises(BoundaryThresholdError):
-            m.population_confusion([0.5, delta])
+    def test_boundary_thresholds_predict_constantly(self, m, delta: float) -> None:
+        # every x passes eta > 0 and none passes eta > 1
+        tp, fp, fn, tn = population_confusion_of_model(m)(delta)
+        assert ((fn, tn) if delta == 0.0 else (tp, fp)) == (0.0, 0.0)
 
-    def test_curve_is_the_true_eta_classifier(self, m) -> None:
-        # bitwise: thresholding eta is the classifier rule of its own scorer
-        for delta in [0.02, 0.2, 0.3, 0.5, 0.7, 0.97]:
-            np.testing.assert_array_equal(m.population_confusion(delta),
-                                          m.classifier_confusion(TrueEtaScorer(m), delta))
+
+@pytest.mark.parametrize("name", sorted(CURVE_MODELS))
+def test_curve_bits_unchanged(name: str) -> None:
+    with np.load(GOLDEN_CURVE) as golden:
+        grid, want = golden["grid"], golden[name]
+    curve = population_confusion_of_model(CURVE_MODELS[name])
+    bits = want.view(np.uint64)
+    np.testing.assert_array_equal(curve(grid).view(np.uint64), bits)
+    np.testing.assert_array_equal(
+        np.array([curve(float(d)) for d in grid]).view(np.uint64), bits)
 
 
 class TestHalfspaceConfusion:
     def test_matches_population_at_true_parameters(self) -> None:
         m = GaussianModel(np.array([1.2, -0.7]), 0.3)
+        scorer = LogisticScorer(m.mu, float(logit(0.3)))
         for delta in [0.15, 0.5, 0.85]:
-            via_halfspace = gaussian_halfspace_confusion(
-                m, m.mu, float(logit(0.3)), delta
-            )
-            direct = m.population_confusion(delta)
-            np.testing.assert_allclose(via_halfspace, direct, atol=1e-14)
+            np.testing.assert_allclose(m.classifier_confusion(scorer, delta),
+                                       population_confusion_of_model(m)(delta), atol=1e-14)
 
     def test_zero_weights_predict_constantly(self) -> None:
         m = GaussianModel(np.array([1.0]), 0.4)
-        w = np.array([0.0])
-        all_pos = gaussian_halfspace_confusion(m, w, 0.0, 0.4)  # sigmoid(0)=0.5 > 0.4
+        scorer = LogisticScorer([0.0], 0.0)
+        all_pos = m.classifier_confusion(scorer, 0.4)  # sigmoid(0)=0.5 > 0.4
         np.testing.assert_allclose(all_pos, [0.4, 0.6, 0.0, 0.0], atol=1e-15)
-        all_neg = gaussian_halfspace_confusion(m, w, 0.0, 0.5)  # tie goes negative
+        all_neg = m.classifier_confusion(scorer, 0.5)  # tie goes negative
         np.testing.assert_allclose(all_neg, [0.0, 0.0, 0.4, 0.6], atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["logistic", "constant"])
+    def test_batch_equals_scalar_calls(self, kind: str) -> None:
+        m = GaussianModel(np.array([1.2, -0.7]), 0.3)
+        if kind == "logistic":
+            scorer, _ = fit_logistic_mle(sample_gaussian(m, 500, seed=2))
+        else:
+            scorer = ConstantScorer(0.3)
+        deltas = np.array([[0.05, 0.3, 0.5], [0.61, 0.9, 0.999]])
+        batch = m.classifier_confusion(scorer, deltas)
+        assert batch.shape == (2, 3, 4)
+        for row, delta in zip(batch.reshape(-1, 4), deltas.ravel()):
+            np.testing.assert_array_equal(row, m.classifier_confusion(scorer, float(delta)))
 
 
 class TestHolderConfusion:
@@ -261,26 +298,26 @@ class TestHolderConfusion:
 
     @pytest.mark.parametrize("delta", [0.08, 0.3, 0.492, 0.61, 0.9])
     def test_sine_matches_quadrature(self, delta: float) -> None:
-        got = HolderModel("sine").population_confusion(delta)
+        got = population_confusion_of_model(HolderModel("sine"))(delta)
         np.testing.assert_allclose(got, self.quadrature_oracle(delta), atol=1e-9)
 
     def test_sine_level_above_amplitude(self) -> None:
-        c = HolderModel("sine").population_confusion(0.97)
+        c = population_confusion_of_model(HolderModel("sine"))(0.97)
         np.testing.assert_allclose(c, [0.0, 0.0, 0.5, 0.5], atol=1e-12)
-        c = HolderModel("sine").population_confusion(0.02)
+        c = population_confusion_of_model(HolderModel("sine"))(0.02)
         np.testing.assert_allclose(c, [0.5, 0.5, 0.0, 0.0], atol=1e-12)
 
     def test_flat_steps_at_half_with_strict_rule(self) -> None:
         m = HolderModel("flat")
-        below = m.population_confusion(0.49)
+        below = population_confusion_of_model(m)(0.49)
         np.testing.assert_allclose(below, [0.5, 0.5, 0.0, 0.0], atol=1e-15)
-        at = m.population_confusion(0.5)
+        at = population_confusion_of_model(m)(0.5)
         np.testing.assert_allclose(at, [0.0, 0.0, 0.5, 0.5], atol=1e-15)
 
     def test_rows_always_on_simplex(self) -> None:
         m = HolderModel("sine")
         for delta in np.linspace(0.01, 0.99, 33):
-            arr = m.population_confusion(float(delta))
+            arr = population_confusion_of_model(m)(float(delta))
             assert arr.shape == (4,)
             assert (arr >= -1e-12).all()
             assert arr.sum() == pytest.approx(1.0, abs=1e-12)
@@ -297,7 +334,7 @@ class TestHolderConfusion:
 
         for delta in [0.2, 0.55, 0.8]:
             mc = ScoreProfile.from_scorer(CurveScorer(), data).confusion(delta)
-            exact = m.population_confusion(delta)
+            exact = population_confusion_of_model(m)(delta)
             np.testing.assert_allclose(mc, exact, atol=4e-3)
 
 
@@ -339,3 +376,10 @@ class TestMarginExponent:
         eta = np.full(20_000, 0.9)
         with pytest.raises(ValueError, match="carry mass near the threshold"):
             margin_exponent_estimate(eta, 0.5, np.linspace(0.01, 0.35, 12))
+
+
+if __name__ == "__main__":
+    grid = np.arange(1, 100) / 100.0
+    np.savez_compressed(GOLDEN_CURVE, grid=grid, **{
+        name: population_confusion_of_model(m)(grid) for name, m in CURVE_MODELS.items()})
+    print(f"wrote {GOLDEN_CURVE}")

@@ -24,7 +24,6 @@ from karmic import (
     brute_force_discrete,
     fit_logistic_mle,
     fixed_point_threshold,
-    gaussian_halfspace_confusion,
     grid_search_threshold,
     karmic_parts,
     metric_gradient,
@@ -33,6 +32,7 @@ from karmic import (
     registered_metrics,
     sample_gaussian,
 )
+from karmic.pipeline import population_confusion_of_model
 from karmic.thresholds import _h_with_nudges, default_tolerance
 
 from helpers import FixedScorer, random_interior_confusions
@@ -131,7 +131,8 @@ class TestHValue:
         # the same function scores a population curve: at the fixed point of
         # accuracy (delta = 1/2) H vanishes for any confusion vector.
         model = GaussianModel(np.array([2.0, 0.0]), 0.5)
-        assert ascent(parse_metric("accuracy"), model.population_confusion(0.5), 0.5) == 0.0
+        curve = population_confusion_of_model(model)
+        assert ascent(parse_metric("accuracy"), curve(0.5), 0.5) == 0.0
 
 
 class TestBinarySearch:
@@ -291,7 +292,7 @@ class TestFixedPoint:
     def test_accuracy_root_is_exactly_half(self) -> None:
         model = GaussianModel(np.array([2.0, 0.0]), 0.5)
         root = fixed_point_threshold(
-            parse_metric("accuracy"), model.population_confusion, 1e-10
+            parse_metric("accuracy"), population_confusion_of_model(model), 1e-10
         )
         assert root == 0.5
 
@@ -299,7 +300,7 @@ class TestFixedPoint:
     def test_prior_metric_root_is_the_prior(self, kappa: float) -> None:
         model = GaussianModel(np.array([1.5]), kappa)
         root = fixed_point_threshold(
-            parse_metric("am"), model.population_confusion, 1e-9
+            parse_metric("am"), population_confusion_of_model(model), 1e-9
         )
         assert root == pytest.approx(kappa, abs=1e-9)
 
@@ -309,7 +310,7 @@ class TestFixedPoint:
         with pytest.raises(NoSignChangeError):
             fixed_point_threshold(
                 parse_metric("linfrac:1,1,0,0/1,1,1,1"),
-                model.population_confusion,
+                population_confusion_of_model(model),
                 1e-8,
             )
 
@@ -457,10 +458,6 @@ class TestBisectionVersusGrid:
         assert u_grid >= u_bis - 1e-12
         assert u_grid - u_bis <= 5e-3
         # on the smooth population curve the two thresholds are as good
-        pop_bis = metric_value(
-            spec, gaussian_halfspace_confusion(model, scorer.weights, scorer.intercept, d_bis)
-        )
-        pop_grid = metric_value(
-            spec, gaussian_halfspace_confusion(model, scorer.weights, scorer.intercept, d_grid)
-        )
+        pop_bis = metric_value(spec, model.classifier_confusion(scorer, d_bis))
+        pop_grid = metric_value(spec, model.classifier_confusion(scorer, d_grid))
         assert abs(pop_bis - pop_grid) <= 5e-4
