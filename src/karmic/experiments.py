@@ -270,10 +270,8 @@ class RateTable:
         """Stable CSV image of the rows (wall time intentionally excluded)."""
         lines = [",".join(CSV_COLUMNS)]
         for row in self.rows:
-            lines.append(
-                f"{row.n},{row.seed},{row.regret!r},{row.delta_hat!r},"
-                f"{row.delta_star!r},{row.error or ''}"
-            )
+            lines.append(f"{row.n},{row.seed},{row.regret!r},{row.delta_hat!r},"
+                         f"{row.delta_star!r},{row.error or ''}")
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path: str) -> None:
@@ -358,16 +356,8 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateTable:
 
         chunk = max(1, len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(
-                    _run_row,
-                    repeat(cfg),
-                    repeat(optimum),
-                    [t[0] for t in tasks],
-                    [t[1] for t in tasks],
-                    chunksize=chunk,
-                )
-            )
+            rows = list(pool.map(_run_row, repeat(cfg), repeat(optimum), *zip(*tasks),
+                                 chunksize=chunk))
     else:
         rows = [_run_row(cfg, optimum, n, seed) for n, seed in tasks]
     return RateTable(rows, cfg)
@@ -394,8 +384,7 @@ def fit_loglog_slope(table: RateTable) -> tuple[float, float, float]:
         raise InsufficientPointsError(
             f"slope fit needs >= 3 usable sample sizes, got {len(points)}"
         )
-    x = np.array([p[0] for p in points])
-    y = np.array([p[1] for p in points])
+    x, y = (np.array(column) for column in zip(*points))
     slope, intercept = np.polyfit(x, y, 1)
     residuals = y - (slope * x + intercept)
     total = float(((y - y.mean()) ** 2).sum())

@@ -44,7 +44,7 @@ from .scorers import (
     scorer_from_dict,
     scorer_to_dict,
 )
-from .synth import GaussianModel, HolderModel, number_field, require_fields
+from .synth import GaussianModel, HolderModel, number_field, require_fields, unit_thresholds
 from .thresholds import ThresholdSearchConfig, binary_search_threshold, fixed_point_threshold
 
 __all__ = [
@@ -108,10 +108,8 @@ class PluginClassifier:
     is the whole classifier, a kernel scorer's training sample included."""
 
     def __init__(self, scorer: Scorer, delta: float, provenance: dict | None = None) -> None:
-        if not 0.0 <= delta <= 1.0:
-            raise ValueError("delta must lie in [0, 1]")
         self.scorer = scorer
-        self.delta = float(delta)
+        self.delta = float(unit_thresholds(delta))
         self.provenance = dict(provenance or {})
 
     def predict(self, X) -> np.ndarray:

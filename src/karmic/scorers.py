@@ -11,14 +11,14 @@ function of its training sample, so it carries that sample inline.
 For exact population evaluation a scorer describes its decision rule
 ``score(x) > delta`` in the form a synthetic model integrates:
 ``halfspace`` gives an affine rule ``sigmoid(w.x + b)`` (constant, logistic,
-true eta of the Gaussian model), and ``acceptance_intervals`` gives the
-acceptance set of a 1-d scorer on [0, 1] as sorted disjoint intervals
-(every scorer on 1-d data; a zero-width interval is an empty piece).
+true eta of the Gaussian model), and ``acceptance_intervals(deltas)`` gives
+the acceptance sets of a 1-d scorer on [0, 1] for a batch of thresholds, as
+one padded block of sorted intervals (a zero-width row is an empty piece).
 
 ``expit`` and ``logit`` come from :mod:`karmic.synth`, which loads
-``scipy.special`` the first time one is called.  A logistic fit or score
-and any closed-form evaluation on the Gaussian model load it; a kernel
-scorer, a constant and the Holder model's true eta on [0, 1] never do.
+``scipy.special`` the first time one is called: an affine scorer's fit,
+score or rule and any evaluation on the Gaussian model load it; a kernel
+scorer and the Holder model's true eta on [0, 1] never do.
 """
 
 from __future__ import annotations
@@ -87,13 +87,23 @@ class Scorer:
             f"closed-form evaluation needs an affine score rule; got {type(self).__name__}"
         )
 
-    def acceptance_intervals(self, delta: float) -> np.ndarray:
-        """``{x in [0, 1] : score(x) > delta}`` as sorted disjoint ``(k, 2)``
-        rows ``(a, b)`` with ``a <= b``; a zero-width row is an empty piece."""
-        raise ModeUnsupportedError(
-            f"closed-form evaluation on [0, 1] needs the acceptance intervals of a "
-            f"1-d score rule; {type(self).__name__} (dimension {self.dim}) has none"
-        )
+    def acceptance_intervals(self, deltas) -> np.ndarray:
+        """``{x in [0, 1] : score(x) > delta}`` for each delta: sorted ``(a, b)``
+        rows with ``a <= b`` in one block of shape ``deltas.shape + (k, 2)``,
+        where a zero-width row is an empty piece.  Here the half-line of the
+        affine rule ``halfspace(1)``, one row per delta; with ``w = 0``, all
+        or nothing as ``predict`` decides it, by the score against delta.
+        """
+        if self.dim not in (None, 1):
+            raise ModeUnsupportedError(
+                f"closed-form evaluation on [0, 1] needs the acceptance intervals of a 1-d "
+                f"score rule; {type(self).__name__} (dimension {self.dim}) has none")
+        (w,), intercept = self.halfspace(1)
+        deltas = np.asarray(deltas, dtype=float)
+        edge = (np.where(self.score(0.0) > deltas, 0.0, 1.0) if w == 0.0
+                else np.clip((logit(deltas) - intercept) / w, 0.0, 1.0))
+        ends = (edge, np.ones_like(edge)) if w >= 0.0 else (np.zeros_like(edge), edge)
+        return np.stack(ends, axis=-1)[..., None, :]
 
     def _check_matrix(self, X) -> np.ndarray:
         arr = np.asarray(X, dtype=float)
@@ -111,7 +121,6 @@ class ConstantScorer(Scorer):
     """Scores every point as the same probability."""
 
     p: float
-    dim = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
@@ -124,9 +133,6 @@ class ConstantScorer(Scorer):
 
     def halfspace(self, dim: int) -> tuple[np.ndarray, float]:
         return np.zeros(dim), float(logit(self.p))
-
-    def acceptance_intervals(self, delta: float) -> np.ndarray:
-        return _half_line(0.0, delta - self.p)
 
 
 class TrueEtaScorer(Scorer):
@@ -164,11 +170,6 @@ class LogisticScorer(Scorer):
 
     def halfspace(self, dim: int) -> tuple[np.ndarray, float]:
         return self.weights, self.intercept
-
-    def acceptance_intervals(self, delta: float) -> np.ndarray:
-        if self.dim != 1:
-            return super().acceptance_intervals(delta)
-        return _half_line(float(self.weights[0]), float(logit(delta)) - self.intercept)
 
 
 class KernelScorer(Scorer):
@@ -261,8 +262,8 @@ class KernelScorer(Scorer):
             num[start : start + block.shape[0]] = w @ pos
         return self._estimate(num, den)
 
-    def acceptance_intervals(self, delta: float) -> np.ndarray:
-        """The 1-d acceptance set, exactly.
+    def acceptance_intervals(self, deltas) -> np.ndarray:
+        """The 1-d acceptance sets, exactly, padded with ``(1, 1)`` rows.
 
         Between consecutive breakpoints ``x_i - h`` and ``x_i + h`` the window
         holds fixed points, so the weight sums ``num(q)`` and ``den(q)`` are
@@ -271,10 +272,12 @@ class KernelScorer(Scorer):
         score's side of delta cannot change; the score at each midpoint
         decides it, global-rate fallback and clipping included.  A piece no
         root cuts keeps the midpoint and window that gave its quadratics, so
-        the sums gathered there decide it; only cut pieces are rescored.
+        the sums gathered there decide it; only cut pieces are rescored.  All
+        but the roots of ``num - delta den`` and what they cut is built once.
         """
         if self.dim != 1:
-            return super().acceptance_intervals(delta)
+            return super().acceptance_intervals(deltas)
+        deltas = np.asarray(deltas, dtype=float)
         h = self.bandwidth
         breaks = np.concatenate([self._x - h, self._x + h])
         edges = np.unique(np.concatenate([[0.0, 1.0], breaks[(breaks > 0.0) & (breaks < 1.0)]]))
@@ -285,25 +288,27 @@ class KernelScorer(Scorer):
                                           for m in (self._moments, self._pos_moments))
         h2 = self.bandwidth**2
         den, num = (np.stack([-s0 / h2, 2.0 * s1 / h2, s0 - s2 / h2]) for s0, s1, s2 in (den, num))
-        floor = den - np.array([[0.0], [0.0], [_KERNEL_MIN_WEIGHT]])
-        roots = np.unique(np.concatenate([*_roots_inside(num - delta * den, left, right),
-                                          *_roots_inside(floor, left, right)]))
-        piece = np.searchsorted(edges, roots) - 1  # the one piece each root cuts
-        cuts = np.insert(edges, piece + 1, roots)
-        accepted = np.insert(self._estimate(num_mid, den_mid) > delta, piece + 1, False)
-        redo = np.isin(np.insert(np.arange(left.size), piece + 1, piece), piece)
-        accepted[redo] = self.scores(0.5 * (cuts[:-1] + cuts[1:])[redo]) > delta
-        change = np.diff(np.concatenate([[0], accepted.astype(np.int8), [0]]))
-        return np.column_stack([cuts[change == 1], cuts[change == -1]])
+        floor_roots = _roots_inside(den - np.array([[0.0], [0.0], [_KERNEL_MIN_WEIGHT]]),
+                                    left, right)
+        estimate = self._estimate(num_mid, den_mid)
+        pieces = np.arange(left.size)
 
+        def cut(delta: float) -> np.ndarray:
+            roots = np.unique(np.concatenate([*_roots_inside(num - delta * den, left, right),
+                                              *floor_roots]))
+            piece = np.searchsorted(edges, roots) - 1  # the one piece each root cuts
+            cuts = np.insert(edges, piece + 1, roots)
+            accepted = np.insert(estimate > delta, piece + 1, False)
+            redo = np.isin(np.insert(pieces, piece + 1, piece), piece)
+            accepted[redo] = self.scores(0.5 * (cuts[:-1] + cuts[1:])[redo]) > delta
+            change = np.diff(np.concatenate([[0], accepted.astype(np.int8), [0]]))
+            return np.column_stack([cuts[change == 1], cuts[change == -1]])
 
-def _half_line(w: float, cut: float) -> np.ndarray:
-    """``{x in [0, 1] : w x > cut}`` as zero or one interval rows."""
-    if w == 0.0:
-        return np.array([[0.0, 1.0]]) if cut < 0.0 else np.empty((0, 2))
-    edge = min(max(cut / w, 0.0), 1.0)
-    a, b = (edge, 1.0) if w > 0.0 else (0.0, edge)
-    return np.array([[a, b]]) if b > a else np.empty((0, 2))
+        found = [cut(delta) for delta in deltas.ravel()]
+        out = np.ones((len(found), max((f.shape[0] for f in found), default=0), 2))
+        for rows, f in zip(out, found):
+            rows[: f.shape[0]] = f
+        return out.reshape(deltas.shape + out.shape[1:])
 
 
 def _roots_inside(coef: np.ndarray, left: np.ndarray, right: np.ndarray):

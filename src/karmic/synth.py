@@ -17,23 +17,22 @@ Two families:
 Each model class holds everything model-specific: ``sample(n, seed)``,
 ``eta(X)``, ``draw_features(rng, k)`` for Monte-Carlo evaluation, and
 ``classifier_confusion(scorer, deltas)``, its one exact evaluator: the
-population confusion of a score rule at one threshold or a batch of them.
-The population curve is its true-eta case (``TrueEtaScorer``), since the
-Bayes rule thresholds eta itself.  The Gaussian rule is a half-space
-(``halfspace``), whose mass is a normal tail; the Holder rule is a set of
-intervals of [0, 1] (``acceptance_intervals`` of a 1-d scorer,
-``superlevel_intervals`` of the model), which one integrator integrates.
-The free names ``sample_gaussian`` and ``sample_holder`` are the
+population confusion of a score rule at every threshold of a batch, shape
+``deltas.shape + (4,)``; the true eta (``TrueEtaScorer``) gives the
+population curve.  The Gaussian rule is a half-space (``halfspace``), whose
+mass is a normal tail; the Holder rule is the padded block of intervals of
+[0, 1] that a 1-d scorer's ``acceptance_intervals`` returns, which one
+integrator integrates.  ``sample_gaussian`` and ``sample_holder`` are the
 ``sample`` methods, called with the model as first argument.
 
 Sampling uses one named child stream per role (labels, features) spawned
 from the seed, so datasets are bit-reproducible and independent of
 generation order.
 
-The Gaussian closed forms and the logistic scorer need ``expit``, ``logit``
-and ``ndtr``.  They are defined here as thin wrappers that import
-``scipy.special`` (about 0.2 s) on first call, so the Holder model, the
-kernel scorer and every command that touches neither never load scipy.
+The Gaussian closed forms and the affine scorers need ``expit``, ``logit``
+and ``ndtr``: thin wrappers here that import ``scipy.special`` (about 0.2 s)
+on first call, so the Holder model with a kernel or its true eta, and every
+command that touches no affine rule, never load scipy.
 """
 
 from __future__ import annotations
@@ -160,21 +159,18 @@ class GaussianModel:
         (a scorer without one raises ``ModeUnsupportedError``), so the rule
         is the half-space ``w.x > logit(delta) - b``; within class y the
         projection ``w.x`` is ``N(y w.mu / 2, |w|^2)``, so each entry is a
-        normal tail.  A near-zero ``w`` is the constant rule ``logit(delta) <
-        b``, so ``b = logit(p)`` predicts +1 iff ``p > delta``.
+        normal tail.  A near-zero ``w`` is a constant rule, decided as
+        ``predict`` decides it: +1 iff the score (at the origin) exceeds delta.
         """
+        deltas = unit_thresholds(deltas)
         w, b = scorer.halfspace(self.dim)
-        deltas = np.asarray(deltas, dtype=float)
-        if not ((deltas >= 0.0) & (deltas <= 1.0)).all():
-            raise ValueError("delta must lie in [0, 1]")
         if np.shape(w) != (self.dim,):
             raise DimensionMismatchError(
-                f"weight dimension {np.shape(w)} does not match model dimension {self.dim}"
-            )
+                f"weight dimension {np.shape(w)} does not match model dimension {self.dim}")
         kappa = self.kappa
         norm = float(np.linalg.norm(w))
         if norm < 1e-12:
-            rate_pos = rate_neg = np.where(logit(deltas) < b, 1.0, 0.0)
+            rate_pos = rate_neg = np.where(scorer.score(np.zeros(self.dim)) > deltas, 1.0, 0.0)
         else:
             cut = logit(deltas) - b
             shift = 0.5 * float(w @ self.mu)
@@ -248,37 +244,49 @@ class HolderModel:
         return pieces
 
     def classifier_confusion(self, scorer, deltas) -> np.ndarray:
-        """Exact population confusion of ``predict +1 iff scorer(x) > delta``:
-        eta integrated over the scorer's ``acceptance_intervals``, the set
-        ``{x : score(x) > delta}`` as intervals of [0, 1].  Shape
-        ``deltas.shape + (4,)`` for a scorer whose intervals are batched
-        (the true eta's are); the others take one delta.
-
-        A scorer without intervals raises ``ModeUnsupportedError``.
+        """Exact population confusion of ``predict +1 iff scorer(x) > delta``
+        at each delta in [0, 1], shape ``deltas.shape + (4,)``: eta integrated
+        over the scorer's ``acceptance_intervals`` (a scorer without them
+        raises ``ModeUnsupportedError``).  The positive mass over ``[a, b]``
+        is half its length plus, for the sine tag, ``0.45 (cos 2 pi a - cos 2
+        pi b) / 2 pi``; both tags put half of the unit mass on each label.
         """
+        deltas = unit_thresholds(deltas)
         if scorer.dim not in (None, 1):
             raise DimensionMismatchError(
-                f"the Holder model is 1-d; the scorer expects dimension {scorer.dim}"
-            )
-        return self._integrate(scorer.acceptance_intervals(deltas))
-
-    def _integrate(self, pieces: np.ndarray) -> np.ndarray:
-        """``(TP, FP, FN, TN)`` of predicting +1 on the ``(..., k, 2)`` interval
-        rows, shape ``(..., 4)``.  The positive mass over ``[a, b]`` is half
-        its length plus, for the sine tag, ``0.45 (cos 2 pi a - cos 2 pi b) / 2 pi``;
-        both tags put half of the unit mass on each label.
-        """
-        mass = (pieces[..., 1] - pieces[..., 0]).sum(axis=-1)
+                f"the Holder model is 1-d; the scorer expects dimension {scorer.dim}")
+        pieces = scorer.acceptance_intervals(deltas)
+        widths = pieces[..., 1] - pieces[..., 0]
+        mass = _sum_pieces(widths, widths != 0.0)
         tp = 0.5 * mass
         if self.eta_tag == "sine":
             ends = np.cos(_TWO_PI * pieces)
-            tp += _SINE_AMPLITUDE / _TWO_PI * (ends[..., 0] - ends[..., 1]).sum(axis=-1)
+            tp += _SINE_AMPLITUDE / _TWO_PI * _sum_pieces(ends[..., 0] - ends[..., 1],
+                                                          widths != 0.0)
         # filled in place: np.stack costs more than the arithmetic at one delta
         out = np.empty(np.shape(tp) + (4,))
         out[..., 0] = tp
         out[..., 1] = mass - tp
         out[..., 2:] = 0.5 - out[..., :2]
         return out
+
+
+def unit_thresholds(deltas) -> np.ndarray:
+    """``deltas`` as a float array; ValueError unless each lies in [0, 1]."""
+    deltas = np.asarray(deltas, dtype=float)
+    if not ((deltas >= 0.0) & (deltas <= 1.0)).all():
+        raise ValueError("delta must lie in [0, 1]")
+    return deltas
+
+
+def _sum_pieces(values: np.ndarray, filled: np.ndarray) -> np.ndarray:
+    """Each row's sum of its ``filled`` entries alone: numpy sums 8 or more
+    entries pairwise, so zero-width rows padding a short row to 8 or more
+    would move its bits (below 8 it adds in order, and a zero adds nothing)."""
+    if values.shape[-1] < 8 or filled.all():
+        return values.sum(axis=-1)
+    rows = zip(values.reshape(-1, values.shape[-1]), filled.reshape(-1, values.shape[-1]))
+    return np.array([v[f].sum() for v, f in rows]).reshape(values.shape[:-1])
 
 
 def require_fields(payload, what: str, fields: tuple[str, ...]) -> dict:

@@ -25,7 +25,9 @@ from karmic import (
     HolderModel,
     LogisticScorer,
     ScoreProfile,
+    PluginClassifier,
     TrueEtaScorer,
+    fit_kernel_smoother,
     fit_logistic_mle,
     parse_metric,
     population_optimum,
@@ -36,6 +38,7 @@ from karmic.pipeline import population_confusion_of_model
 
 from helpers import margin_exponent_estimate
 
+SINE = HolderModel("sine")
 GOLDEN_CURVE = Path(__file__).parent / "data" / "population_curve_v1.npz"
 CURVE_MODELS = {
     "ref": GaussianModel(np.array([2.0, 0.0]), 0.5),
@@ -267,6 +270,79 @@ class TestHalfspaceConfusion:
         assert batch.shape == (2, 3, 4)
         for row, delta in zip(batch.reshape(-1, 4), deltas.ravel()):
             np.testing.assert_array_equal(row, m.classifier_confusion(scorer, float(delta)))
+
+
+def interval_scorers(model) -> dict:
+    """One scorer of each kind that has acceptance intervals, the fitted ones
+    fitted on 1-d data: constant, logistic, kernel and the model's true eta."""
+    data = sample_holder(HolderModel("sine"), 2000, 4)
+    return {"constant": ConstantScorer(0.45), "logistic": fit_logistic_mle(data)[0],
+            "kernel": fit_kernel_smoother(data, 1.0), "true-eta": TrueEtaScorer(model)}
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestIntervalBatches:
+    """Every interval scorer answers a batch of thresholds with one padded
+    block, and each row of its confusion has the bits of its scalar call."""
+
+    DELTAS = np.array([[0.05, 0.3, 0.45], [0.5, 0.7, 0.999]])
+
+    @pytest.mark.parametrize("kind", ["constant", "logistic", "kernel", "true-eta"])
+    @pytest.mark.parametrize("tag", ["sine", "flat"])
+    def test_batch_equals_scalar_calls(self, tag: str, kind: str) -> None:
+        model = HolderModel(tag)
+        scorer = interval_scorers(model)[kind]
+        intervals = scorer.acceptance_intervals(self.DELTAS)
+        assert intervals.ndim == 4 and intervals.shape[:2] == (2, 3) and intervals.shape[3] == 2
+        batch = model.classifier_confusion(scorer, self.DELTAS)
+        assert batch.shape == (2, 3, 4)
+        for row, delta in zip(batch.reshape(-1, 4), self.DELTAS.ravel()):
+            assert_same_bits(row, model.classifier_confusion(scorer, float(delta)))
+
+    def test_padding_keeps_the_bits_of_short_rows(self) -> None:
+        # numpy sums 8 or more entries pairwise: rows of 4-7 pieces padded
+        # to the 10 of the longest row must still sum as 4-7 entries
+        scorer = fit_kernel_smoother(sample_holder(SINE, 100, 3), 1.0, bandwidth_const=0.1)
+        deltas = np.array([[0.2, 0.49, 0.8], [0.3, 0.68, 0.85]])
+        intervals = scorer.acceptance_intervals(deltas)
+        pieces = (intervals[..., 1] > intervals[..., 0]).sum(axis=-1)
+        assert pieces.max() >= 8 and ((pieces >= 2) & (pieces <= 7)).sum() >= 3
+        batch = SINE.classifier_confusion(scorer, deltas)
+        for row, rows, delta, k in zip(batch.reshape(-1, 4), intervals.reshape(6, -1, 2),
+                                       deltas.ravel(), pieces.ravel()):
+            assert_same_bits(scorer.acceptance_intervals(float(delta)), rows[:k])
+            assert_same_bits(row, SINE.classifier_confusion(scorer, float(delta)))
+
+
+@pytest.mark.parametrize("delta", [-0.2, 1.5, math.nan])
+@pytest.mark.parametrize("kind", ["constant", "logistic", "kernel", "true-eta"])
+@pytest.mark.parametrize("model", [GaussianModel([1.0], 0.4), SINE, HolderModel("flat")],
+                         ids=["gaussian", "sine", "flat"])
+def test_thresholds_outside_the_unit_interval_are_refused(model, kind: str,
+                                                          delta: float) -> None:
+    scorer = interval_scorers(model)[kind]
+    for deltas in (delta, [0.5, delta]):
+        with pytest.raises(ValueError, match=r"delta must lie in \[0, 1\]"):
+            model.classifier_confusion(scorer, deltas)
+
+
+@pytest.mark.parametrize("model", [GaussianModel([0.0], 0.5), SINE, HolderModel("flat")],
+                         ids=["gaussian", "sine", "flat"])
+def test_constant_rule_follows_the_score(model) -> None:
+    # one ulp either side of p: predict says all positive below p and all
+    # negative from p on, and so must both models
+    p = 0.14686858467244446
+    scorer = ConstantScorer(p)
+    deltas = np.array([np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)])
+    all_pos, all_neg = [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]
+    np.testing.assert_array_equal(model.classifier_confusion(scorer, deltas),
+                                  [all_pos, all_neg, all_neg])
+    x = np.zeros((1, model.dim))
+    assert [int(PluginClassifier(scorer, d).predict(x)[0]) for d in deltas] == [1, -1, -1]
 
 
 class TestHolderConfusion:
