@@ -24,7 +24,7 @@ scorer and the Holder model's true eta on [0, 1] never do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,12 +92,13 @@ class Scorer:
         rows with ``a <= b`` in one block of shape ``deltas.shape + (k, 2)``,
         where a zero-width row is an empty piece.  Here the half-line of the
         affine rule ``halfspace(1)``, one row per delta; with ``w = 0``, all
-        or nothing as ``predict`` decides it, by the score against delta.
+        or nothing as ``predict`` decides it, by the score against delta.  A
+        scorer of dimension 2 or more raises ``DimensionMismatchError``.
         """
         if self.dim not in (None, 1):
-            raise ModeUnsupportedError(
-                f"closed-form evaluation on [0, 1] needs the acceptance intervals of a 1-d "
-                f"score rule; {type(self).__name__} (dimension {self.dim}) has none")
+            raise DimensionMismatchError(
+                f"acceptance intervals on [0, 1] need a 1-d score rule; "
+                f"{type(self).__name__} has dimension {self.dim}")
         (w,), intercept = self.halfspace(1)
         deltas = np.asarray(deltas, dtype=float)
         edge = (np.where(self.score(0.0) > deltas, 0.0, 1.0) if w == 0.0
@@ -328,14 +329,14 @@ def _roots_inside(coef: np.ndarray, left: np.ndarray, right: np.ndarray):
 
 @dataclass(frozen=True)
 class LogisticFitReport:
-    """Newton fit diagnostics; ``nll_path`` holds accepted objective values."""
+    """Newton fit diagnostics: ``iterations`` accepted steps, the gradient
+    norm at the returned weights, and ``nll_path``, the objective at the
+    start and after each accepted step (``iterations + 1`` values)."""
 
-    weights: np.ndarray
-    intercept: float
     iterations: int
     grad_norm: float
     converged: bool
-    nll_path: tuple[float, ...] = field(default_factory=tuple)
+    nll_path: tuple[float, ...]
 
 
 def _mean_nll(margins: np.ndarray) -> float:
@@ -349,10 +350,11 @@ def fit_logistic_mle(
     """Maximum-likelihood logistic fit by damped Newton iterations.
 
     Uses a ridge of 1e-8 on the Hessian and halves the step while the mean
-    negative log-likelihood increases.  Converged means the mean-gradient
-    infinity norm dropped to ``tol``.  Diverging weights signal separable
-    data; a Hessian that stays singular past the ridge signals a
-    rank-deficient design.
+    negative log-likelihood increases.  The fit stops when the mean-gradient
+    infinity norm drops to ``tol`` (converged), after ``max_iter`` steps, or
+    when 30 halvings find no step that does not increase the objective.
+    Diverging weights signal separable data; a Hessian that stays singular
+    past the ridge signals a rank-deficient design.
     """
     if data.n == 0:
         raise EmptyDataError("cannot fit a logistic model on no data")
@@ -360,24 +362,20 @@ def fit_logistic_mle(
         raise ValueError("logistic fit needs both labels present")
     if data.n <= data.dim:
         raise ValueError(f"need n > d, got n={data.n}, d={data.dim}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     X = np.column_stack([data.features, np.ones(data.n)])
     y = data.labels.astype(float)
     t = (y + 1.0) / 2.0
     theta = np.zeros(X.shape[1])
     diagonal = np.diag_indices(X.shape[1])
-    margins = np.zeros(data.n)
-    nll = _mean_nll(margins)
-    nll_path = [nll]
-    grad_norm = math.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        p = expit(X @ theta)
+    logits = np.zeros(data.n)  # X @ theta, kept from the line search that accepted theta
+    nll_path = [_mean_nll(logits)]
+    for iterations in range(max_iter + 1):
+        p = expit(logits)
         grad = X.T @ (p - t) / data.n
         grad_norm = float(np.abs(grad).max())
-        if grad_norm <= tol:
-            converged = True
-            iterations -= 1
+        if grad_norm <= tol or iterations == max_iter:
             break
         curvature = p * (1.0 - p)
         hessian = (X.T * curvature) @ X / data.n
@@ -388,36 +386,23 @@ def fit_logistic_mle(
             raise DegenerateDesignError(
                 "Hessian is singular beyond the ridge; features are degenerate"
             ) from exc
-        scale = 1.0
-        for _ in range(30):
-            candidate = theta - scale * step
-            cand_nll = _mean_nll(y * (X @ candidate))
-            if cand_nll <= nll:
+        for halvings in range(30):
+            candidate = theta - 0.5**halvings * step
+            cand_logits = X @ candidate
+            cand_nll = _mean_nll(y * cand_logits)
+            if cand_nll <= nll_path[-1]:
                 break
-            scale *= 0.5
         else:
             break
-        theta = candidate
-        nll = cand_nll
-        nll_path.append(nll)
+        theta, logits = candidate, cand_logits
+        nll_path.append(cand_nll)
         if float(np.abs(theta).max()) > _WEIGHT_NORM_LIMIT:
             raise SeparableDataError(
                 "weights diverged past 1e6; data looks linearly separable"
             )
-    else:
-        p = expit(X @ theta)
-        grad_norm = float(np.abs(X.T @ (p - t) / data.n).max())
-        converged = grad_norm <= tol
-    scorer = LogisticScorer(theta[:-1], float(theta[-1]))
-    report = LogisticFitReport(
-        weights=scorer.weights,
-        intercept=scorer.intercept,
-        iterations=iterations,
-        grad_norm=grad_norm,
-        converged=converged,
-        nll_path=tuple(nll_path),
-    )
-    return scorer, report
+    report = LogisticFitReport(iterations=iterations, grad_norm=grad_norm,
+                               converged=grad_norm <= tol, nll_path=tuple(nll_path))
+    return LogisticScorer(theta[:-1], float(theta[-1])), report
 
 
 def fit_kernel_smoother(

@@ -119,21 +119,14 @@ class GaussianModel:
         features += 0.5 * labels[:, None] * self.mu[None, :]
         return Dataset(features, labels)
 
-    def eta(self, x) -> float | np.ndarray:
-        """Exact P(Y=+1 | X=x) = sigmoid(mu . x + logit(kappa)).
-
-        ``x`` is one point (returns a float) or a feature matrix.
-        """
-        arr = np.asarray(x, dtype=float)
-        squeeze = arr.ndim == 1
-        if squeeze:
-            arr = arr[None, :]
+    def eta(self, X) -> np.ndarray:
+        """Exact P(Y=+1 | X=x) = sigmoid(mu . x + logit(kappa)) at each row of X."""
+        arr = np.asarray(X, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise DimensionMismatchError(
-                f"expected points of dimension {self.dim}, got shape {np.shape(x)}"
+                f"expected rows of dimension {self.dim}, got shape {np.shape(X)}"
             )
-        values = expit(arr @ self.mu + logit(self.kappa))
-        return float(values[0]) if squeeze else values
+        return expit(arr @ self.mu + logit(self.kappa))
 
     def draw_features(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """k feature rows from the mixture, class memberships drawn first."""
@@ -159,8 +152,8 @@ class GaussianModel:
         (a scorer without one raises ``ModeUnsupportedError``), so the rule
         is the half-space ``w.x > logit(delta) - b``; within class y the
         projection ``w.x`` is ``N(y w.mu / 2, |w|^2)``, so each entry is a
-        normal tail.  A near-zero ``w`` is a constant rule, decided as
-        ``predict`` decides it: +1 iff the score (at the origin) exceeds delta.
+        normal tail.  A zero ``w`` is a constant rule, decided as ``predict``
+        decides it: +1 iff the score (at the origin) exceeds delta.
         """
         deltas = unit_thresholds(deltas)
         w, b = scorer.halfspace(self.dim)
@@ -169,7 +162,7 @@ class GaussianModel:
                 f"weight dimension {np.shape(w)} does not match model dimension {self.dim}")
         kappa = self.kappa
         norm = float(np.linalg.norm(w))
-        if norm < 1e-12:
+        if norm == 0.0:
             rate_pos = rate_neg = np.where(scorer.score(np.zeros(self.dim)) > deltas, 1.0, 0.0)
         else:
             cut = logit(deltas) - b
@@ -246,15 +239,13 @@ class HolderModel:
     def classifier_confusion(self, scorer, deltas) -> np.ndarray:
         """Exact population confusion of ``predict +1 iff scorer(x) > delta``
         at each delta in [0, 1], shape ``deltas.shape + (4,)``: eta integrated
-        over the scorer's ``acceptance_intervals`` (a scorer without them
-        raises ``ModeUnsupportedError``).  The positive mass over ``[a, b]``
+        over the scorer's ``acceptance_intervals`` (a scorer of dimension 2 or
+        more raises ``DimensionMismatchError``, one without them
+        ``ModeUnsupportedError``).  The positive mass over ``[a, b]``
         is half its length plus, for the sine tag, ``0.45 (cos 2 pi a - cos 2
         pi b) / 2 pi``; both tags put half of the unit mass on each label.
         """
         deltas = unit_thresholds(deltas)
-        if scorer.dim not in (None, 1):
-            raise DimensionMismatchError(
-                f"the Holder model is 1-d; the scorer expects dimension {scorer.dim}")
         pieces = scorer.acceptance_intervals(deltas)
         widths = pieces[..., 1] - pieces[..., 0]
         mass = _sum_pieces(widths, widths != 0.0)

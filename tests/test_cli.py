@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -604,6 +605,27 @@ class TestRate:
             stored = json.load(fh)
         assert {**stored, "csv": payload["csv"], "summary": payload["summary"]} == payload
 
+    def test_workers_flag_overrides_the_config(self, tmp_path, capsys, monkeypatch) -> None:
+        pools = []
+        run = karmic.cli.run_rate_experiment
+
+        def recording(cfg):
+            pools.append(cfg.workers)
+            return run(cfg)
+
+        monkeypatch.setattr(karmic.cli, "run_rate_experiment", recording)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(self.CONFIG + "workers = 1\n", encoding="utf-8")
+        serial = str(tmp_path / "serial")
+        pooled = str(tmp_path / "pooled")
+        assert run_cli(capsys, "rate", "--config", str(cfg_path), "--out", serial)[0] == 0
+        assert run_cli(capsys, "rate", "--config", str(cfg_path), "--out", pooled,
+                       "--workers", "2")[0] == 0
+        assert pools == [1, 2]
+        with open(f"{pooled}.json", encoding="utf-8") as fh:
+            assert json.load(fh)["config"]["workers"] == 2
+        assert (Path(f"{serial}.csv").read_bytes() == Path(f"{pooled}.csv").read_bytes())
+
     def test_missing_config_file(self, tmp_path, capsys) -> None:
         code, _, err = run_cli(
             capsys, "rate", "--config", str(tmp_path / "absent.cfg"), "--out", "x"
@@ -709,6 +731,13 @@ class TestUsageErrors:
         assert out.returncode == 0
         assert "threshold" in out.stdout
         assert "oracle" in out.stdout
+
+    def test_module_entry_point_in_process(self, monkeypatch, capsys) -> None:
+        monkeypatch.setattr(sys, "argv", ["karmic", "--help"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("karmic", run_name="__main__")
+        assert exc.value.code == 0
+        assert "threshold" in capsys.readouterr().out
 
 
 def test_readme_errors_list_every_code() -> None:

@@ -160,7 +160,7 @@ class TestKernel:
         rng = np.random.default_rng(0)
         scorer = KernelScorer(rng.random((50, 2)), np.where(rng.random(50) < 0.5, 1, -1),
                               0.3)
-        with pytest.raises(ModeUnsupportedError):
+        with pytest.raises(DimensionMismatchError):
             scorer.acceptance_intervals(0.5)
         with pytest.raises(DimensionMismatchError):
             SINE.classifier_confusion(scorer, 0.5)
@@ -234,7 +234,7 @@ class TestHalfLineScorers:
 
     def test_two_dimensional_logistic_is_rejected(self) -> None:
         scorer = LogisticScorer([1.0, 2.0], 0.0)
-        with pytest.raises(ModeUnsupportedError):
+        with pytest.raises(DimensionMismatchError):
             scorer.acceptance_intervals(0.5)
         with pytest.raises(DimensionMismatchError):
             SINE.classifier_confusion(scorer, 0.5)
@@ -256,3 +256,9 @@ class TestTrueEta:
         scorer = TrueEtaScorer(GaussianModel(np.array([1.0]), 0.5))
         with pytest.raises(ModeUnsupportedError):
             scorer.acceptance_intervals(0.5)
+
+    def test_gaussian_true_eta_of_any_dimension_has_no_intervals(self) -> None:
+        # the Gaussian eta lives on R^d: no [0, 1] rule, whatever d is
+        scorer = TrueEtaScorer(GaussianModel(np.array([1.0, 2.0]), 0.5))
+        with pytest.raises(ModeUnsupportedError):
+            SINE.classifier_confusion(scorer, 0.5)

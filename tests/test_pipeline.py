@@ -285,6 +285,12 @@ class TestPopulationRegret:
         with pytest.raises(ModeUnsupportedError):
             population_regret(parse_metric("accuracy"), clf, MODEL, mode="bootstrap")
 
+    def test_monte_carlo_needs_a_sample(self) -> None:
+        clf = PluginClassifier(ConstantScorer(0.6), 0.5)
+        with pytest.raises(ValueError, match="mc_samples"):
+            population_regret(parse_metric("accuracy"), clf, MODEL, mode="monte-carlo",
+                              mc_samples=0)
+
     @pytest.mark.parametrize(
         ("p", "delta"),
         [(0.5, 0.5), (0.3, 0.3), (0.7, 0.5), (0.5, 0.7), (0.0, 0.0), (1.0, 1.0),

@@ -100,6 +100,38 @@ class TestLogisticFit:
         assert (np.diff(path) <= 1e-15).all()
         assert report.iterations + 1 >= len(report.nll_path)
 
+    def test_every_exit_counts_accepted_steps(self) -> None:
+        data = sample_gaussian(GaussianModel(np.array([1.0, -1.0]), 0.4), 5_000, seed=2)
+        for max_iter in (0, 1, 2, 100):
+            scorer, report = fit_logistic_mle(data, max_iter=max_iter)
+            assert report.iterations == len(report.nll_path) - 1 <= max_iter
+            assert report.converged == (report.grad_norm <= 1e-10)
+            # the reported norm is the gradient at the returned weights
+            X = np.column_stack([data.features, np.ones(data.n)])
+            grad = X.T @ (scorer.scores(data.features) - (data.labels == 1)) / data.n
+            assert report.grad_norm == pytest.approx(np.abs(grad).max(), rel=1e-6, abs=1e-15)
+        assert not fit_logistic_mle(data, max_iter=2)[1].converged
+        assert report.converged and report.iterations < 100
+        with pytest.raises(ValueError, match="max_iter"):
+            fit_logistic_mle(data, max_iter=-1)
+
+    def test_line_search_give_up_counts_no_step(self, monkeypatch) -> None:
+        # the start scores 0 and every candidate 1, so no halving is accepted
+        calls = []
+
+        def worse_after_start(margins):
+            calls.append(None)
+            return 0.0 if len(calls) == 1 else 1.0
+
+        monkeypatch.setattr("karmic.scorers._mean_nll", worse_after_start)
+        data = sample_gaussian(GaussianModel(np.array([1.0]), 0.5), 200, seed=0)
+        scorer, report = fit_logistic_mle(data)
+        assert report.iterations == 0
+        assert not report.converged
+        assert report.nll_path == (0.0,)
+        assert len(calls) == 31
+        np.testing.assert_array_equal(scorer.weights, [0.0])
+
     def test_separable_data_saturates_instead_of_converging_to_truth(self) -> None:
         # Clean separation sends the weights off to the float saturation
         # point of the sigmoid (margins near 37), where the gradient

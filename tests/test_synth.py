@@ -24,6 +24,7 @@ from karmic import (
     GaussianModel,
     HolderModel,
     LogisticScorer,
+    ModeUnsupportedError,
     ScoreProfile,
     PluginClassifier,
     TrueEtaScorer,
@@ -151,6 +152,12 @@ class TestTrueEta:
         with pytest.raises(DimensionMismatchError):
             m.eta(np.zeros((3, 3)))
 
+    def test_single_point_is_refused(self) -> None:
+        # eta is defined at the rows of a feature matrix only
+        m = GaussianModel(np.array([2.0, 0.0]), 0.3)
+        with pytest.raises(DimensionMismatchError):
+            m.eta(np.array([0.5, 3.0]))
+
     def test_scorer_wrapper_agrees(self) -> None:
         m = GaussianModel(np.array([1.5, -0.5]), 0.4)
         X = np.random.default_rng(0).standard_normal((50, 2))
@@ -257,6 +264,22 @@ class TestHalfspaceConfusion:
         np.testing.assert_allclose(all_pos, [0.4, 0.6, 0.0, 0.0], atol=1e-15)
         all_neg = m.classifier_confusion(scorer, 0.5)  # tie goes negative
         np.testing.assert_allclose(all_neg, [0.0, 0.0, 0.4, 0.6], atol=1e-15)
+
+    def test_tiny_weights_are_a_half_space(self) -> None:
+        # any positive w1 with w2 = b = 0 is the rule x1 > 0 at delta = 1/2
+        m = GaussianModel(np.array([2.0, 0.0]), 0.5)
+        tiny = m.classifier_confusion(LogisticScorer([5e-13, 0.0], 0.0), 0.5)
+        unit = m.classifier_confusion(LogisticScorer([1.0, 0.0], 0.0), 0.5)
+        np.testing.assert_allclose(tiny, unit, rtol=0.0, atol=1e-15)
+
+    def test_weight_dimension_is_refused(self) -> None:
+        m = GaussianModel(np.array([2.0, 0.0]), 0.5)
+        with pytest.raises(DimensionMismatchError):
+            m.classifier_confusion(LogisticScorer([1.0], 0.0), 0.5)
+
+    def test_holder_eta_has_no_half_space(self) -> None:
+        with pytest.raises(ModeUnsupportedError):
+            GaussianModel(np.array([1.0]), 0.5).classifier_confusion(TrueEtaScorer(SINE), 0.5)
 
     @pytest.mark.parametrize("kind", ["logistic", "constant"])
     def test_batch_equals_scalar_calls(self, kind: str) -> None:
