@@ -63,6 +63,7 @@ KERNEL_CLIP = 1e-6
 #: a kernel window whose weight sum is at most this falls back to the global rate
 _KERNEL_MIN_WEIGHT = 1e-12
 _RIDGE = 1e-8
+_GRAD_TOL = 1e-10  # the Newton fit converges at a mean gradient of at most this max-norm
 _WEIGHT_NORM_LIMIT = 1e6
 
 
@@ -344,14 +345,13 @@ def _mean_nll(margins: np.ndarray) -> float:
     return float(np.logaddexp(0.0, -margins).mean())
 
 
-def fit_logistic_mle(
-    data: Dataset, tol: float = 1e-10, max_iter: int = 100
-) -> tuple[LogisticScorer, LogisticFitReport]:
+def fit_logistic_mle(data: Dataset,
+                     max_iter: int = 100) -> tuple[LogisticScorer, LogisticFitReport]:
     """Maximum-likelihood logistic fit by damped Newton iterations.
 
     Uses a ridge of 1e-8 on the Hessian and halves the step while the mean
     negative log-likelihood increases.  The fit stops when the mean-gradient
-    infinity norm drops to ``tol`` (converged), after ``max_iter`` steps, or
+    infinity norm drops to 1e-10 (converged), after ``max_iter`` steps, or
     when 30 halvings find no step that does not increase the objective.
     Diverging weights signal separable data; a Hessian that stays singular
     past the ridge signals a rank-deficient design.
@@ -375,7 +375,7 @@ def fit_logistic_mle(
         p = expit(logits)
         grad = X.T @ (p - t) / data.n
         grad_norm = float(np.abs(grad).max())
-        if grad_norm <= tol or iterations == max_iter:
+        if grad_norm <= _GRAD_TOL or iterations == max_iter:
             break
         curvature = p * (1.0 - p)
         hessian = (X.T * curvature) @ X / data.n
@@ -401,7 +401,7 @@ def fit_logistic_mle(
                 "weights diverged past 1e6; data looks linearly separable"
             )
     report = LogisticFitReport(iterations=iterations, grad_norm=grad_norm,
-                               converged=grad_norm <= tol, nll_path=tuple(nll_path))
+                               converged=grad_norm <= _GRAD_TOL, nll_path=tuple(nll_path))
     return LogisticScorer(theta[:-1], float(theta[-1])), report
 
 

@@ -152,8 +152,9 @@ class GaussianModel:
         (a scorer without one raises ``ModeUnsupportedError``), so the rule
         is the half-space ``w.x > logit(delta) - b``; within class y the
         projection ``w.x`` is ``N(y w.mu / 2, |w|^2)``, so each entry is a
-        normal tail.  A zero ``w`` is a constant rule, decided as ``predict``
-        decides it: +1 iff the score (at the origin) exceeds delta.
+        normal tail, once ``w`` and the cut are scaled by a power of two.  Only
+        a zero ``w`` is a constant rule, decided as ``predict`` decides it: +1
+        iff the score (at the origin) exceeds delta.
         """
         deltas = unit_thresholds(deltas)
         w, b = scorer.halfspace(self.dim)
@@ -161,11 +162,15 @@ class GaussianModel:
             raise DimensionMismatchError(
                 f"weight dimension {np.shape(w)} does not match model dimension {self.dim}")
         kappa = self.kappa
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
+        if not w.any():
             rate_pos = rate_neg = np.where(scorer.score(np.zeros(self.dim)) > deltas, 1.0, 0.0)
         else:
-            cut = logit(deltas) - b
+            # scaled by an exact 2^k so that w.w neither underflows nor overflows;
+            # a cut past the float range is the right limit, an infinite one
+            exponent = -np.frexp(np.abs(w).max())[1]
+            with np.errstate(over="ignore"):
+                w, cut = np.ldexp(w, exponent), np.ldexp(logit(deltas) - b, exponent)
+            norm = float(np.linalg.norm(w))
             shift = 0.5 * float(w @ self.mu)
             rate_pos = ndtr((shift - cut) / norm)
             rate_neg = ndtr((-shift - cut) / norm)
@@ -247,13 +252,11 @@ class HolderModel:
         """
         deltas = unit_thresholds(deltas)
         pieces = scorer.acceptance_intervals(deltas)
-        widths = pieces[..., 1] - pieces[..., 0]
-        mass = _sum_pieces(widths, widths != 0.0)
+        mass = _sum_in_order(pieces[..., 1] - pieces[..., 0])
         tp = 0.5 * mass
         if self.eta_tag == "sine":
             ends = np.cos(_TWO_PI * pieces)
-            tp += _SINE_AMPLITUDE / _TWO_PI * _sum_pieces(ends[..., 0] - ends[..., 1],
-                                                          widths != 0.0)
+            tp += _SINE_AMPLITUDE / _TWO_PI * _sum_in_order(ends[..., 0] - ends[..., 1])
         # filled in place: np.stack costs more than the arithmetic at one delta
         out = np.empty(np.shape(tp) + (4,))
         out[..., 0] = tp
@@ -270,14 +273,10 @@ def unit_thresholds(deltas) -> np.ndarray:
     return deltas
 
 
-def _sum_pieces(values: np.ndarray, filled: np.ndarray) -> np.ndarray:
-    """Each row's sum of its ``filled`` entries alone: numpy sums 8 or more
-    entries pairwise, so zero-width rows padding a short row to 8 or more
-    would move its bits (below 8 it adds in order, and a zero adds nothing)."""
-    if values.shape[-1] < 8 or filled.all():
-        return values.sum(axis=-1)
-    rows = zip(values.reshape(-1, values.shape[-1]), filled.reshape(-1, values.shape[-1]))
-    return np.array([v[f].sum() for v, f in rows]).reshape(values.shape[:-1])
+def _sum_in_order(values: np.ndarray) -> np.ndarray:
+    """Each row's entries added left to right (numpy's ``sum`` adds 8 or more
+    pairwise), so zero-width padding adds nothing; a row of no entries is 0."""
+    return np.cumsum(values, axis=-1)[..., -1:].sum(axis=-1)
 
 
 def require_fields(payload, what: str, fields: tuple[str, ...]) -> dict:

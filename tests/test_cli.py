@@ -91,6 +91,18 @@ class TestGen:
         assert json.loads(err)["error"] == "invalid-argument"
 
 
+    @pytest.mark.parametrize("model", [("holder",), ("gaussian", "--mu", "1", "--kappa", "0.5")],
+                             ids=["holder", "gaussian"])
+    def test_n_below_one_is_refused(self, tmp_path, capsys, model) -> None:
+        out = tmp_path / "x.csv"
+        code, payload, err = run_cli(capsys, "gen", "--model", *model, "--n", "0",
+                                     "--out", str(out))
+        assert code == 1
+        assert payload is None
+        assert json.loads(err) == {"error": "invalid-argument", "message": "n must be >= 1"}
+        assert not out.exists()
+
+
 class TestThreshold:
     def test_reports_fit_and_utility(self, gaussian_csv, capsys) -> None:
         code, payload, _ = run_cli(
@@ -113,6 +125,22 @@ class TestThreshold:
         assert code == 0
         # a constant scorer cannot beat the majority rule
         assert payload["utility"] == pytest.approx(0.5, abs=0.05)
+
+
+    @pytest.mark.parametrize(("flags", "message"), [
+        ((), "provide --scorer-json or --estimator"),
+        (("--estimator", "true-eta"), "no model given (config key 'model', flag --model)"),
+    ], ids=["no-scorer", "true-eta-without-model"])
+    def test_missing_scorer_or_model_is_refused(self, tmp_path, capsys, flags,
+                                                message) -> None:
+        data_path = str(tmp_path / "h.csv")
+        run_cli(capsys, "gen", "--model", "holder", "--n", "200", "--seed", "2",
+                "--out", data_path)
+        code, out, err = run_cli(capsys, "threshold", "--metric", "fbeta:1",
+                                 "--data", data_path, *flags)
+        assert code == 1
+        assert out is None
+        assert json.loads(err) == {"error": "invalid-argument", "message": message}
 
 
 class TestTrainEvaluate:
@@ -519,6 +547,17 @@ class TestOracle:
         assert metric in failure["message"]
 
 
+    def test_metric_with_no_domain_point(self, capsys) -> None:
+        # the denominator is 0 at every confusion, so no threshold is evaluable
+        code, out, err = run_cli(capsys, "oracle", "--metric", "linfrac:1,0,0,0/0,0,0,0",
+                                 "--discrete", "0.5:0.2,0.5:0.8")
+        assert code == 1
+        assert out is None
+        assert json.loads(err) == {
+            "error": "metric-domain",
+            "message": "linfrac:1,0,0,0/0,0,0,0: every assignment is outside the domain"}
+
+
 class TestRate:
     CONFIG = """
     model = gaussian
@@ -559,7 +598,7 @@ class TestRate:
     @pytest.mark.parametrize(
         ("line", "field"),
         [("kernel_beta = -1", "kernel_beta"), ("kernel_const = inf", "kernel_const"),
-         ("estimator = constant:1.5", "p"),
+         ("estimator = constant:1.5", "p"), ("estimator = svm", "unknown estimator 'svm'"),
          # the evaluator follows from the model and estimator; it is no key
          ("eval = closed-form", "'eval'")],
     )
@@ -578,6 +617,17 @@ class TestRate:
         failure = json.loads(err)
         assert failure["error"] == "invalid-argument"
         assert field in failure["message"]
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_unknown_model_fails_before_any_row(self, tmp_path, capsys) -> None:
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(self.CONFIG.replace("gaussian", "beta"), encoding="utf-8")
+        code, out, err = run_cli(capsys, "rate", "--config", str(cfg_path),
+                                 "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert out is None
+        assert json.loads(err) == {"error": "invalid-argument",
+                                   "message": "unknown model 'beta'; use 'gaussian' or 'holder'"}
         assert not (tmp_path / "run.csv").exists()
 
     def test_summary_built_once(self, tmp_path, capsys, caplog, monkeypatch) -> None:

@@ -33,6 +33,10 @@ class TestDataset:
         with pytest.raises(ValueError, match="finite"):
             Dataset(features, np.array([1, -1, 1]))
 
+    def test_features_of_three_dimensions_are_refused(self) -> None:
+        with pytest.raises(ValueError, match="features must be 2-d"):
+            Dataset(np.zeros((2, 1, 1)), np.array([1, -1]))
+
     def test_subset_renormalizes(self) -> None:
         # a subset is the selected rows of the sample; every row counts once
         d = Dataset(np.arange(6.0).reshape(3, 2), np.array([1, -1, 1]))
@@ -92,6 +96,10 @@ class TestScoreProfile:
             [[0.75, 0.25, 0.0, 0.0], [0.0, 0.25, 0.75, 0.0], [0.0, 0.0, 0.75, 0.25]],
         )
         assert prof.confusion(np.zeros((2, 3))).shape == (2, 3, 4)
+
+    def test_empty_sample_is_refused(self) -> None:
+        with pytest.raises(EmptyDataError):
+            ScoreProfile([], [])
 
     def test_order_of_tied_scores(self) -> None:
         # the profile sorts without stability: shuffling tied (score, label)

@@ -55,6 +55,8 @@ class TestLogisticScorer:
         s = LogisticScorer(np.array([1.0, 2.0]), 0.0)
         with pytest.raises(DimensionMismatchError):
             s.scores(np.zeros((4, 3)))
+        with pytest.raises(DimensionMismatchError, match="single feature vector"):
+            s.score(np.zeros((1, 2)))
 
     def test_rejects_non_finite_parameters(self) -> None:
         with pytest.raises(ValueError):
@@ -169,15 +171,22 @@ class TestLogisticFit:
         with pytest.raises(ValueError, match="n > d"):
             fit_logistic_mle(Dataset(np.eye(3), np.array([1, -1, 1])))
 
-    def test_loose_tolerance_stops_early(self) -> None:
+    def test_loose_tolerance_stops_early(self, monkeypatch) -> None:
+        # the tolerance is a module constant; the fit reads it at each iterate
         data = sample_gaussian(GaussianModel(np.array([2.0]), 0.5), 2_000, seed=3)
-        _, fine = fit_logistic_mle(data, tol=1e-12)
-        _, coarse = fit_logistic_mle(data, tol=1e-2)
+        monkeypatch.setattr("karmic.scorers._GRAD_TOL", 1e-12)
+        _, fine = fit_logistic_mle(data)
+        monkeypatch.setattr("karmic.scorers._GRAD_TOL", 1e-2)
+        _, coarse = fit_logistic_mle(data)
         assert coarse.iterations < fine.iterations
         assert coarse.grad_norm <= 1e-2
 
 
 class TestKernelScorer:
+    def test_no_training_data_is_refused(self) -> None:
+        with pytest.raises(EmptyDataError):
+            KernelScorer(np.empty((0, 1)), [], 0.1)
+
     def test_fast_path_matches_naive_reference(self, rng) -> None:
         n = 400
         x = rng.random(n)
@@ -370,6 +379,10 @@ class TestSerialization:
         np.testing.assert_array_equal(again.train_y, data.labels)
         queries = np.random.default_rng(0).random((257, data.dim))
         assert np.array_equal(again.scores(queries), scorer.scores(queries))
+
+    def test_object_that_is_no_scorer_is_not_serialized(self) -> None:
+        with pytest.raises(TypeError, match="cannot serialize scorer of type object"):
+            scorer_to_dict(object())
 
     def test_unknown_kind_rejected(self) -> None:
         with pytest.raises(ValueError):

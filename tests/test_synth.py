@@ -9,7 +9,9 @@ curve must reproduce it bit for bit.  Regenerate only from such a commit:
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -265,12 +267,38 @@ class TestHalfspaceConfusion:
         all_neg = m.classifier_confusion(scorer, 0.5)  # tie goes negative
         np.testing.assert_allclose(all_neg, [0.0, 0.0, 0.4, 0.6], atol=1e-15)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's own, too
     def test_tiny_weights_are_a_half_space(self) -> None:
-        # any positive w1 with w2 = b = 0 is the rule x1 > 0 at delta = 1/2
+        # any positive w1 with w2 = b = 0 is the rule x1 > 0 at delta = 1/2;
+        # the squares of the smallest weights underflow, to zero below 1e-162
         m = GaussianModel(np.array([2.0, 0.0]), 0.5)
-        tiny = m.classifier_confusion(LogisticScorer([5e-13, 0.0], 0.0), 0.5)
         unit = m.classifier_confusion(LogisticScorer([1.0, 0.0], 0.0), 0.5)
-        np.testing.assert_allclose(tiny, unit, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(unit, [0.42, 0.08, 0.08, 0.42], atol=0.001)
+        for w in (5e-13, 1e-160, 1e-170, 1e-200, 1e-310, 5e-324):
+            tiny = m.classifier_confusion(LogisticScorer([w, 0.0], 0.0), 0.5)
+            np.testing.assert_allclose(tiny, unit, rtol=0.0, atol=1e-15)
+            # away from 1/2 the cut x1 > logit(delta) / w leaves the float range
+            # (no warning): the rule rejects, or accepts, every point
+            rows = m.classifier_confusion(LogisticScorer([w, 0.0], 0.0), np.array([0.9, 0.1]))
+            np.testing.assert_array_equal(rows, [[0.0, 0.0, 0.5, 0.5], [0.5, 0.5, 0.0, 0.0]])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's own, too
+    def test_huge_weights_are_a_half_space(self) -> None:
+        # the squares of these weights would overflow: no warning, the same rule
+        m = GaussianModel(np.array([2.0, 0.0]), 0.5)
+        unit = m.classifier_confusion(LogisticScorer([1.0, 0.0], 0.0), 0.5)
+        for w in (1e160, 1e200, 1e300):
+            huge = m.classifier_confusion(LogisticScorer([w, 0.0], 0.0), 0.5)
+            np.testing.assert_allclose(huge, unit, rtol=0.0, atol=1e-15)
+
+    def test_scaled_weights_keep_their_bits(self) -> None:
+        # w and w / 2^600 put the same rule through the same arithmetic, once
+        # scaled back by a power of two: the rows agree bit for bit
+        m = GaussianModel(np.array([1.2, -0.7]), 0.3)
+        w, b = np.array([0.75, -0.3]), 0.4
+        unit = m.classifier_confusion(LogisticScorer(w, b), 0.5)
+        tiny = m.classifier_confusion(LogisticScorer(np.ldexp(w, -600), np.ldexp(b, -600)), 0.5)
+        assert_same_bits(tiny, unit)
 
     def test_weight_dimension_is_refused(self) -> None:
         m = GaussianModel(np.array([2.0, 0.0]), 0.5)
@@ -301,6 +329,18 @@ def interval_scorers(model) -> dict:
     data = sample_holder(HolderModel("sine"), 2000, 4)
     return {"constant": ConstantScorer(0.45), "logistic": fit_logistic_mle(data)[0],
             "kernel": fit_kernel_smoother(data, 1.0), "true-eta": TrueEtaScorer(model)}
+
+
+class FixedIntervals:
+    """A 1-d scorer stand-in that accepts the same pieces at every threshold."""
+
+    dim = 1
+
+    def __init__(self, pieces: np.ndarray) -> None:
+        self.pieces = pieces
+
+    def acceptance_intervals(self, deltas) -> np.ndarray:
+        return np.broadcast_to(self.pieces, np.shape(deltas) + self.pieces.shape)
 
 
 def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
@@ -339,6 +379,28 @@ class TestIntervalBatches:
                                        deltas.ravel(), pieces.ravel()):
             assert_same_bits(scorer.acceptance_intervals(float(delta)), rows[:k])
             assert_same_bits(row, SINE.classifier_confusion(scorer, float(delta)))
+
+    def test_pieces_add_left_to_right(self) -> None:
+        # twelve pieces whose true-positive mass numpy's pairwise sum rounds
+        # differently: the integrator adds them in order, and zero-width
+        # rows padding the block add nothing
+        pieces = np.sort(np.random.default_rng(3).random(24)).reshape(12, 2)
+        ends = np.cos(2 * np.pi * pieces)
+        widths, arcs = pieces[:, 1] - pieces[:, 0], ends[:, 0] - ends[:, 1]
+        in_order = [functools.reduce(operator.add, terms) for terms in (widths, arcs)]
+        tp = 0.5 * in_order[0] + 0.45 / (2 * np.pi) * in_order[1]
+        assert tp != 0.5 * widths.sum() + 0.45 / (2 * np.pi) * arcs.sum()
+        exact = SINE.classifier_confusion(FixedIntervals(pieces), 0.5)
+        assert exact[0] == tp
+        padded = np.concatenate([pieces, np.ones((5, 2))])
+        assert_same_bits(SINE.classifier_confusion(FixedIntervals(padded), 0.5), exact)
+
+    def test_a_block_of_no_pieces_accepts_nothing(self) -> None:
+        # a kernel accepts no point at delta = 1
+        scorer = interval_scorers(SINE)["kernel"]
+        assert scorer.acceptance_intervals(np.array([1.0, 1.0])).shape == (2, 0, 2)
+        np.testing.assert_array_equal(SINE.classifier_confusion(scorer, np.array([1.0, 1.0])),
+                                      [[0.0, 0.0, 0.5, 0.5]] * 2)
 
 
 @pytest.mark.parametrize("delta", [-0.2, 1.5, math.nan])

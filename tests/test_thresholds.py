@@ -314,6 +314,16 @@ class TestFixedPoint:
                 1e-8,
             )
 
+    @pytest.mark.parametrize(("metric", "end"), [("linfrac:3,0,0,1/1,1,1,1", 0.25),
+                                                 ("linfrac:1,0,0,3/1,1,1,1", 0.75)])
+    def test_exact_zero_at_a_bracket_end_is_the_root(self, metric: str, end: float) -> None:
+        # on the constant curve (1/4, 1/4, 1/4, 1/4), H vanishes exactly at
+        # delta = 1/4 for the first metric and at 3/4 for the second
+        def curve(delta: float) -> np.ndarray:
+            return np.full(4, 0.25)
+
+        assert fixed_point_threshold(parse_metric(metric), curve, 0.25) == end
+
     @pytest.mark.parametrize("tol", [0.0, 0.5, 0.7])
     def test_tol_validation(self, tol: float) -> None:
         with pytest.raises(ValueError):
