@@ -65,7 +65,8 @@ class ScoreProfile:
     using suffix counts over the score order.  Strict rule: score > delta
     counts as a positive prediction, so ties at delta predict -1.  The
     counts are integers read only at the edge of a tie group, so any order
-    of tied scores gives the same numbers.
+    of tied scores gives the same numbers.  It keeps the sorted scores and
+    one ``(2, n + 1)`` float array of the two tail fractions.
     """
 
     def __init__(self, scores, labels) -> None:
@@ -77,11 +78,14 @@ class ScoreProfile:
         n = s.size
         order = np.argsort(s)
         self._scores = s[order]
-        # suffix counts: pos_tail[i] = positives among the samples of rank >= i
-        pos_tail = np.append(np.cumsum(np.asarray(labels)[order][::-1] == 1)[::-1], 0)
-        neg_tail = np.arange(n, -1, -1) - pos_tail
-        self._pos_tail = pos_tail / n
-        self._neg_tail = neg_tail / n
+        # suffix fractions: tails[0, i] (tails[1, i]) = positives (negatives)
+        # of rank >= i over n; the counts are whole floats, so exact
+        positive = (np.asarray(labels) == 1).take(order)
+        tails = np.zeros((2, n + 1))
+        np.cumsum(positive[::-1], out=tails[0, -2::-1])
+        np.cumsum(~positive[::-1], out=tails[1, -2::-1])
+        tails /= n
+        self._pos_tail, self._neg_tail = tails
 
     @classmethod
     def from_scorer(cls, scorer, data: Dataset) -> "ScoreProfile":

@@ -90,7 +90,10 @@ def load_dataset_csv(path: str) -> tuple[Dataset, dict | None]:
     with warnings.catch_warnings():
         # an empty body is reported as EmptyDataError below, not as a warning
         warnings.simplefilter("ignore", UserWarning)
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        try:
+            raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {_first_bad_row(path) or exc}") from None
     if raw.size == 0:
         raise EmptyDataError(f"{path} contains no data rows")
     if raw.shape[1] < 2:
@@ -100,7 +103,33 @@ def load_dataset_csv(path: str) -> tuple[Dataset, dict | None]:
     if bad.size:
         raise ValueError(f"{path}: data row {bad[0] + 1} has label "
                          f"{float(labels[bad[0]])!r}; labels must be -1 or +1")
-    return Dataset(raw[:, :-1], labels), read_sidecar(path)
+    # the features get their own array, so the float label column is freed
+    return Dataset(raw[:, :-1].copy(), labels), read_sidecar(path)
+
+
+def _first_bad_row(path: str) -> str | None:
+    """The first data row (from 1, skipping blank and ``#`` lines) with a cell
+    that is not a float or a column count other than data row 1's."""
+    opener = _CSV_OPENERS.get(os.path.splitext(path)[1], open)
+    with opener(path, "rt", encoding="utf-8", errors="replace") as fh:
+        next(fh, None)  # the header
+        width, row = None, 0
+        for line in fh:
+            body = line.split("#", 1)[0]
+            if not body.strip():
+                continue
+            row += 1
+            cells = body.split(",")
+            width = width or len(cells)
+            if len(cells) != width:
+                return f"data row {row}: {len(cells)} columns, but data row 1 has {width}"
+            for column, cell in enumerate(cells, 1):
+                try:
+                    # np.loadtxt, unlike float(), refuses digit separators
+                    float(cell.replace("_", " "))
+                except ValueError:
+                    return f"data row {row}: column {column} is {cell.strip()!r}, not a number"
+    return None
 
 
 def save_dataset_npz(data: Dataset, path: str, meta: dict | None = None) -> None:

@@ -163,12 +163,15 @@ def train_plugin(
         raise SplitDegenerateError(
             f"one label missing from a half in all {_SPLIT_RETRIES} split attempts"
         )
+    # only the halves are kept; a kernel scorer keeps the fit half's arrays
+    del perm
     config = config or ThresholdSearchConfig()
     scorer = estimator.build(fit_half)
+    del fit_half
     result = binary_search_threshold(metric, scorer, threshold_half, config)
     provenance = {
         "metric": metric.name,
-        "n1": fit_half.n,
+        "n1": n1,
         "n2": threshold_half.n,
         "seed": int(seed),
         "split_attempts": attempt,

@@ -341,8 +341,10 @@ class LogisticFitReport:
 
 
 def _mean_nll(margins: np.ndarray) -> float:
-    """Mean logistic loss log(1 + exp(-margin)), computed stably."""
-    return float(np.logaddexp(0.0, -margins).mean())
+    """Mean logistic loss log(1 + exp(-margin)), computed stably in the
+    array ``margins``, which it overwrites."""
+    np.negative(margins, out=margins)
+    return float(np.logaddexp(0.0, margins, out=margins).mean())
 
 
 def fit_logistic_mle(data: Dataset,
@@ -355,6 +357,12 @@ def fit_logistic_mle(data: Dataset,
     when 30 halvings find no step that does not increase the objective.
     Diverging weights signal separable data; a Hessian that stays singular
     past the ridge signals a rank-deficient design.
+
+    Besides ``data``, the fit holds the design matrix ``X`` (the features and
+    a column of ones) and a bool target column.  Each step then holds the
+    probabilities ``p``, which the curvature overwrites, and ``X.T * p``
+    until the Hessian is formed, and in the line search a candidate's
+    logits and its margins.
     """
     if data.n == 0:
         raise EmptyDataError("cannot fit a logistic model on no data")
@@ -365,20 +373,21 @@ def fit_logistic_mle(data: Dataset,
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     X = np.column_stack([data.features, np.ones(data.n)])
-    y = data.labels.astype(float)
-    t = (y + 1.0) / 2.0
+    target = data.labels == 1
     theta = np.zeros(X.shape[1])
     diagonal = np.diag_indices(X.shape[1])
-    logits = np.zeros(data.n)  # X @ theta, kept from the line search that accepted theta
-    nll_path = [_mean_nll(logits)]
+    logits = np.zeros(data.n)  # X @ theta, from the line search that accepted theta
+    nll_path = [_mean_nll(data.labels * logits)]
     for iterations in range(max_iter + 1):
         p = expit(logits)
-        grad = X.T @ (p - t) / data.n
+        del logits
+        grad = X.T @ (p - target) / data.n
         grad_norm = float(np.abs(grad).max())
         if grad_norm <= _GRAD_TOL or iterations == max_iter:
             break
-        curvature = p * (1.0 - p)
-        hessian = (X.T * curvature) @ X / data.n
+        p *= 1.0 - p  # the curvature
+        hessian = (X.T * p) @ X / data.n
+        del p  # the line search below needs the memory, not the curvature
         hessian[diagonal] += _RIDGE
         try:
             step = np.linalg.solve(hessian, grad)
@@ -388,13 +397,13 @@ def fit_logistic_mle(data: Dataset,
             ) from exc
         for halvings in range(30):
             candidate = theta - 0.5**halvings * step
-            cand_logits = X @ candidate
-            cand_nll = _mean_nll(y * cand_logits)
+            logits = X @ candidate
+            cand_nll = _mean_nll(data.labels * logits)
             if cand_nll <= nll_path[-1]:
                 break
         else:
             break
-        theta, logits = candidate, cand_logits
+        theta = candidate
         nll_path.append(cand_nll)
         if float(np.abs(theta).max()) > _WEIGHT_NORM_LIMIT:
             raise SeparableDataError(

@@ -116,7 +116,9 @@ class GaussianModel:
         label_rng, feature_rng = _streams(seed)
         labels = np.where(label_rng.random(n) < self.kappa, 1, -1)
         features = feature_rng.standard_normal((n, self.dim))
-        features += 0.5 * labels[:, None] * self.mu[None, :]
+        half = 0.5 * labels
+        for column, mean in zip(features.T, self.mu):
+            column += half * mean
         return Dataset(features, labels)
 
     def eta(self, X) -> np.ndarray:

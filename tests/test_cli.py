@@ -452,6 +452,19 @@ class TestDatasetFiles:
         assert failure["error"] == "invalid-argument"
         assert "frac.csv" in failure["message"]
 
+    @pytest.mark.parametrize(("body", "message"), [
+        ("0.5,1\nabc,-1\n", "data row 2: column 1 is 'abc', not a number"),
+        ("0.5,1\n0.25,1,3\n", "data row 2: 3 columns, but data row 1 has 2"),
+    ], ids=["bad-float", "extra-column"])
+    def test_unparsable_row_is_named(self, tmp_path, capsys, body, message) -> None:
+        path = tmp_path / "bad.csv"
+        path.write_text("x_1,y\n" + body, encoding="utf-8")
+        code, out, err = run_cli(capsys, "train", "--metric", "fbeta:1", "--data", str(path))
+        assert code == 1
+        assert out is None
+        assert json.loads(err) == {"error": "invalid-argument",
+                                   "message": f"{path}: {message}"}
+
     def test_gzip_round_trip(self, tmp_path, capsys) -> None:
         path = str(tmp_path / "d.csv.gz")
         code, _, _ = run_cli(capsys, "gen", "--model", "gaussian", "--mu", "2,0",

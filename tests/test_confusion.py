@@ -115,6 +115,24 @@ class TestScoreProfile:
             got = ScoreProfile(scores[perm], labels[perm]).confusion(deltas)
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize(("scores", "labels"), [
+        (np.repeat([0.1, 0.4, 0.4, 0.9], 250), np.resize([1, -1, -1, 1, 1, -1, 1], 1000)),
+        (np.linspace(0.0, 1.0, 7), np.ones(7, dtype=int)),
+        (np.linspace(0.0, 1.0, 7), -np.ones(7, dtype=int)),
+        (np.array([0.3]), np.array([1])),
+        (np.array([0.3]), np.array([-1])),
+    ], ids=["ties", "all-positive", "all-negative", "one-positive", "one-negative"])
+    def test_tails_are_integer_counts_over_n(self, scores, labels) -> None:
+        # reference: integer suffix counts divided by n, written out here
+        n = scores.size
+        deltas = np.concatenate([[-1.0, 0.0], np.unique(scores), [1.0]])
+        tp = np.array([np.sum((scores > d) & (labels == 1)) for d in deltas]) / n
+        fp = np.array([np.sum((scores > d) & (labels == -1)) for d in deltas]) / n
+        positives, negatives = np.sum(labels == 1) / n, np.sum(labels == -1) / n
+        want = np.stack([tp, fp, positives - tp, negatives - fp], axis=-1)
+        got = ScoreProfile(scores, labels).confusion(deltas)
+        assert got.tobytes() == want.tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
     def test_profile_agrees_with_direct_rescoring(self, seed: int, n: int) -> None:

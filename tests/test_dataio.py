@@ -5,6 +5,7 @@ from __future__ import annotations
 import bz2
 import gzip
 import lzma
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,43 @@ class TestCsv:
         path.write_text(f"x_1,y\n0.5,1\n0.25,{label}\n", encoding="utf-8")
         with pytest.raises(ValueError, match="data row 2"):
             load_dataset_csv(str(path))
+
+    @pytest.mark.parametrize(("body", "message"), [
+        ("0.5,1\nabc,-1\n", "data row 2: column 1 is 'abc', not a number"),
+        ("0.5,1\n\n# note\n0.25,1_0\n", "data row 2: column 2 is '1_0', not a number"),
+    ], ids=["letters", "digit-separator-after-skipped-lines"])
+    def test_unparsable_cell_names_file_row_and_column(self, tmp_path, body, message) -> None:
+        path = tmp_path / "bad.csv"
+        path.write_text("x_1,y\n" + body, encoding="utf-8")
+        with pytest.raises(ValueError) as caught:
+            load_dataset_csv(str(path))
+        assert str(caught.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("body", ["0.5,1\n0.25,1,3\n", "0.5,1\n0.25\n"],
+                             ids=["extra", "missing"])
+    def test_changed_column_count_names_file_and_row(self, tmp_path, body) -> None:
+        path = tmp_path / "bad.csv.gz"
+        with gzip.open(path, "wt", encoding="utf-8") as fh:
+            fh.write("x_1,y\n" + body)
+        width = body.splitlines()[1].count(",") + 1
+        with pytest.raises(ValueError) as caught:
+            load_dataset_csv(str(path))
+        assert str(caught.value) == f"{path}: data row 2: {width} columns, but data row 1 has 2"
+
+    def test_loaded_sample_holds_its_arrays_only(self, tmp_path) -> None:
+        # the features are their own array, not a view that keeps the float
+        # label column alive next to the int labels
+        path = str(tmp_path / "d.csv")
+        save_dataset_csv(sample_gaussian(GaussianModel([2.0, 0.0], 0.5), 10_000, seed=1), path)
+        load_dataset_csv(path)
+        tracemalloc.start()
+        try:
+            loaded, _ = load_dataset_csv(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= loaded.features.nbytes + loaded.labels.nbytes + 64 * 1024
+        assert loaded.features.flags.c_contiguous
 
     @pytest.mark.parametrize(("suffix", "opener"),
                              [(".gz", gzip.open), (".bz2", bz2.open), (".xz", lzma.open)])

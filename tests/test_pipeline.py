@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import logit
@@ -166,6 +168,20 @@ class TestTrainPlugin:
         # a kernel scorer keeps its fitting half as given, in split order
         assert np.array_equal(clf.scorer.train_x, data.features[fit_rows])
         assert np.array_equal(clf.scorer.train_y, data.labels[fit_rows])
+
+    def test_traced_peak_holds_one_copy_of_the_sample(self) -> None:
+        # the halves, the design matrix and one set of Newton temporaries
+        # come to 2.2x the sample's bytes; a second copy would pass 2.5x
+        metric, estimator = parse_metric("fbeta:1"), EstimatorSpec("logistic")
+        train_plugin(metric, MODEL.sample(200, 1), estimator, seed=1)  # loads scipy
+        data = MODEL.sample(200_000, 1)
+        tracemalloc.start()
+        try:
+            train_plugin(metric, data, estimator, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * (data.features.nbytes + data.labels.nbytes)
 
 
 class TestMonteCarloConfusion:

@@ -38,6 +38,7 @@ from karmic import (
     sample_holder,
 )
 from karmic.pipeline import population_confusion_of_model
+from karmic.synth import _streams
 
 from helpers import margin_exponent_estimate
 
@@ -114,6 +115,17 @@ class TestSamplers:
         np.testing.assert_allclose(pos.mean(axis=0), mu / 2, atol=0.02)
         np.testing.assert_allclose(neg.mean(axis=0), -mu / 2, atol=0.02)
         np.testing.assert_allclose(pos.std(axis=0), 1.0, atol=0.02)
+
+    @pytest.mark.parametrize("mu", [[1.5], [2.0, 0.0], [0.3, -1.0, 2.0, 0.25, 7.0]])
+    def test_gaussian_features_bit_for_bit(self, mu) -> None:
+        # reference: the whole (n, d) mean added at once, from the same streams
+        label_rng, feature_rng = _streams(4)
+        labels = np.where(label_rng.random(3000) < 0.3, 1, -1)
+        mu = np.array(mu)
+        want = feature_rng.standard_normal((3000, mu.size)) + 0.5 * labels[:, None] * mu[None, :]
+        data = GaussianModel(mu, 0.3).sample(3000, 4)
+        assert data.labels.tolist() == labels.tolist()
+        assert data.features.tobytes() == want.tobytes()
 
     def test_holder_determinism_and_support(self) -> None:
         m = HolderModel("sine")
