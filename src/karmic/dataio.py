@@ -125,7 +125,10 @@ def _first_bad_row(path: str) -> str | None:
                 return f"data row {row}: {len(cells)} columns, but data row 1 has {width}"
             for column, cell in enumerate(cells, 1):
                 try:
-                    # np.loadtxt, unlike float(), refuses digit separators
+                    # np.loadtxt, unlike float(), refuses digit separators and
+                    # non-ASCII digits (it strips any Unicode space, as strip() does)
+                    if not cell.strip().isascii():
+                        raise ValueError(cell)
                     float(cell.replace("_", " "))
                 except ValueError:
                     return f"data row {row}: column {column} is {cell.strip()!r}, not a number"

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InsufficientPointsError, KarmicError
 from .metrics import parse_metric
 from .pipeline import EstimatorSpec, classifier_utility, population_optimum, train_plugin
-from .synth import GaussianModel, HolderModel, model_from_dict
+from .synth import GaussianModel, HolderModel
 from .thresholds import ThresholdSearchConfig
 
 __all__ = [
@@ -39,9 +39,6 @@ __all__ = [
     "RateTable",
     "run_rate_experiment",
     "fit_loglog_slope",
-    "parse_config_text",
-    "model_from_config",
-    "estimator_from_config",
 ]
 
 logger = logging.getLogger(__name__)
@@ -53,6 +50,8 @@ CONFIG_KEYS = frozenset({
     "model", "mu", "kappa", "eta", "metric", "estimator", "kernel_beta", "kernel_const",
     "n_list", "seeds", "tolerance", "mc_samples", "workers", "out",
 })
+#: the model keys each model reads; the holder's ``eta`` is optional
+_MODEL_KEYS = {"gaussian": ("mu", "kappa"), "holder": ("eta",)}
 
 
 @dataclass(frozen=True)
@@ -176,16 +175,23 @@ def model_from_config(raw: dict[str, str]) -> GaussianModel | HolderModel:
 
     This and :func:`estimator_from_config` are the one parser of models and
     estimators: config files and the CLI flags of the same names use them.
+    A key of the other model is refused, not ignored.
     """
     if "model" not in raw:
         raise ValueError("no model given (config key 'model', flag --model)")
-    payload: dict = {"model": raw["model"].strip().lower(),
-                     "eta_tag": raw.get("eta", "sine").strip()}
-    if "mu" in raw:
-        payload["mu"] = [_number("mu", v) for v in raw["mu"].split(",")]
-    if "kappa" in raw:
-        payload["kappa"] = _number("kappa", raw["kappa"])
-    return model_from_dict(payload)
+    tag = raw["model"].strip().lower()
+    if tag not in _MODEL_KEYS:
+        raise ValueError(f"unknown model {tag!r}; use 'gaussian' or 'holder'")
+    for key in ("mu", "kappa", "eta"):
+        if key in raw and key not in _MODEL_KEYS[tag]:
+            raise ValueError(f"config key {key!r} (flag --{key}) does not apply to the {tag} model")
+    if tag == "holder":
+        return HolderModel(raw.get("eta", "sine").strip())
+    for key in _MODEL_KEYS[tag]:
+        if key not in raw:
+            raise ValueError(f"the gaussian model needs config key {key!r} (flag --{key})")
+    return GaussianModel([_number("mu", v) for v in raw["mu"].split(",")],
+                         _number("kappa", raw["kappa"]))
 
 
 def estimator_from_config(raw: dict[str, str]) -> EstimatorSpec:

@@ -48,7 +48,6 @@ import numpy as np
 from .errors import MetricDomainError
 
 __all__ = [
-    "DOMAIN_EPS",
     "LinearFractional",
     "SmoothClosedForm",
     "MetricSpec",
@@ -56,8 +55,6 @@ __all__ = [
     "parse_metric",
     "metric_value",
     "metric_gradient",
-    "metric_values_masked",
-    "metric_gradients_masked",
     "karmic_parts",
 ]
 
@@ -265,9 +262,9 @@ def parse_metric(name: str) -> MetricSpec:
             b2 = beta**2
         except (ValueError, OverflowError):
             beta = b2 = math.nan
-        if not (beta > 0 and math.isfinite(b2)):
-            raise ValueError(f"bad fbeta parameter in {name!r}: beta must be a finite "
-                             "number > 0 with a finite square")
+        if not (beta > 0 and 0 < b2 < math.inf):
+            raise ValueError(f"bad fbeta parameter in {name!r}: beta must be a number > 0 "
+                             "whose square is finite and > 0")
         return MetricSpec(f"fbeta:{beta:g}",
                           LinearFractional((1.0 + b2, 0.0, 0.0, 0.0), (1.0 + b2, 1.0, b2, 0.0)))
     if text.startswith("linfrac:"):

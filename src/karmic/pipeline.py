@@ -55,7 +55,6 @@ __all__ = [
     "population_optimum",
     "classifier_utility",
     "population_regret",
-    "population_confusion_of_model",
 ]
 
 _SPLIT_TAG = 0x53504C54  # distinguishes split-permutation streams from sampling streams

@@ -52,7 +52,6 @@ __all__ = [
     "HolderModel",
     "sample_gaussian",
     "sample_holder",
-    "model_from_dict",
 ]
 
 _SINE_AMPLITUDE = 0.45

@@ -33,7 +33,7 @@ from .errors import (
     NoSignChangeError,
     TooManyAtomsError,
 )
-from .metrics import MetricSpec, karmic_parts, metric_values_masked
+from .metrics import LinearFractional, MetricSpec, karmic_parts, metric_values_masked
 
 __all__ = [
     "ThresholdSearchConfig",
@@ -42,7 +42,6 @@ __all__ = [
     "fixed_point_threshold",
     "grid_search_threshold",
     "brute_force_discrete",
-    "default_tolerance",
 ]
 
 _NUDGE_ATTEMPTS = 8
@@ -135,6 +134,9 @@ def binary_search_threshold(
     non-negative (the left edge moves up).  Stops when the bracket width
     drops below the resolved tolerance, or after 64 halvings.
     """
+    if isinstance(metric.kind, LinearFractional) and not any(metric.kind.b):
+        raise MetricDomainError(f"{metric.name}: the coefficients b are all zero, "
+                                "so the metric is defined nowhere")
     config = config or ThresholdSearchConfig()
     profile = ScoreProfile.from_scorer(scorer, data)
     eps0 = config.resolve_tolerance(data.n)

@@ -102,6 +102,17 @@ class TestGen:
         assert json.loads(err) == {"error": "invalid-argument", "message": "n must be >= 1"}
         assert not out.exists()
 
+    def test_flag_of_the_other_model_is_refused(self, tmp_path, capsys) -> None:
+        out = tmp_path / "x.csv"
+        code, payload, err = run_cli(capsys, "gen", "--model", "holder", "--mu", "3",
+                                     "--n", "10", "--out", str(out))
+        assert code == 1
+        assert payload is None
+        assert json.loads(err) == {
+            "error": "invalid-argument",
+            "message": "config key 'mu' (flag --mu) does not apply to the holder model"}
+        assert not out.exists()
+
 
 class TestThreshold:
     def test_reports_fit_and_utility(self, gaussian_csv, capsys) -> None:
@@ -415,6 +426,17 @@ class TestTrainEvaluate:
         )
         assert code == 1
         assert json.loads(err)["error"] == "split-degenerate"
+
+    def test_train_on_a_ratio_with_zero_denominator_blames_the_metric(self, gaussian_csv,
+                                                                       capsys) -> None:
+        code, out, err = run_cli(capsys, "train", "--metric", "linfrac:1,0,0,0/0,0,0,0",
+                                 "--data", gaussian_csv)
+        assert code == 1
+        assert out is None
+        assert json.loads(err) == {
+            "error": "metric-domain",
+            "message": "linfrac:1,0,0,0/0,0,0,0: the coefficients b are all zero, "
+                       "so the metric is defined nowhere"}
 
 
 class TestNonFiniteFeatures:

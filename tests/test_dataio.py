@@ -118,6 +118,14 @@ class TestCsv:
             load_dataset_csv(str(path))
         assert str(caught.value) == f"{path}: {message}"
 
+    def test_non_ascii_digits_name_their_row(self, tmp_path) -> None:
+        # float() reads Arabic-Indic digits, np.loadtxt does not
+        path = tmp_path / "bad.csv"
+        path.write_text("x_1,y\n0.5,1\n\u0661.5,1\n", encoding="utf-8")
+        with pytest.raises(ValueError) as caught:
+            load_dataset_csv(str(path))
+        assert str(caught.value) == f"{path}: data row 2: column 1 is '\u0661.5', not a number"
+
     @pytest.mark.parametrize("body", ["0.5,1\n0.25,1,3\n", "0.5,1\n0.25\n"],
                              ids=["extra", "missing"])
     def test_changed_column_count_names_file_and_row(self, tmp_path, body) -> None:

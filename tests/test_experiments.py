@@ -29,6 +29,7 @@ from karmic.experiments import (
     CONFIG_KEYS,
     CSV_COLUMNS,
     eval_seed_for,
+    model_from_config,
     parse_config_text,
 )
 
@@ -215,6 +216,35 @@ class TestConfigText:
         path.write_text(self.GAUSSIAN_TEXT, encoding="utf-8")
         cfg = ExperimentConfig.from_file(str(path))
         assert cfg.metric == "fbeta:1"
+
+
+class TestModelKeys:
+    @pytest.mark.parametrize(("raw", "key"), [
+        ({"model": "holder", "mu": "3"}, "mu"),
+        ({"model": "holder", "kappa": "0.5"}, "kappa"),
+        ({"model": "gaussian", "mu": "1", "kappa": "0.5", "eta": "flat"}, "eta"),
+    ], ids=["holder-mu", "holder-kappa", "gaussian-eta"])
+    def test_key_of_the_other_model_is_refused(self, raw, key) -> None:
+        with pytest.raises(ValueError, match=f"config key '{key}' .*does not apply to the "
+                                             f"{raw['model']} model"):
+            model_from_config(raw)
+
+    def test_missing_gaussian_key_names_the_config_key(self) -> None:
+        with pytest.raises(ValueError) as caught:
+            model_from_config({"model": "gaussian", "mu": "1"})
+        assert str(caught.value) == "the gaussian model needs config key 'kappa' (flag --kappa)"
+
+    def test_rate_config_with_a_holder_mu_is_refused(self) -> None:
+        raw = {**parse_config_text(TestConfigText.GAUSSIAN_TEXT), "model": "holder"}
+        del raw["kappa"]
+        with pytest.raises(ValueError, match="config key 'mu'"):
+            ExperimentConfig.from_mapping(raw)
+
+    def test_each_model_keeps_its_own_keys(self) -> None:
+        assert model_from_config({"model": "holder", "eta": "flat"}) == HolderModel("flat")
+        assert model_from_config({"model": "Holder"}) == HolderModel("sine")
+        gauss = model_from_config({"model": "gaussian", "mu": "2, 0", "kappa": "0.5"})
+        assert gauss.to_dict() == GAUSS.to_dict()
 
 
 class TestEvalSeeds:

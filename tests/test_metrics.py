@@ -238,6 +238,13 @@ class TestParsing:
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             parse_metric(bad)
 
+    def test_fbeta_whose_square_underflows_is_refused(self) -> None:
+        # 1e-200 squared is 0.0, which would make fbeta:1e-200 precision
+        with pytest.raises(ValueError, match="square is finite and > 0"):
+            parse_metric("fbeta:1e-200")
+        assert parse_metric("fbeta:1e-160").kind.b[2] > 0  # a subnormal square
+        assert parse_metric("fbeta:1").name == "fbeta:1"
+
     @pytest.mark.parametrize("coeffs", [(math.nan, 0, 0, 0), (1, 0, math.inf, 0)])
     def test_linear_fractional_rejects_non_finite(self, coeffs) -> None:
         with pytest.raises(ValueError, match="finite"):

@@ -1,0 +1,50 @@
+"""The package namespace: each library module's ``__all__`` is what ``karmic`` exports."""
+
+from __future__ import annotations
+
+import importlib
+
+import karmic
+import karmic.cli
+import karmic.dataio
+
+LIBRARY = ("confusion", "errors", "metrics", "thresholds", "scorers", "synth", "pipeline",
+           "experiments")
+
+
+def test_every_export_appears_once_and_is_the_object_its_module_defines() -> None:
+    assert karmic.__all__[0] == "__version__"
+    assert len(karmic.__all__) == len(set(karmic.__all__))
+    listed = ["__version__"]
+    for name in LIBRARY:
+        module = importlib.import_module(f"karmic.{name}")
+        for public in module.__all__:
+            obj = getattr(module, public)
+            assert obj.__module__ == module.__name__, public
+            assert getattr(karmic, public) is obj, public
+        listed += module.__all__
+    assert sorted(listed) == sorted(karmic.__all__)
+
+
+def test_file_io_and_cli_names_are_not_exported() -> None:
+    for module in (karmic.dataio, karmic.cli):
+        defined = {name for name, obj in vars(module).items()
+                   if getattr(obj, "__module__", None) == module.__name__}
+        assert defined, module.__name__
+        assert not defined & set(karmic.__all__), module.__name__
+        assert not defined & set(vars(karmic)), module.__name__
+
+
+def test_helpers_left_out_of_the_api_stay_importable_from_their_modules() -> None:
+    helpers = {
+        "experiments": ("parse_config_text", "model_from_config", "estimator_from_config",
+                        "eval_seed_for"),
+        "metrics": ("DOMAIN_EPS", "metric_values_masked", "metric_gradients_masked"),
+        "pipeline": ("population_confusion_of_model",),
+        "synth": ("model_from_dict",),
+        "thresholds": ("default_tolerance",),
+    }
+    for module, names in helpers.items():
+        for name in names:
+            assert hasattr(importlib.import_module(f"karmic.{module}"), name), name
+            assert not hasattr(karmic, name), name

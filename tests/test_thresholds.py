@@ -206,6 +206,14 @@ class TestBinarySearch:
         with pytest.raises(DegenerateDistributionError):
             binary_search_threshold(parse_metric("gmean"), ConstantScorer(1.0), data)
 
+    def test_ratio_with_zero_denominator_is_outside_the_domain(self, rng) -> None:
+        # b = 0 makes the metric undefined at every confusion; that is a fault
+        # of the metric, not of the sample the nudges would blame
+        data, scores = make_data(rng, 200)
+        metric = parse_metric("linfrac:1,0,0,0/0,0,0,0")
+        with pytest.raises(MetricDomainError, match="coefficients b are all zero"):
+            binary_search_threshold(metric, FixedScorer(scores), data)
+
     def test_result_serialization(self) -> None:
         result = ThresholdResult(0.5, ((0.5, 0.0, 1), (0.75, -0.5, -1)))
         assert result.iterations == 2
