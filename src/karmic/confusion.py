@@ -71,6 +71,10 @@ class ScoreProfile:
 
     def __init__(self, scores, labels) -> None:
         s = np.asarray(scores, dtype=float)
+        y = np.asarray(labels)
+        if s.ndim != 1 or y.shape != s.shape:
+            raise ValueError("scores and labels must be 1-d and of one length, "
+                             f"got shapes {s.shape} and {y.shape}")
         if s.size == 0:
             raise EmptyDataError("cannot profile an empty sample")
         if not ((s >= 0.0) & (s <= 1.0)).all():
@@ -80,7 +84,7 @@ class ScoreProfile:
         self._scores = s[order]
         # suffix fractions: tails[0, i] (tails[1, i]) = positives (negatives)
         # of rank >= i over n; the counts are whole floats, so exact
-        positive = (np.asarray(labels) == 1).take(order)
+        positive = (y == 1).take(order)
         tails = np.zeros((2, n + 1))
         np.cumsum(positive[::-1], out=tails[0, -2::-1])
         np.cumsum(~positive[::-1], out=tails[1, -2::-1])
@@ -89,8 +93,6 @@ class ScoreProfile:
 
     @classmethod
     def from_scorer(cls, scorer, data: Dataset) -> "ScoreProfile":
-        if data.n == 0:
-            raise EmptyDataError("cannot profile an empty dataset")
         return cls(scorer.scores(data.features), data.labels)
 
     def confusion(self, deltas) -> np.ndarray:

@@ -197,17 +197,24 @@ def model_from_config(raw: dict[str, str]) -> GaussianModel | HolderModel:
 def estimator_from_config(raw: dict[str, str]) -> EstimatorSpec:
     """The estimator named by the key ``estimator``: ``logistic``, ``kernel``
     (with ``kernel_beta`` and ``kernel_const``, both 1 by default),
-    ``true-eta`` (of the model the same keys name) or ``constant:<p>``."""
+    ``true-eta`` (of the model the same keys name) or ``constant:<p>``.
+    A kernel key given to another estimator is refused, not ignored."""
     name = raw["estimator"].strip().lower()
-    if name.startswith("constant:"):
+    kind = "constant" if name.startswith("constant:") else name
+    if kind not in ("logistic", "kernel", "true-eta", "constant"):
+        raise ValueError(f"unknown estimator {raw['estimator']!r}")
+    for key in ("kernel_beta", "kernel_const"):
+        if key in raw and kind != "kernel":
+            raise ValueError(f"config key {key!r} (flag --{key.replace('_', '-')}) "
+                             f"does not apply to the {kind} estimator")
+    if kind == "constant":
         return EstimatorSpec("constant", p=_number("estimator", raw["estimator"].split(":", 1)[1]))
-    if name == "true-eta":
+    if kind == "true-eta":
         return EstimatorSpec("true-eta", model=model_from_config(raw))
-    if name in ("logistic", "kernel"):
-        return EstimatorSpec(
-            name, kernel_beta=_number("kernel_beta", raw.get("kernel_beta", 1.0)),
-            bandwidth_const=_number("kernel_const", raw.get("kernel_const", 1.0)))
-    raise ValueError(f"unknown estimator {raw['estimator']!r}")
+    if kind == "logistic":
+        return EstimatorSpec("logistic")
+    return EstimatorSpec("kernel", kernel_beta=_number("kernel_beta", raw.get("kernel_beta", 1.0)),
+                         bandwidth_const=_number("kernel_const", raw.get("kernel_const", 1.0)))
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -351,7 +358,9 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateTable:
     """
     tasks = [(n, seed) for n in cfg.n_list for seed in range(cfg.seeds)]
     optimum = _solve_optimum(cfg)
-    cpus = len(os.sched_getaffinity(0))
+    # only Linux tells the cpus this process may use
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     workers = min(cfg.workers, len(tasks), cpus)
     if workers < cfg.workers:
         logger.warning("capped the worker pool at %d processes (asked for %d; %d rows, %d cpus)",

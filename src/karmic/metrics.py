@@ -100,18 +100,19 @@ class MetricSpec:
     kind: LinearFractional | SmoothClosedForm
 
 
-def _evaluate(spec: MetricSpec, C: np.ndarray, with_grad: bool):
-    """Vectorized core: values, optional gradients, and the domain mask.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _evaluate(spec: MetricSpec, C) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized core: values, gradients and the domain mask in one pass.
 
     ``C`` has shape (..., 4).  Entries at invalid points are NaN in the
     value array and unspecified in the gradient array.  The domain is
     chosen so that the gradient is finite everywhere the value is defined.
+    Floating-point warnings are off: what they would flag is masked.
     """
     C = np.asarray(C, dtype=float)
     if C.ndim == 0 or C.shape[-1] != 4:
         raise ValueError("confusion arrays must have 4 trailing entries")
     c1, c2, c3, c4 = (C[..., i] for i in range(4))
-    grad = np.zeros_like(C) if with_grad else None
 
     if isinstance(spec.kind, LinearFractional):
         a, b = np.array(spec.kind.a), np.array(spec.kind.b)
@@ -121,21 +122,18 @@ def _evaluate(spec: MetricSpec, C: np.ndarray, with_grad: bool):
         valid = np.abs(bc) >= DOMAIN_EPS
         safe = np.where(valid, bc, 1.0)
         value = np.where(valid, ac / safe, np.nan)
-        if with_grad:
-            grad = (a * safe[..., None] - b * ac[..., None]) / (safe**2)[..., None]
+        grad = (a * safe[..., None] - b * ac[..., None]) / (safe**2)[..., None]
         return value, grad, valid
 
+    grad = np.zeros_like(C)
     tag = spec.kind.tag
     if tag == "accuracy":
-        value = c1 + c4
-        valid = np.ones(value.shape, dtype=bool)
-        if with_grad:
-            grad[..., 0] = 1.0
-            grad[..., 3] = 1.0
-        return value, grad, valid
+        grad[..., 0] = 1.0
+        grad[..., 3] = 1.0
+        return c1 + c4, grad, np.ones(c1.shape, dtype=bool)
 
     # the remaining tags are G(TPR, TNR): each sets its value, its extra
-    # domain condition and, for gradients, d_tpr = dG/dTPR and d_tnr = dG/dTNR
+    # domain condition and the partials d_tpr = dG/dTPR and d_tnr = dG/dTNR
     P = c1 + c3
     N = c2 + c4
     valid = (P >= DOMAIN_EPS) & (N >= DOMAIN_EPS)
@@ -150,9 +148,8 @@ def _evaluate(spec: MetricSpec, C: np.ndarray, with_grad: bool):
     elif tag == "gmean":
         valid = valid & (c1 >= DOMAIN_EPS) & (c4 >= DOMAIN_EPS)
         value = np.sqrt(np.where(valid, tpr * tnr, 1.0))
-        if with_grad:
-            d_tpr = 0.5 / value * tnr
-            d_tnr = 0.5 / value * tpr
+        d_tpr = 0.5 / value * tnr
+        d_tnr = 0.5 / value * tpr
     elif tag == "qmean":
         fnr = c3 / Ps
         fpr = c2 / Ns
@@ -160,68 +157,59 @@ def _evaluate(spec: MetricSpec, C: np.ndarray, with_grad: bool):
         valid = valid & (msq >= DOMAIN_EPS**2)
         r = np.sqrt(np.where(valid, msq, 1.0))
         value = 1.0 - r
-        if with_grad:
-            d_tpr = 0.5 / r * fnr
-            d_tnr = 0.5 / r * fpr
+        d_tpr = 0.5 / r * fnr
+        d_tnr = 0.5 / r * fpr
     else:  # hmean
         s = tpr + tnr
         valid = valid & (s >= DOMAIN_EPS)
         ss = np.where(valid, s, 1.0)
         value = 2.0 * tpr * tnr / ss
-        if with_grad:
-            d_tpr = 2.0 * tnr**2 / ss**2
-            d_tnr = 2.0 * tpr**2 / ss**2
-    if with_grad:  # the chain rule through d(TPR)/dC and d(TNR)/dC
-        grad[..., 0] = d_tpr * c3 / Ps**2
-        grad[..., 1] = -d_tnr * c4 / Ns**2
-        grad[..., 2] = -d_tpr * c1 / Ps**2
-        grad[..., 3] = d_tnr * c2 / Ns**2
-
-    value = np.where(valid, value, np.nan)
-    return value, grad, valid
+        d_tpr = 2.0 * tnr**2 / ss**2
+        d_tnr = 2.0 * tpr**2 / ss**2
+    # the chain rule through d(TPR)/dC and d(TNR)/dC
+    grad[..., 0] = d_tpr * c3 / Ps**2
+    grad[..., 1] = -d_tnr * c4 / Ns**2
+    grad[..., 2] = -d_tpr * c1 / Ps**2
+    grad[..., 3] = d_tnr * c2 / Ns**2
+    return np.where(valid, value, np.nan), grad, valid
 
 
 def metric_values_masked(spec: MetricSpec, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized values with a validity mask (NaN where invalid)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value, _, valid = _evaluate(spec, C, with_grad=False)
+    value, _, valid = _evaluate(spec, C)
     return value, valid
 
 
 def metric_gradients_masked(spec: MetricSpec, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized gradients with a validity mask."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _, grad, valid = _evaluate(spec, C, with_grad=True)
+    _, grad, valid = _evaluate(spec, C)
     return grad, valid
 
 
-def _single(c) -> np.ndarray:
-    """One confusion vector (4 floats) as a (1, 4) array."""
+def _at_point(spec: MetricSpec, c) -> tuple[float, np.ndarray]:
+    """G and its gradient at one confusion vector (4 floats); raises
+    :class:`MetricDomainError` outside the metric's domain."""
     C = np.asarray(c, dtype=float)
     if C.shape != (4,):
         raise ValueError(f"expected 4 confusion entries, got shape {C.shape}")
-    return C[None, :]
-
-
-def metric_value(spec: MetricSpec, c) -> float:
-    """G(C) at a single confusion vector; raises on domain violations."""
-    value, valid = metric_values_masked(spec, _single(c))
+    value, grad, valid = _evaluate(spec, C[None, :])
     if not valid[0]:
         raise MetricDomainError(
             f"{spec.name}: confusion matrix outside the metric's domain "
             f"(a defining denominator is below {DOMAIN_EPS})"
         )
-    return float(value[0])
+    return float(value[0]), grad[0]
+
+
+def metric_value(spec: MetricSpec, c) -> float:
+    """G(C) at a single confusion vector; raises on domain violations."""
+    return _at_point(spec, c)[0]
 
 
 def metric_gradient(spec: MetricSpec, c) -> np.ndarray:
-    """Closed-form gradient of G at ``c`` as a length-4 array."""
-    grad, valid = metric_gradients_masked(spec, _single(c))
-    if not valid[0]:
-        raise MetricDomainError(
-            f"{spec.name}: gradient undefined at this confusion matrix"
-        )
-    return grad[0]
+    """Closed-form gradient of G at ``c`` as a length-4 array; raises on
+    domain violations."""
+    return _at_point(spec, c)[1]
 
 
 def karmic_parts(spec: MetricSpec, C) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -102,8 +102,9 @@ class Scorer:
                 f"{type(self).__name__} has dimension {self.dim}")
         (w,), intercept = self.halfspace(1)
         deltas = np.asarray(deltas, dtype=float)
-        edge = (np.where(self.score(0.0) > deltas, 0.0, 1.0) if w == 0.0
-                else np.clip((logit(deltas) - intercept) / w, 0.0, 1.0))
+        with np.errstate(over="ignore"):  # a tiny w puts the edge at an infinity, clipped
+            edge = (np.where(self.score(0.0) > deltas, 0.0, 1.0) if w == 0.0
+                    else np.clip((logit(deltas) - intercept) / w, 0.0, 1.0))
         ends = (edge, np.ones_like(edge)) if w >= 0.0 else (np.zeros_like(edge), edge)
         return np.stack(ends, axis=-1)[..., None, :]
 
@@ -466,6 +467,7 @@ def scorer_from_dict(payload: dict) -> Scorer:
         return LogisticScorer(number_field(payload, "weights", 1),
                               number_field(payload, "intercept"))
     if kind == "true-eta":
+        require_fields(payload, "true-eta scorer", ("model",))
         return TrueEtaScorer(model_from_dict(payload["model"]))
     if kind == "kernel":
         require_fields(payload, "kernel scorer", ("x", "y", "bandwidth"))

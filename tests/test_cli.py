@@ -369,7 +369,9 @@ class TestTrainEvaluate:
            "delta": 0.5}, "'x'"),
          ({"scorer": {"kind": "kernel", "x": [[0.5], [0.25]], "y": [1, False],
                       "bandwidth": 0.1}, "delta": 0.5}, "'y'"),
-         ({**LOGISTIC_CLASSIFIER, "delta": "0.5"}, "'delta'")],
+         ({**LOGISTIC_CLASSIFIER, "delta": "0.5"}, "'delta'"),
+         ({"scorer": {"kind": "true-eta"}, "delta": 0.5},
+          "true-eta scorer lacks the field(s) model")],
     )
     def test_malformed_classifier_json(self, tmp_path, capsys, payload, field) -> None:
         clf_path = tmp_path / "bad.json"
@@ -416,6 +418,22 @@ class TestTrainEvaluate:
         failure = json.loads(err)
         assert failure["error"] == "invalid-argument"
         assert field in failure["message"]
+
+    @pytest.mark.parametrize(("flags", "message"), [
+        (("--kernel-beta", "3"), "'kernel_beta' (flag --kernel-beta) does not apply to the "
+                                 "logistic estimator"),
+        (("--estimator", "constant:0.3", "--kernel-const", "0.25"),
+         "'kernel_const' (flag --kernel-const) does not apply to the constant estimator")],
+    )
+    def test_kernel_flags_of_another_estimator_are_refused(self, gaussian_csv, capsys,
+                                                           flags, message) -> None:
+        code, out, err = run_cli(capsys, "train", "--metric", "fbeta:1", "--data", gaussian_csv,
+                                 *flags)
+        assert code == 1
+        assert out is None
+        failure = json.loads(err)
+        assert failure["error"] == "invalid-argument"
+        assert message in failure["message"]
 
     def test_train_too_small_maps_to_error_json(self, tmp_path, capsys) -> None:
         data_path = str(tmp_path / "small.csv")
@@ -634,6 +652,7 @@ class TestRate:
         ("line", "field"),
         [("kernel_beta = -1", "kernel_beta"), ("kernel_const = inf", "kernel_const"),
          ("estimator = constant:1.5", "p"), ("estimator = svm", "unknown estimator 'svm'"),
+         ("estimator = logistic\nkernel_beta = 3", "'kernel_beta' (flag --kernel-beta)"),
          # the evaluator follows from the model and estimator; it is no key
          ("eval = closed-form", "'eval'")],
     )

@@ -101,6 +101,16 @@ class TestScoreProfile:
         with pytest.raises(EmptyDataError):
             ScoreProfile([], [])
 
+    @pytest.mark.parametrize("labels", [[1, -1, 1, 1], [1]])
+    def test_one_label_per_score(self, labels) -> None:
+        with pytest.raises(ValueError, match=r"got shapes \(2,\) and"):
+            ScoreProfile([0.2, 0.7], labels)
+
+    def test_scorer_with_one_score_too_many_is_refused(self) -> None:
+        data = Dataset(np.zeros((2, 1)), np.array([1, -1]))
+        with pytest.raises(ValueError, match="of one length"):
+            ScoreProfile.from_scorer(FixedScorer([0.2, 0.7, 0.9]), data)
+
     def test_order_of_tied_scores(self) -> None:
         # the profile sorts without stability: shuffling tied (score, label)
         # pairs must leave every confusion row the same, bit for bit

@@ -11,6 +11,7 @@ thresholds.
 from __future__ import annotations
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,19 @@ class TestHalfLineScorers:
     @pytest.mark.parametrize(("p", "delta"), CONSTANT_CASES)
     def test_constant(self, p: float, delta: float) -> None:
         assert_rows_match(constant_case(p), constant_deltas(p).index(delta))
+
+    @pytest.mark.parametrize(("w", "b"), [(5e-324, 1.0), (-5e-324, 1.0), (1e-300, 1e10)])
+    def test_tiny_weight_gives_all_or_nothing(self, w: float, b: float) -> None:
+        # the edge (logit(delta) - b) / w overflows to an infinity; clipped, it
+        # accepts all of [0, 1] or none of it, as the score against delta says
+        scorer = LogisticScorer([w], b)
+        for delta in (0.5, 0.9):
+            everything = scorer.score(0.5) > delta
+            want = SINE.classifier_confusion(ConstantScorer(float(everything)), 0.5)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = SINE.classifier_confusion(scorer, delta)
+            np.testing.assert_array_equal(got, want)
 
     def test_two_dimensional_logistic_is_rejected(self) -> None:
         scorer = LogisticScorer([1.0, 2.0], 0.0)

@@ -247,6 +247,22 @@ class TestModelKeys:
         assert gauss.to_dict() == GAUSS.to_dict()
 
 
+class TestEstimatorKeys:
+    @pytest.mark.parametrize(("estimator", "key", "value"), [
+        ("logistic", "kernel_beta", "3"), ("logistic", "kernel_const", "0.25"),
+        ("constant:0.3", "kernel_beta", "-7"), ("constant:0.3", "kernel_const", "abc"),
+        ("true-eta", "kernel_beta", "-7"), ("true-eta", "kernel_const", "abc"),
+    ])
+    def test_kernel_key_of_another_estimator_is_refused(self, estimator, key, value) -> None:
+        raw = {**parse_config_text(TestConfigText.GAUSSIAN_TEXT), "estimator": estimator,
+               key: value}
+        kind = estimator.split(":")[0]
+        flag = key.replace("_", "-")
+        with pytest.raises(ValueError, match=f"config key '{key}' \\(flag --{flag}\\) "
+                                             f"does not apply to the {kind} estimator"):
+            ExperimentConfig.from_mapping(raw)
+
+
 class TestEvalSeeds:
     def test_formula_and_disjointness(self) -> None:
         assert eval_seed_for(0, 0) == 1 << 40
@@ -436,6 +452,17 @@ class TestWorkerPool:
         table = run_rate_experiment(tiny_config(n_list=(24,), seeds=seeds, workers=workers))
         assert len(table.rows) == seeds
         assert pool_sizes == []
+
+    def test_without_cpu_affinity_the_cpu_count_caps_the_pool(self, pool_sizes,
+                                                              monkeypatch) -> None:
+        # only Linux has sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity")
+        table = run_rate_experiment(tiny_config(n_list=(24,), seeds=1))
+        assert len(table.rows) == 1
+        assert pool_sizes == []
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        run_rate_experiment(tiny_config(workers=8))
+        assert pool_sizes == [3]
 
 
 class TestExactHolderStudy:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import importlib
+import pathlib
+
+import pytest
 
 import karmic
 import karmic.cli
@@ -48,3 +51,12 @@ def test_helpers_left_out_of_the_api_stay_importable_from_their_modules() -> Non
         for name in names:
             assert hasattr(importlib.import_module(f"karmic.{module}"), name), name
             assert not hasattr(karmic, name), name
+
+
+def test_the_version_is_stated_once_in_the_package() -> None:
+    tomllib = pytest.importorskip("tomllib")
+    with open(pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        config = tomllib.load(fh)
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "karmic.__version__"}
