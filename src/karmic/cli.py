@@ -67,8 +67,13 @@ def _config_keys(args) -> dict[str, str]:
 
 
 def _resolve_scorer(args, data: Dataset):
-    """In-sample scorer for threshold/oracle: a file wins over a fresh fit."""
+    """In-sample scorer for threshold/oracle: a saved one or a fresh fit.
+    A model or estimator flag beside a saved scorer is refused, not ignored."""
     if args.scorer_json:
+        keys = _config_keys(args)
+        if keys:
+            flag = next(iter(keys)).replace("_", "-")
+            raise ValueError(f"flag --{flag} does not apply beside --scorer-json")
         with open(args.scorer_json, encoding="utf-8") as fh:
             return scorer_from_dict(json.load(fh))
     if args.estimator:
@@ -140,8 +145,6 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_rate(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
-    if args.workers is not None:
-        cfg = dataclasses.replace(cfg, workers=args.workers)
     if args.out is not None:
         cfg = dataclasses.replace(cfg, out=args.out)
     if not cfg.out:
@@ -200,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="bisection threshold fit on a dataset")
     p.add_argument("--metric", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--scorer-json", help="path to a serialized scorer (wins over --estimator)")
+    p.add_argument("--scorer-json", help="path to a serialized scorer, instead of --estimator")
     _add_scorer_args(p)
     _add_model_args(p, required=False)
     p.add_argument("--tolerance", type=float, default=None)
@@ -228,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate", help="convergence-rate experiment from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", help="output prefix override")
     p.set_defaults(handler=_cmd_rate)
 
@@ -237,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--discrete", help="atoms as weight:eta,weight:eta,...")
     p.add_argument("--data")
     p.add_argument("--step", type=float, default=1e-4)
-    p.add_argument("--scorer-json", help="path to a serialized scorer (wins over --estimator)")
+    p.add_argument("--scorer-json", help="path to a serialized scorer, instead of --estimator")
     _add_scorer_args(p)
     _add_model_args(p, required=False)
     p.set_defaults(handler=_cmd_oracle)

@@ -23,8 +23,10 @@ import json
 import lzma
 import os
 import warnings
+import zipfile
 
 import numpy as np
+from numpy.lib.npyio import NpzFile
 
 from .confusion import Dataset
 from .errors import EmptyDataError
@@ -146,6 +148,24 @@ def save_dataset_npz(data: Dataset, path: str, meta: dict | None = None) -> None
 
 
 def load_dataset_npz(path: str) -> tuple[Dataset, dict | None]:
-    with np.load(path) as payload:
-        data = Dataset(payload["features"], payload["labels"])
+    """Read a dataset NPZ; returns the data and its sidecar metadata.  Every
+    refusal names the file, as the CSV loader's do."""
+    # opened here, since np.load leaves open a file it fails to read as a zip
+    with open(path, "rb") as fh:
+        try:
+            payload = np.load(fh)
+        except (EOFError, ValueError, zipfile.BadZipFile):
+            payload = None
+        # a bare .npy loads as one array, not as an archive
+        if not isinstance(payload, NpzFile):
+            raise ValueError(f"{path} is not an NPZ archive")
+        missing = [key for key in ("features", "labels") if key not in payload]
+        if missing:
+            raise ValueError(f"{path} lacks the array(s) {', '.join(missing)}")
+        try:
+            data = Dataset(payload["features"], payload["labels"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if data.n == 0:
+        raise EmptyDataError(f"{path} contains no data rows")
     return data, read_sidecar(path)

@@ -3,11 +3,10 @@
 A run is a grid of (n, seed) rows.  The population optimum depends only on
 the metric and the model, so it is solved once per run; each row then
 samples a fresh training set, trains the plug-in classifier, and evaluates
-its population regret against that optimum.  Rows are independent and may
-execute on a process pool without changing any output (fixed task order,
-per-row derived evaluation seeds).  Aggregation reports the per-n median
-regret and interquartile range, and the headline statistic is the
-least-squares slope of log(median regret) against log(n).
+its population regret against that optimum.  Rows run in order in the
+calling process, each from its own derived seeds.  Aggregation reports the
+per-n median regret and interquartile range, and the headline statistic is
+the least-squares slope of log(median regret) against log(n).
 
 Outputs: a CSV of rows (stable column set, floats via repr so identical
 runs are byte-identical) and a JSON summary (schema 1) carrying aggregates,
@@ -20,10 +19,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 import time
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -48,7 +45,7 @@ _EVAL_SEED_STRIDE = 10007
 CSV_COLUMNS = ("n", "seed", "regret", "delta_hat", "delta_star", "error")
 CONFIG_KEYS = frozenset({
     "model", "mu", "kappa", "eta", "metric", "estimator", "kernel_beta", "kernel_const",
-    "n_list", "seeds", "tolerance", "mc_samples", "workers", "out",
+    "n_list", "seeds", "tolerance", "mc_samples", "out",
 })
 #: the model keys each model reads; the holder's ``eta`` is optional
 _MODEL_KEYS = {"gaussian": ("mu", "kappa"), "holder": ("eta",)}
@@ -70,7 +67,6 @@ class ExperimentConfig:
     seeds: int
     tolerance: float | None = None
     mc_samples: int = 1_000_000
-    workers: int = 1
     out: str | None = None
 
     def __post_init__(self) -> None:
@@ -86,8 +82,6 @@ class ExperimentConfig:
             raise ValueError("seeds must lie in [1, 10000]")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     @property
     def eval_mode(self) -> str:
@@ -100,12 +94,11 @@ class ExperimentConfig:
         return ThresholdSearchConfig(self.tolerance)
 
     def to_dict(self) -> dict:
-        est = {
-            "kind": self.estimator.kind,
-            "kernel_beta": self.estimator.kernel_beta,
-            "bandwidth_const": self.estimator.bandwidth_const,
-        }
-        if self.estimator.kind == "constant":
+        est: dict = {"kind": self.estimator.kind}
+        if self.estimator.kind == "kernel":
+            est["kernel_beta"] = self.estimator.kernel_beta
+            est["bandwidth_const"] = self.estimator.bandwidth_const
+        elif self.estimator.kind == "constant":
             est["p"] = self.estimator.p
         payload = {
             "model": self.model.to_dict(),
@@ -115,7 +108,6 @@ class ExperimentConfig:
             "seeds": self.seeds,
             "tolerance": "logn-over-n" if self.tolerance is None else self.tolerance,
             "eval_mode": self.eval_mode,
-            "workers": self.workers,
         }
         if self.eval_mode == "monte-carlo":
             # exact evaluation makes no draw, so it records no draw count
@@ -144,7 +136,6 @@ class ExperimentConfig:
             seeds=_whole("seeds", raw["seeds"]),
             tolerance=None if tolerance == "logn-over-n" else _number("tolerance", tolerance),
             mc_samples=_whole("mc_samples", raw.get("mc_samples", 1_000_000)),
-            workers=_whole("workers", raw.get("workers", 1)),
             out=raw.get("out"),
         )
 
@@ -348,33 +339,15 @@ def _run_row(cfg: ExperimentConfig, optimum, n: int, seed: int) -> RateRow:
 
 
 def run_rate_experiment(cfg: ExperimentConfig) -> RateTable:
-    """Run every (n, seed) row; errors are recorded, not raised.
+    """Run every (n, seed) row in order; errors are recorded, not raised.
 
-    Row order is (n ascending, seed ascending) regardless of the worker
-    pool, and all randomness is derived per row, so the table is a pure
-    function of the config.  The population optimum is solved once, here,
-    and shared by every row.  The pool has at most one process per row and
-    per usable cpu; a smaller pool than ``cfg.workers`` is logged.
+    Rows run in the calling process, n ascending and then seed ascending,
+    and all randomness is derived per row, so the table is a pure function
+    of the config.  The population optimum is solved once, here, and shared
+    by every row.
     """
-    tasks = [(n, seed) for n in cfg.n_list for seed in range(cfg.seeds)]
     optimum = _solve_optimum(cfg)
-    # only Linux tells the cpus this process may use
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(cfg.workers, len(tasks), cpus)
-    if workers < cfg.workers:
-        logger.warning("capped the worker pool at %d processes (asked for %d; %d rows, %d cpus)",
-                       workers, cfg.workers, len(tasks), cpus)
-    if workers > 1:
-        # a serial run never loads the pool, nor multiprocessing behind it
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_row, repeat(cfg), repeat(optimum), *zip(*tasks),
-                                 chunksize=chunk))
-    else:
-        rows = [_run_row(cfg, optimum, n, seed) for n, seed in tasks]
+    rows = [_run_row(cfg, optimum, n, seed) for n in cfg.n_list for seed in range(cfg.seeds)]
     return RateTable(rows, cfg)
 
 

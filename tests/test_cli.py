@@ -126,16 +126,21 @@ class TestThreshold:
         assert payload["iterations"] == len(payload["h_trace"])
         assert 0.7 < payload["utility"] <= 1.0
 
-    def test_scorer_json_wins_over_estimator(self, gaussian_csv, tmp_path, capsys) -> None:
+    @pytest.mark.parametrize(("command", "flags", "flag"), [
+        ("threshold", ("--estimator", "svm", "--kernel-beta", "-5"), "--estimator"),
+        ("threshold", ("--model", "holder"), "--model"),
+        ("oracle", ("--kernel-const", "2"), "--kernel-const"),
+    ], ids=["threshold-estimator", "threshold-model", "oracle-kernel-const"])
+    def test_scorer_json_beside_a_model_or_estimator_flag_is_refused(
+            self, gaussian_csv, tmp_path, capsys, command, flags, flag) -> None:
         scorer_path = tmp_path / "scorer.json"
         scorer_path.write_text(json.dumps({"kind": "constant", "p": 0.5}), encoding="utf-8")
-        code, payload, _ = run_cli(
-            capsys, "threshold", "--metric", "accuracy", "--data", gaussian_csv,
-            "--scorer-json", str(scorer_path), "--estimator", "logistic",
-        )
-        assert code == 0
-        # a constant scorer cannot beat the majority rule
-        assert payload["utility"] == pytest.approx(0.5, abs=0.05)
+        code, out, err = run_cli(capsys, command, "--metric", "accuracy", "--data", gaussian_csv,
+                                 "--scorer-json", str(scorer_path), *flags)
+        assert code == 1
+        assert out is None
+        assert json.loads(err) == {"error": "invalid-argument",
+                                   "message": f"flag {flag} does not apply beside --scorer-json"}
 
 
     @pytest.mark.parametrize(("flags", "message"), [
@@ -505,6 +510,16 @@ class TestDatasetFiles:
         assert json.loads(err) == {"error": "invalid-argument",
                                    "message": f"{path}: {message}"}
 
+    def test_npy_renamed_to_npz_is_named(self, tmp_path, capsys) -> None:
+        path = tmp_path / "d.npz"
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))
+        code, out, err = run_cli(capsys, "train", "--metric", "fbeta:1", "--data", str(path))
+        assert code == 1
+        assert out is None
+        assert json.loads(err) == {"error": "invalid-argument",
+                                   "message": f"{path} is not an NPZ archive"}
+
     def test_gzip_round_trip(self, tmp_path, capsys) -> None:
         path = str(tmp_path / "d.csv.gz")
         code, _, _ = run_cli(capsys, "gen", "--model", "gaussian", "--mu", "2,0",
@@ -709,26 +724,17 @@ class TestRate:
             stored = json.load(fh)
         assert {**stored, "csv": payload["csv"], "summary": payload["summary"]} == payload
 
-    def test_workers_flag_overrides_the_config(self, tmp_path, capsys, monkeypatch) -> None:
-        pools = []
-        run = karmic.cli.run_rate_experiment
-
-        def recording(cfg):
-            pools.append(cfg.workers)
-            return run(cfg)
-
-        monkeypatch.setattr(karmic.cli, "run_rate_experiment", recording)
+    def test_config_that_sets_workers_is_refused(self, tmp_path, capsys) -> None:
+        # rows run in one process; there is no pool to size
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(self.CONFIG + "workers = 1\n", encoding="utf-8")
-        serial = str(tmp_path / "serial")
-        pooled = str(tmp_path / "pooled")
-        assert run_cli(capsys, "rate", "--config", str(cfg_path), "--out", serial)[0] == 0
-        assert run_cli(capsys, "rate", "--config", str(cfg_path), "--out", pooled,
-                       "--workers", "2")[0] == 0
-        assert pools == [1, 2]
-        with open(f"{pooled}.json", encoding="utf-8") as fh:
-            assert json.load(fh)["config"]["workers"] == 2
-        assert (Path(f"{serial}.csv").read_bytes() == Path(f"{pooled}.csv").read_bytes())
+        cfg_path.write_text(self.CONFIG + "workers = 2\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "rate", "--config", str(cfg_path),
+                                 "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert out is None
+        assert json.loads(err) == {"error": "invalid-argument",
+                                   "message": "unknown config keys: ['workers']"}
+        assert not (tmp_path / "run.csv").exists()
 
     def test_missing_config_file(self, tmp_path, capsys) -> None:
         code, _, err = run_cli(
@@ -811,6 +817,8 @@ class TestUsageErrors:
         # the bisection stops on its tolerance alone
         ["threshold", "--metric", "fbeta:1", "--data", "d.csv", "--max-iterations", "5"],
         ["train", "--metric", "fbeta:1", "--data", "d.csv", "--max-iterations", "5"],
+        # rows run in one process
+        ["rate", "--config", "c.cfg", "--workers", "2"],
     ])
     def test_flags_a_command_lacks_exit_2(self, argv: list[str]) -> None:
         with pytest.raises(SystemExit) as exc:

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import math
-import os
 import pathlib
 
 import numpy as np
@@ -73,7 +71,6 @@ class TestConfigValidation:
             {"tolerance": 1.0},
             {"tolerance": "0.5"},
             {"mc_samples": 0},
-            {"workers": 0},
             {"metric": "f1"},
         ],
     )
@@ -91,6 +88,18 @@ class TestConfigValidation:
         assert payload["metric"] == "fbeta:1"
         assert payload["n_list"] == [24, 32]
         assert payload["eval_mode"] == "closed-form"
+
+    @pytest.mark.parametrize(("estimator", "settings"), [
+        (EstimatorSpec("logistic"), {}),
+        (EstimatorSpec("kernel", kernel_beta=2.0, bandwidth_const=0.5),
+         {"kernel_beta": 2.0, "bandwidth_const": 0.5}),
+        (EstimatorSpec("true-eta", model=GAUSS), {}),
+        (EstimatorSpec("constant", p=0.3), {"p": 0.3}),
+    ], ids=["logistic", "kernel", "true-eta", "constant"])
+    def test_to_dict_records_only_the_settings_of_its_estimator(self, estimator,
+                                                                settings) -> None:
+        payload = tiny_config(estimator=estimator).to_dict()
+        assert payload["estimator"] == {"kind": estimator.kind, **settings}
 
     def test_to_dict_records_mc_samples_only_for_monte_carlo(self) -> None:
         assert "mc_samples" not in tiny_config(mc_samples=5000).to_dict()
@@ -178,10 +187,12 @@ class TestConfigText:
     def test_unknown_and_missing_keys(self) -> None:
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_mapping({"model": "gaussian", "fuel": "coal"})
-        # the evaluator follows from the model and estimator; it is no key
-        with pytest.raises(ValueError, match=r"unknown config keys: \['eval'\]"):
-            ExperimentConfig.from_mapping({**parse_config_text(self.GAUSSIAN_TEXT),
-                                           "eval": "monte-carlo"})
+        # the evaluator follows from the model and estimator, and rows run in
+        # one process; neither is a key
+        for key, value in (("eval", "monte-carlo"), ("workers", "2")):
+            with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
+                ExperimentConfig.from_mapping({**parse_config_text(self.GAUSSIAN_TEXT),
+                                               key: value})
         with pytest.raises(ValueError, match="missing config keys"):
             ExperimentConfig.from_mapping({"model": "gaussian", "mu": "1", "kappa": "0.5"})
         # a count too large for a float is infinite, which int() cannot take;
@@ -189,13 +200,12 @@ class TestConfigText:
         raw = parse_config_text(TestConfigText.GAUSSIAN_TEXT)
         for key, value in (("n_list", "256, 1e400"), ("mc_samples", "1e400"),
                            ("n_list", "256.7"), ("mc_samples", "1000.9"),
-                           ("seeds", "2.5"), ("seeds", "two"), ("workers", "1.5"),
-                           ("workers", "nan")):
+                           ("seeds", "2.5"), ("seeds", "two"), ("seeds", "nan")):
             with pytest.raises(ValueError, match=key):
                 ExperimentConfig.from_mapping({**raw, key: value})
         # every integer key reads 1e1 alike
-        cfg = ExperimentConfig.from_mapping({**raw, "seeds": "1e1", "workers": "2.0"})
-        assert (cfg.seeds, cfg.workers) == (10, 2)
+        cfg = ExperimentConfig.from_mapping({**raw, "seeds": "1e1", "mc_samples": "2.0e4"})
+        assert (cfg.seeds, cfg.mc_samples) == (10, 20_000)
 
     @pytest.mark.parametrize(("key", "value"), [
         ("tolerance", "abc"), ("kappa", "abc"), ("mu", "2, x"), ("kernel_beta", "abc"),
@@ -377,14 +387,6 @@ class TestRunExperiment:
         b = run_rate_experiment(tiny_config())
         assert a.csv_text() == b.csv_text()
 
-    def test_workers_do_not_change_results(self, monkeypatch) -> None:
-        # two cpus even on a one-cpu host, so that a real pool of two runs
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        cfg = tiny_config(n_list=(24, 32, 48), seeds=4)
-        serial = run_rate_experiment(cfg)
-        parallel = run_rate_experiment(dataclasses.replace(cfg, workers=2))
-        assert serial.csv_text() == parallel.csv_text()
-
     def test_failures_recorded_not_raised(self) -> None:
         # a constant scorer at 1.0 leaves gmean undefined at every
         # bisection midpoint, so every row fails but the run completes.
@@ -407,62 +409,6 @@ class TestRunExperiment:
         summary = table.summary()
         assert summary["schema"] == 1
         assert summary["config"]["metric"] == "fbeta:1"
-
-
-class TestWorkerPool:
-    """The pool is sized ``min(workers, rows, cpus)``; a fake pool that maps
-    serially stands in for the real one, so no process is started."""
-
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch) -> list[int]:
-        sizes: list[int] = []
-
-        class RecordingPool:
-            def __init__(self, max_workers: int) -> None:
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc) -> None:
-                pass
-
-            def map(self, fn, *iterables, chunksize: int = 1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        return sizes
-
-    @pytest.mark.parametrize(("workers", "cpus", "size"), [(5000, 8, 6), (5000, 3, 3), (4, 8, 4)])
-    def test_pool_capped_at_rows_and_cpus(self, pool_sizes, monkeypatch, caplog,
-                                          workers, cpus, size) -> None:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        cfg = tiny_config()  # 6 rows
-        with caplog.at_level("WARNING", logger="karmic.experiments"):
-            table = run_rate_experiment(dataclasses.replace(cfg, workers=workers))
-        assert pool_sizes == [size]
-        assert any("capped the worker pool" in r.message
-                   for r in caplog.records) == (size < workers)
-        assert table.csv_text() == run_rate_experiment(cfg).csv_text()
-
-    @pytest.mark.parametrize(("workers", "cpus", "seeds"), [(1, 8, 3), (5000, 1, 3), (8, 8, 1)])
-    def test_one_process_runs_serially(self, pool_sizes, monkeypatch,
-                                       workers, cpus, seeds) -> None:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        table = run_rate_experiment(tiny_config(n_list=(24,), seeds=seeds, workers=workers))
-        assert len(table.rows) == seeds
-        assert pool_sizes == []
-
-    def test_without_cpu_affinity_the_cpu_count_caps_the_pool(self, pool_sizes,
-                                                              monkeypatch) -> None:
-        # only Linux has sched_getaffinity
-        monkeypatch.delattr(os, "sched_getaffinity")
-        table = run_rate_experiment(tiny_config(n_list=(24,), seeds=1))
-        assert len(table.rows) == 1
-        assert pool_sizes == []
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        run_rate_experiment(tiny_config(workers=8))
-        assert pool_sizes == [3]
 
 
 class TestExactHolderStudy:
@@ -489,7 +435,7 @@ class TestOneOptimumPerStudy:
             return solve(*args)
 
         monkeypatch.setattr(karmic.pipeline, "fixed_point_threshold", counting)
-        table = run_rate_experiment(tiny_config(workers=1))
+        table = run_rate_experiment(tiny_config())
         assert len(table.rows) == 6
         assert len(calls) == 1
         assert len({row.delta_star for row in table.rows}) == 1

@@ -1,9 +1,11 @@
-"""The package namespace: each library module's ``__all__`` is what ``karmic`` exports."""
+"""The package: each library module's ``__all__`` is what ``karmic`` exports, and
+pyproject.toml declares what README states."""
 
 from __future__ import annotations
 
 import importlib
 import pathlib
+import re
 
 import pytest
 
@@ -60,3 +62,15 @@ def test_the_version_is_stated_once_in_the_package() -> None:
     assert "version" not in config["project"]
     assert "version" in config["project"]["dynamic"]
     assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "karmic.__version__"}
+
+
+def test_the_dependency_floors_match_the_readme() -> None:
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    installation = (root / "README.md").read_text(encoding="utf-8").split("## Installation", 1)[1]
+    installation = installation.split("\n## ", 1)[0]
+    stated = dict(re.findall(r"(numpy|scipy) \(>= ([\d.]+)", installation))
+    assert sorted(declared) == [f"{name}>={floor}" for name, floor in sorted(stated.items())]
+    assert set(stated) == {"numpy", "scipy"}

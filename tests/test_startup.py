@@ -1,9 +1,9 @@
-"""Cold start: a fresh interpreter loads scipy and the process pool only on use.
+"""Cold start: a fresh interpreter loads scipy only on use, and never a process pool.
 
 ``scipy.special`` (about 0.3 s to import) serves the Gaussian closed forms and
-the logistic scorer; the process pool serves rate studies with more than one
-worker.  ``import karmic``, the Holder/kernel path and ``karmic gen`` need
-neither.
+the logistic scorer; ``import karmic``, the Holder/kernel path and ``karmic gen``
+do not need it.  Rate studies run their rows in the calling process, so
+``concurrent.futures.process`` and ``multiprocessing`` never load.
 """
 
 from __future__ import annotations
