@@ -71,6 +71,7 @@ class TestConfigValidation:
             {"tolerance": 1.0},
             {"tolerance": "0.5"},
             {"mc_samples": 0},
+            {"tolerance": math.nan},
             {"metric": "f1"},
         ],
     )
