@@ -8,14 +8,16 @@ classifier), ``rate`` (convergence-rate experiment from a config file),
 
 All results go to stdout as JSON (or to files where documented).  Failures
 print one JSON object ``{"error": code, "message": ...}`` on stderr and
-exit 1; bad flags or subcommands exit 2 with usage text.
+exit 1; unknown or missing flags and subcommands exit 2 with usage text.
+The model and estimator flags reach the config parser as text, so a bad
+value exits 1 naming its key.  A closed stdout ends the run with exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import os
 import sys
 
 from .confusion import Dataset, ScoreProfile
@@ -23,7 +25,7 @@ from .dataio import load_dataset_csv, load_dataset_npz, save_dataset_csv, save_d
 from .errors import KarmicError
 from .experiments import ExperimentConfig, estimator_from_config, model_from_config, run_rate_experiment
 from .metrics import metric_value, parse_metric
-from .pipeline import PluginClassifier, population_regret, train_plugin
+from .pipeline import EstimatorSpec, PluginClassifier, population_regret, train_plugin
 from .scorers import scorer_from_dict
 from .thresholds import ThresholdSearchConfig, binary_search_threshold, brute_force_discrete, grid_search_threshold
 
@@ -40,44 +42,57 @@ def _fail(code: str, message: str) -> int:
 
 
 def _add_model_args(parser: argparse.ArgumentParser, required: bool) -> None:
-    parser.add_argument("--model", choices=("gaussian", "holder"), required=required,
-                        help="synthetic model family")
+    parser.add_argument("--model", required=required, help="gaussian | holder")
     parser.add_argument("--mu", help="gaussian mean separation, comma floats (e.g. 2,0)")
-    parser.add_argument("--kappa", type=float, help="gaussian positive-class prior")
-    parser.add_argument("--eta", choices=("sine", "flat"),
-                        help="holder conditional-probability tag (default sine)")
+    parser.add_argument("--kappa", help="gaussian positive-class prior")
+    parser.add_argument("--eta", help="holder eta curve: sine | flat (default sine)")
 
 
 def _add_scorer_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--estimator",
                         help="logistic | kernel | true-eta | constant:<p> "
-                             "(true-eta needs model flags)")
-    parser.add_argument("--kernel-beta", type=float, help="kernel smoothness (default 1)")
-    parser.add_argument("--kernel-const", type=float, help="kernel bandwidth constant (default 1)")
+                             "(model flags go with true-eta alone)")
+    parser.add_argument("--kernel-beta", help="kernel smoothness (default 1)")
+    parser.add_argument("--kernel-const", help="kernel bandwidth constant (default 1)")
 
 
-#: flags whose ``dest`` is a config key; both go through one parser
-_CONFIG_FLAGS = ("model", "mu", "kappa", "eta", "estimator", "kernel_beta", "kernel_const")
+#: flags whose ``dest`` is a config key; their text goes to the config parser
+_MODEL_FLAGS = ("model", "mu", "kappa", "eta")
+_CONFIG_FLAGS = (*_MODEL_FLAGS, "estimator", "kernel_beta", "kernel_const")
 
 
 def _config_keys(args) -> dict[str, str]:
-    """The set model and estimator flags as a config ``key -> string`` map."""
-    return {key: str(getattr(args, key)) for key in _CONFIG_FLAGS
+    """The set model and estimator flags as a config ``key -> text`` map."""
+    return {key: getattr(args, key) for key in _CONFIG_FLAGS
             if getattr(args, key, None) is not None}
+
+
+def _refuse(args, dests, where: str) -> None:
+    """A flag among ``dests`` that was given is refused, not ignored."""
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            raise ValueError(f"flag --{dest.replace('_', '-')} does not apply {where}")
+
+
+def _estimator(args) -> EstimatorSpec:
+    """The estimator the flags name, logistic by default.  The model flags
+    name the model of ``true-eta`` and are refused beside another estimator
+    (in a config file they name the study's model instead)."""
+    spec = estimator_from_config({"estimator": "logistic", **_config_keys(args)})
+    if spec.kind != "true-eta":
+        _refuse(args, _MODEL_FLAGS, f"to the {spec.kind} estimator")
+    return spec
 
 
 def _resolve_scorer(args, data: Dataset):
     """In-sample scorer for threshold/oracle: a saved one or a fresh fit.
     A model or estimator flag beside a saved scorer is refused, not ignored."""
     if args.scorer_json:
-        keys = _config_keys(args)
-        if keys:
-            flag = next(iter(keys)).replace("_", "-")
-            raise ValueError(f"flag --{flag} does not apply beside --scorer-json")
+        _refuse(args, _CONFIG_FLAGS, "beside --scorer-json")
         with open(args.scorer_json, encoding="utf-8") as fh:
             return scorer_from_dict(json.load(fh))
     if args.estimator:
-        return estimator_from_config(_config_keys(args)).build(data)
+        return _estimator(args).build(data)
     raise ValueError("provide --scorer-json or --estimator")
 
 
@@ -114,10 +129,9 @@ def _cmd_threshold(args) -> int:
 
 def _cmd_train(args) -> int:
     metric = parse_metric(args.metric)
-    data = _load_data(args.data)
-    estimator = estimator_from_config({"estimator": "logistic", **_config_keys(args)})
-    clf = train_plugin(metric, data, estimator, ThresholdSearchConfig(args.tolerance),
-                       seed=args.seed)
+    estimator = _estimator(args)
+    clf = train_plugin(metric, _load_data(args.data), estimator,
+                       ThresholdSearchConfig(args.tolerance), seed=args.seed)
     payload = clf.to_dict()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -144,15 +158,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_rate(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, out=args.out)
-    if not cfg.out:
-        raise ValueError("set 'out' in the config or pass --out for the CSV/JSON prefix")
-    table = run_rate_experiment(cfg)
-    table.write_csv(f"{cfg.out}.csv")
-    summary = table.write_summary(f"{cfg.out}.json")
-    _emit({**summary, "csv": f"{cfg.out}.csv", "summary": f"{cfg.out}.json"})
+    table = run_rate_experiment(ExperimentConfig.from_file(args.config))
+    table.write_csv(f"{args.out}.csv")
+    summary = table.write_summary(f"{args.out}.json")
+    _emit({**summary, "csv": f"{args.out}.csv", "summary": f"{args.out}.json"})
     return 0
 
 
@@ -169,6 +178,7 @@ def _parse_atoms(text: str) -> list[tuple[float, float]]:
 def _cmd_oracle(args) -> int:
     metric = parse_metric(args.metric)
     if args.discrete:
+        _refuse(args, ("data", "step", "scorer_json", *_CONFIG_FLAGS), "beside --discrete")
         best, argmax_set = brute_force_discrete(metric, _parse_atoms(args.discrete))
         _emit({
             "metric": metric.name,
@@ -180,9 +190,10 @@ def _cmd_oracle(args) -> int:
         raise ValueError("provide --discrete atoms or --data for a grid search")
     data = _load_data(args.data)
     scorer = _resolve_scorer(args, data)
-    delta = grid_search_threshold(metric, scorer, data, args.step)
+    step = 1e-4 if args.step is None else args.step
+    delta = grid_search_threshold(metric, scorer, data, step)
     utility = metric_value(metric, ScoreProfile.from_scorer(scorer, data).confusion(delta))
-    _emit({"metric": metric.name, "delta": delta, "utility": utility, "step": args.step})
+    _emit({"metric": metric.name, "delta": delta, "utility": utility, "step": step})
     return 0
 
 
@@ -231,14 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate", help="convergence-rate experiment from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", help="output prefix override")
+    p.add_argument("--out", required=True, help="output prefix: writes <out>.csv and <out>.json")
     p.set_defaults(handler=_cmd_rate)
 
     p = sub.add_parser("oracle", help="grid search or exhaustive discrete optimum")
     p.add_argument("--metric", required=True)
     p.add_argument("--discrete", help="atoms as weight:eta,weight:eta,...")
     p.add_argument("--data")
-    p.add_argument("--step", type=float, default=1e-4)
+    p.add_argument("--step", type=float, help="grid step (default 1e-4)")
     p.add_argument("--scorer-json", help="path to a serialized scorer, instead of --estimator")
     _add_scorer_args(p)
     _add_model_args(p, required=False)
@@ -251,6 +262,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        # stdout's reader is gone: devnull takes the flush at exit (Python docs, SIGPIPE)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except KarmicError as exc:
         return _fail(exc.code, str(exc))
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

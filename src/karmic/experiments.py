@@ -10,8 +10,8 @@ the least-squares slope of log(median regret) against log(n).
 
 Outputs: a CSV of rows (stable column set, floats via repr so identical
 runs are byte-identical) and a JSON summary (schema 1) carrying aggregates,
-the slope fit, and wall-time totals.  Config files are plain ``key = value``
-text; see ``ExperimentConfig.from_file``.
+the slope fit, and wall-time totals, at a prefix the caller names.  Config
+files are plain ``key = value`` text; see ``ExperimentConfig.from_file``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ _EVAL_SEED_STRIDE = 10007
 CSV_COLUMNS = ("n", "seed", "regret", "delta_hat", "delta_star", "error")
 CONFIG_KEYS = frozenset({
     "model", "mu", "kappa", "eta", "metric", "estimator", "kernel_beta", "kernel_const",
-    "n_list", "seeds", "tolerance", "mc_samples", "out",
+    "n_list", "seeds", "tolerance", "mc_samples",
 })
 #: the model keys each model reads; the holder's ``eta`` is optional
 _MODEL_KEYS = {"gaussian": ("mu", "kappa"), "holder": ("eta",)}
@@ -57,7 +57,8 @@ class ExperimentConfig:
 
     ``tolerance`` is a fixed float, or None for the per-search default
     max(log n2 / n2, 1e-8) on the threshold half (config text
-    ``logn-over-n``).  ``eval_mode`` follows from the model and estimator.
+    ``logn-over-n``).  ``n_list``, ``seeds`` and ``mc_samples`` are whole
+    numbers or their text.  ``eval_mode`` follows from the model and estimator.
     """
 
     model: GaussianModel | HolderModel
@@ -67,13 +68,14 @@ class ExperimentConfig:
     seeds: int
     tolerance: float | None = None
     mc_samples: int = 1_000_000
-    out: str | None = None
 
     def __post_init__(self) -> None:
         parse_metric(self.metric)  # validate the name eagerly
         self.search_config()  # and the tolerance
-        n_list = tuple(int(n) for n in self.n_list)
+        n_list = tuple(_whole("n_list", n) for n in self.n_list)
         object.__setattr__(self, "n_list", n_list)
+        object.__setattr__(self, "seeds", _whole("seeds", self.seeds))
+        object.__setattr__(self, "mc_samples", _whole("mc_samples", self.mc_samples))
         if len(n_list) < 1 or any(n < 20 for n in n_list):
             raise ValueError("n_list must hold sample sizes >= 20")
         if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -132,20 +134,19 @@ class ExperimentConfig:
             model=model_from_config(raw),
             metric=raw["metric"].strip(),
             estimator=estimator_from_config(raw),
-            n_list=tuple(_whole("n_list", v) for v in raw["n_list"].split(",")),
-            seeds=_whole("seeds", raw["seeds"]),
+            n_list=tuple(raw["n_list"].split(",")),
+            seeds=raw["seeds"],
             tolerance=None if tolerance == "logn-over-n" else _number("tolerance", tolerance),
-            mc_samples=_whole("mc_samples", raw.get("mc_samples", 1_000_000)),
-            out=raw.get("out"),
+            mc_samples=raw.get("mc_samples", 1_000_000),
         )
 
 
 def _whole(key: str, text) -> int:
-    """One integer config value; ``1e6`` is allowed, a fraction or a non-finite
-    value is not."""
+    """One integer setting, a number or its text; ``1e6`` is allowed, a
+    fraction or a non-finite value is not."""
     try:
         value = float(text)
-    except ValueError:
+    except (TypeError, ValueError):
         value = math.nan
     if not value.is_integer():
         raise ValueError(f"config key {key!r} must be a whole number, got {str(text).strip()!r}")
@@ -164,8 +165,8 @@ def _number(key: str, text) -> float:
 def model_from_config(raw: dict[str, str]) -> GaussianModel | HolderModel:
     """The model named by the keys ``model``, ``mu``, ``kappa`` and ``eta``.
 
-    This and :func:`estimator_from_config` are the one parser of models and
-    estimators: config files and the CLI flags of the same names use them.
+    This and :func:`estimator_from_config` are the only parser of models and
+    estimators, for config files and the CLI flags of the same names alike.
     A key of the other model is refused, not ignored.
     """
     if "model" not in raw:

@@ -657,11 +657,13 @@ class TestRate:
         assert stored["config"]["metric"] == "fbeta:1"
 
     def test_missing_out_fails(self, tmp_path, capsys) -> None:
+        # --out is the only output prefix, so argparse requires it
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(self.CONFIG, encoding="utf-8")
-        code, _, err = run_cli(capsys, "rate", "--config", str(cfg_path))
-        assert code == 1
-        assert json.loads(err)["error"] == "invalid-argument"
+        with pytest.raises(SystemExit) as exc:
+            main(["rate", "--config", str(cfg_path)])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         ("line", "field"),
@@ -736,6 +738,18 @@ class TestRate:
                                    "message": "unknown config keys: ['workers']"}
         assert not (tmp_path / "run.csv").exists()
 
+    def test_config_that_sets_out_is_refused(self, tmp_path, capsys) -> None:
+        # the output prefix is karmic rate --out alone
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(self.CONFIG + f"out = {tmp_path / 'cfg'}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "rate", "--config", str(cfg_path),
+                                 "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert out is None
+        assert json.loads(err) == {"error": "invalid-argument",
+                                   "message": "unknown config keys: ['out']"}
+        assert sorted(os.listdir(tmp_path)) == ["exp.cfg"]
+
     def test_missing_config_file(self, tmp_path, capsys) -> None:
         code, _, err = run_cli(
             capsys, "rate", "--config", str(tmp_path / "absent.cfg"), "--out", "x"
@@ -746,7 +760,8 @@ class TestRate:
 
 class TestFlagsMatchConfig:
     """The model and estimator flags build what the config keys of the same
-    names build: ``--kernel-beta 2`` is ``kernel_beta = 2``."""
+    names build: ``--kernel-beta 2`` is ``kernel_beta = 2``.  On ``train``
+    the model flags name the model of ``true-eta`` alone."""
 
     MODELS = {
         "gaussian": {"model": "gaussian", "mu": "2,0", "kappa": "0.3"},
@@ -799,15 +814,99 @@ class TestFlagsMatchConfig:
         clf_path.write_text(json.dumps({"scorer": {"kind": "constant", "p": 0.5},
                                         "delta": 0.5}), encoding="utf-8")
 
+        train_keys = keys if estimator == "true-eta" else self.ESTIMATORS[estimator]
         spec = self.captured_argument(
             monkeypatch, "train_plugin",
-            ["train", "--metric", "fbeta:1", "--data", data_path, *self.flags(keys)])
+            ["train", "--metric", "fbeta:1", "--data", data_path, *self.flags(train_keys)])
         assert self.spec_fields(spec) == self.spec_fields(cfg.estimator)
         built = self.captured_argument(
             monkeypatch, "population_regret",
             ["evaluate", "--metric", "fbeta:1", "--classifier", str(clf_path),
              *self.flags(self.MODELS[model])])
         assert built.to_dict() == cfg.model.to_dict()
+
+
+class TestFlagValues:
+    """The model and estimator flags reach the config parser as text, so a
+    bad value exits 1 naming its key, as the same value in a config does."""
+
+    @pytest.mark.parametrize(("argv", "message"), [
+        (("gen", "--model", "gaussian", "--mu", "2,0", "--kappa", "abc"),
+         "config key 'kappa' must be a number, got 'abc'"),
+        (("gen", "--model", "foo"), "unknown model 'foo'; use 'gaussian' or 'holder'"),
+        (("gen", "--model", "holder", "--eta", "wave"),
+         "unknown eta tag 'wave'; use 'sine' or 'flat'"),
+        (("train", "--estimator", "kernel", "--kernel-beta", "abc"),
+         "config key 'kernel_beta' must be a number, got 'abc'"),
+        (("train", "--estimator", "kernel", "--kernel-const", "abc"),
+         "config key 'kernel_const' must be a number, got 'abc'"),
+    ], ids=["kappa", "model", "eta", "kernel-beta", "kernel-const"])
+    def test_malformed_value_names_its_key(self, gaussian_csv, tmp_path, capsys, argv,
+                                           message) -> None:
+        out = tmp_path / "x.csv"
+        rest = (("--n", "10", "--out", str(out)) if argv[0] == "gen"
+                else ("--metric", "fbeta:1", "--data", gaussian_csv))
+        code, payload, err = run_cli(capsys, *argv, *rest)
+        assert code == 1
+        assert payload is None
+        assert json.loads(err) == {"error": "invalid-argument", "message": message}
+        assert not out.exists()
+
+    def test_model_name_is_read_as_in_a_config(self, tmp_path, capsys) -> None:
+        path = str(tmp_path / "x.csv")
+        code, payload, err = run_cli(capsys, "gen", "--model", "Gaussian", "--mu", "2,0",
+                                     "--kappa", "0.5", "--n", "10", "--out", path)
+        assert code == 0, err
+        assert read_sidecar(path)["model"] == "gaussian"
+
+    @pytest.mark.parametrize(("command", "flags", "message"), [
+        ("train", ("--estimator", "logistic", "--mu", "abc"),
+         "flag --mu does not apply to the logistic estimator"),
+        # train's estimator is logistic by default
+        ("train", ("--model", "gaussian"), "flag --model does not apply to the logistic estimator"),
+        ("threshold", ("--estimator", "kernel", "--eta", "flat"),
+         "flag --eta does not apply to the kernel estimator"),
+        ("oracle", ("--estimator", "constant:0.3", "--kappa", "0.5"),
+         "flag --kappa does not apply to the constant estimator"),
+    ], ids=["train-logistic", "train-default", "threshold-kernel", "oracle-constant"])
+    def test_model_flags_go_with_true_eta_alone(self, gaussian_csv, capsys, command, flags,
+                                                message) -> None:
+        code, out, err = run_cli(capsys, command, "--metric", "fbeta:1", "--data", gaussian_csv,
+                                 *flags)
+        assert code == 1
+        assert out is None
+        assert json.loads(err) == {"error": "invalid-argument", "message": message}
+
+    @pytest.mark.parametrize("flags", [
+        ("--data", "d.csv"), ("--step", "5"), ("--scorer-json", "s.json"),
+        ("--estimator", "svm"), ("--model", "holder"), ("--kernel-beta", "2"),
+    ], ids=["data", "step", "scorer-json", "estimator", "model", "kernel-beta"])
+    def test_discrete_oracle_refuses_every_other_input(self, capsys, flags) -> None:
+        code, out, err = run_cli(capsys, "oracle", "--metric", "fbeta:1",
+                                 "--discrete", "0.5:0.3,0.5:0.7", *flags)
+        assert code == 1
+        assert out is None
+        assert json.loads(err) == {"error": "invalid-argument",
+                                   "message": f"flag {flags[0]} does not apply beside --discrete"}
+
+
+def test_closed_stdout_exits_1_without_a_message(tmp_path, capsys) -> None:
+    # a kernel classifier of 2000 points is larger than a pipe buffer, so it
+    # is written while the command runs, not at interpreter exit
+    data_path = str(tmp_path / "k.csv")
+    run_cli(capsys, "gen", "--model", "holder", "--n", "4000", "--seed", "2",
+            "--out", data_path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "karmic", "train", "--metric", "fbeta:1", "--data", data_path,
+         "--estimator", "kernel"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+    )
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 class TestUsageErrors:

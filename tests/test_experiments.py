@@ -79,6 +79,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             tiny_config(**overrides)
 
+    @pytest.mark.parametrize(("key", "value", "text"), [
+        ("n_list", (24.9, 32), "24.9, 32"), ("seeds", 2.7, "2.7"), ("mc_samples", 2.5, "2.5"),
+    ], ids=["n_list", "seeds", "mc_samples"])
+    def test_fractions_are_refused_as_in_config_text(self, key, value, text) -> None:
+        with pytest.raises(ValueError) as built:
+            tiny_config(**{key: value})
+        raw = {**parse_config_text(TestConfigText.GAUSSIAN_TEXT), key: text}
+        with pytest.raises(ValueError) as parsed:
+            ExperimentConfig.from_mapping(raw)
+        assert str(built.value) == str(parsed.value) == (
+            f"config key {key!r} must be a whole number, got {text.split(',')[0]!r}")
+
+    def test_whole_numbers_are_kept_as_ints(self) -> None:
+        cfg = tiny_config(n_list=(24.0, "32"), seeds="3", mc_samples=5e3)
+        assert (cfg.n_list, cfg.seeds, cfg.mc_samples) == ((24, 32), 3, 5000)
+        assert all(type(n) is int for n in (*cfg.n_list, cfg.seeds, cfg.mc_samples))
+
     def test_search_config_passthrough(self) -> None:
         assert tiny_config().search_config().tolerance is None
         assert tiny_config(tolerance=0.01).search_config().tolerance == 0.01
