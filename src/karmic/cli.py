@@ -32,8 +32,16 @@ from .thresholds import ThresholdSearchConfig, binary_search_threshold, brute_fo
 __all__ = ["main", "build_parser"]
 
 
+class _StdoutClosed(Exception):
+    """stdout's reader is gone before the result was written."""
+
+
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    # flushed here, so a closed stdout is seen inside main and not at exit
+    try:
+        print(json.dumps(payload, indent=2, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        raise _StdoutClosed from None
 
 
 def _fail(code: str, message: str) -> int:
@@ -262,8 +270,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except BrokenPipeError:
-        # stdout's reader is gone: devnull takes the flush at exit (Python docs, SIGPIPE)
+    except _StdoutClosed:
+        # devnull takes the flush at exit (Python docs, SIGPIPE)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

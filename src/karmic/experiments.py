@@ -64,10 +64,11 @@ class ExperimentConfig:
     model: GaussianModel | HolderModel
     metric: str
     estimator: EstimatorSpec
-    n_list: tuple[int, ...]
-    seeds: int
+    # __post_init__ stores these three as int
+    n_list: tuple[int | str, ...]
+    seeds: int | str
     tolerance: float | None = None
-    mc_samples: int = 1_000_000
+    mc_samples: int | str = 1_000_000
 
     def __post_init__(self) -> None:
         parse_metric(self.metric)  # validate the name eagerly

@@ -890,17 +890,23 @@ class TestFlagValues:
                                    "message": f"flag {flags[0]} does not apply beside --discrete"}
 
 
-def test_closed_stdout_exits_1_without_a_message(tmp_path, capsys) -> None:
+@pytest.mark.parametrize("argv", [
     # a kernel classifier of 2000 points is larger than a pipe buffer, so it
-    # is written while the command runs, not at interpreter exit
+    # is written while the command runs
+    ["train", "--metric", "fbeta:1", "--data", "{data}", "--estimator", "kernel"],
+    # a few bytes, which an unflushed stdout would write only at interpreter exit
+    ["oracle", "--metric", "hmean", "--discrete", "0.5:0.3,0.5:0.7"],
+], ids=["kernel-classifier", "discrete-oracle"])
+def test_closed_stdout_exits_1_without_a_message(tmp_path, capsys, argv) -> None:
     data_path = str(tmp_path / "k.csv")
     run_cli(capsys, "gen", "--model", "holder", "--n", "4000", "--seed", "2",
             "--out", data_path)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "karmic", "train", "--metric", "fbeta:1", "--data", data_path,
-         "--estimator", "kernel"],
+        [sys.executable, "-m", "karmic", *(a.format(data=data_path) for a in argv)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        # stdout block-buffered, as it is by default on a pipe
+        env={**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+             "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
     )
     proc.stdout.close()
     with proc.stderr:
@@ -917,7 +923,7 @@ class TestUsageErrors:
         ["threshold", "--metric", "fbeta:1", "--data", "d.csv", "--max-iterations", "5"],
         ["train", "--metric", "fbeta:1", "--data", "d.csv", "--max-iterations", "5"],
         # rows run in one process
-        ["rate", "--config", "c.cfg", "--workers", "2"],
+        ["rate", "--config", "c.cfg", "--out", "x", "--workers", "2"],
     ])
     def test_flags_a_command_lacks_exit_2(self, argv: list[str]) -> None:
         with pytest.raises(SystemExit) as exc:
