@@ -10,7 +10,7 @@ All results go to stdout as JSON (or to files where documented).  Failures
 print one JSON object ``{"error": code, "message": ...}`` on stderr and
 exit 1; unknown or missing flags and subcommands exit 2 with usage text.
 The model and estimator flags reach the config parser as text, so a bad
-value exits 1 naming its key.  A closed stdout ends the run with exit 1.
+value exits 1 naming its key and flag.  A closed stdout ends the run with exit 1.
 """
 
 from __future__ import annotations

@@ -41,9 +41,10 @@ __all__ = [
     "read_sidecar",
 ]
 
-#: rows formatted by one ``%`` operation in ``save_dataset_csv``; large
-#: enough that the per-block Python overhead vanishes, small enough that a
-#: block's text stays a few hundred kilobytes
+#: rows formatted by one ``%`` operation in ``save_dataset_csv``, and moved
+#: by one assignment in ``load_dataset_csv``; large enough that the
+#: per-block Python overhead vanishes, small enough that a block's text
+#: (or the buffer of an overlapping move) stays a few hundred kilobytes
 _CSV_BLOCK_ROWS = 4096
 #: the compressed formats ``np.savetxt`` and ``np.loadtxt`` pick by suffix
 _CSV_OPENERS = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open, ".lzma": lzma.open}
@@ -88,7 +89,12 @@ def save_dataset_csv(data: Dataset, path: str, meta: dict | None = None) -> None
 
 
 def load_dataset_csv(path: str) -> tuple[Dataset, dict | None]:
-    """Read a dataset CSV; returns the data and its sidecar metadata."""
+    """Read a dataset CSV; returns the data and its sidecar metadata.
+
+    The features are returned in the memory of the block ``np.loadtxt``
+    parsed (see ``_pack_features``), so the load holds that block and the
+    int labels at its peak, never a second copy of the features.
+    """
     with warnings.catch_warnings():
         # an empty body is reported as EmptyDataError below, not as a warning
         warnings.simplefilter("ignore", UserWarning)
@@ -100,13 +106,34 @@ def load_dataset_csv(path: str) -> tuple[Dataset, dict | None]:
         raise EmptyDataError(f"{path} contains no data rows")
     if raw.shape[1] < 2:
         raise ValueError(f"{path} needs at least one feature column and a label column")
-    labels = raw[:, -1]
-    bad = np.flatnonzero((labels != 1) & (labels != -1))
+    column = raw[:, -1]
+    bad = np.flatnonzero((column != 1) & (column != -1))
     if bad.size:
         raise ValueError(f"{path}: data row {bad[0] + 1} has label "
-                         f"{float(labels[bad[0]])!r}; labels must be -1 or +1")
-    # the features get their own array, so the float label column is freed
-    return Dataset(raw[:, :-1].copy(), labels), read_sidecar(path)
+                         f"{float(column[bad[0]])!r}; labels must be -1 or +1")
+    labels = column.astype(int)
+    del column
+    return Dataset(_pack_features(raw), labels), read_sidecar(path)
+
+
+def _pack_features(block: np.ndarray) -> np.ndarray:
+    """The ``(n, d)`` features of an ``(n, d + 1)`` block, in the block's own
+    memory: the feature columns move to its front ``_CSV_BLOCK_ROWS`` rows
+    at a time, then the block shrinks in place to ``n * d`` floats.
+
+    Row i moves to flat offset i*d from i*(d+1), so no row is overwritten
+    before it is read, and numpy buffers the overlap within a chunk.  The
+    block must own its data and have no view alive: ``resize`` does not
+    check, and a view would be left pointing at freed memory.
+    """
+    n, d = block.shape[0], block.shape[1] - 1
+    flat = block.reshape(-1)
+    for start in range(0, n, _CSV_BLOCK_ROWS):
+        stop = min(start + _CSV_BLOCK_ROWS, n)
+        flat[start * d:stop * d].reshape(stop - start, d)[...] = block[start:stop, :d]
+    del flat
+    block.resize((n, d), refcheck=False)
+    return block
 
 
 def _first_bad_row(path: str) -> str | None:

@@ -49,6 +49,9 @@ CONFIG_KEYS = frozenset({
 })
 #: the model keys each model reads; the holder's ``eta`` is optional
 _MODEL_KEYS = {"gaussian": ("mu", "kappa"), "holder": ("eta",)}
+#: the keys the CLI also takes as flags of the same name
+_FLAG_KEYS = frozenset({"model", "mu", "kappa", "eta", "estimator", "kernel_beta",
+                        "kernel_const"})
 
 
 @dataclass(frozen=True)
@@ -142,6 +145,12 @@ class ExperimentConfig:
         )
 
 
+def _named(key: str) -> str:
+    """A config key as a refusal names it, with its flag where it has one."""
+    flag = f" (flag --{key.replace('_', '-')})" if key in _FLAG_KEYS else ""
+    return f"config key {key!r}{flag}"
+
+
 def _whole(key: str, text) -> int:
     """One integer setting, a number or its text; ``1e6`` is allowed, a
     fraction or a non-finite value is not."""
@@ -150,17 +159,18 @@ def _whole(key: str, text) -> int:
     except (TypeError, ValueError):
         value = math.nan
     if not value.is_integer():
-        raise ValueError(f"config key {key!r} must be a whole number, got {str(text).strip()!r}")
+        raise ValueError(f"{_named(key)} must be a whole number, got {str(text).strip()!r}")
     return int(value)
 
 
 def _number(key: str, text) -> float:
-    """One float config value; a value that is not a number names its key."""
+    """One float config value; a value that is not a number names its key
+    (and its flag)."""
     try:
         return float(text)
     except ValueError:
         pass
-    raise ValueError(f"config key {key!r} must be a number, got {str(text).strip()!r}")
+    raise ValueError(f"{_named(key)} must be a number, got {str(text).strip()!r}")
 
 
 def model_from_config(raw: dict[str, str]) -> GaussianModel | HolderModel:
@@ -177,12 +187,12 @@ def model_from_config(raw: dict[str, str]) -> GaussianModel | HolderModel:
         raise ValueError(f"unknown model {tag!r}; use 'gaussian' or 'holder'")
     for key in ("mu", "kappa", "eta"):
         if key in raw and key not in _MODEL_KEYS[tag]:
-            raise ValueError(f"config key {key!r} (flag --{key}) does not apply to the {tag} model")
+            raise ValueError(f"{_named(key)} does not apply to the {tag} model")
     if tag == "holder":
-        return HolderModel(raw.get("eta", "sine").strip())
+        return HolderModel(raw.get("eta", "sine").strip().lower())
     for key in _MODEL_KEYS[tag]:
         if key not in raw:
-            raise ValueError(f"the gaussian model needs config key {key!r} (flag --{key})")
+            raise ValueError(f"the gaussian model needs {_named(key)}")
     return GaussianModel([_number("mu", v) for v in raw["mu"].split(",")],
                          _number("kappa", raw["kappa"]))
 
@@ -198,8 +208,7 @@ def estimator_from_config(raw: dict[str, str]) -> EstimatorSpec:
         raise ValueError(f"unknown estimator {raw['estimator']!r}")
     for key in ("kernel_beta", "kernel_const"):
         if key in raw and kind != "kernel":
-            raise ValueError(f"config key {key!r} (flag --{key.replace('_', '-')}) "
-                             f"does not apply to the {kind} estimator")
+            raise ValueError(f"{_named(key)} does not apply to the {kind} estimator")
     if kind == "constant":
         return EstimatorSpec("constant", p=_number("estimator", raw["estimator"].split(":", 1)[1]))
     if kind == "true-eta":

@@ -143,8 +143,15 @@ def train_plugin(
     The split is a seeded permutation giving the scorer half floor(n/2)
     points and the threshold half the rest.  A half missing one of the two
     labels triggers a fresh permutation, up to 10 attempts.
+
+    Only the halves outlive the split.  A sample passed inline, as in
+    ``train_plugin(metric, load(path), ...)``, is freed once they exist, so
+    the fit and the search run beside one copy of it; a caller that keeps
+    the sample keeps it unchanged.
     """
-    n = data.n
+    features, labels = data.features, data.labels
+    del data
+    n = labels.size
     if n < 20:
         raise SplitDegenerateError(f"need at least 20 samples to split, got {n}")
     # the k-th spawn(1) is the k-th child of spawn(_SPLIT_RETRIES), so spawning
@@ -153,17 +160,20 @@ def train_plugin(
     n1 = n // 2
     for attempt in range(1, _SPLIT_RETRIES + 1):
         perm = np.random.default_rng(streams.spawn(1)[0]).permutation(n)
-        fit_half = data.subset(perm[:n1])
-        threshold_half = data.subset(perm[n1:])
-        if all((half.labels == 1).any() and (half.labels == -1).any()
-               for half in (fit_half, threshold_half)):
+        # the labels alone decide whether a split is kept
+        fit_labels, threshold_labels = labels.take(perm[:n1]), labels.take(perm[n1:])
+        if all((half == 1).any() and (half == -1).any()
+               for half in (fit_labels, threshold_labels)):
             break
     else:
         raise SplitDegenerateError(
             f"one label missing from a half in all {_SPLIT_RETRIES} split attempts"
         )
+    del labels
+    fit_half = Dataset(features.take(perm[:n1], axis=0), fit_labels)
+    threshold_half = Dataset(features.take(perm[n1:], axis=0), threshold_labels)
     # only the halves are kept; a kernel scorer keeps the fit half's arrays
-    del perm
+    del features, perm, fit_labels, threshold_labels
     config = config or ThresholdSearchConfig()
     scorer = estimator.build(fit_half)
     del fit_half

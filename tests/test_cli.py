@@ -8,6 +8,7 @@ import re
 import runpy
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +80,8 @@ class TestGen:
         )
         assert code == 1
         assert json.loads(err) == {"error": "invalid-argument",
-                                   "message": "config key 'mu' must be a number, got 'x'"}
+                                   "message": "config key 'mu' (flag --mu) must be a number, "
+                                              "got 'x'"}
 
     def test_gaussian_needs_mu_and_kappa(self, tmp_path, capsys) -> None:
         code, payload, err = run_cli(
@@ -207,7 +209,8 @@ class TestTrainEvaluate:
         )
         assert (code, payload) == (1, None)
         assert json.loads(err) == {"error": "invalid-argument",
-                                   "message": "config key 'estimator' must be a number, got 'abc'"}
+                                   "message": "config key 'estimator' (flag --estimator) must be "
+                                              "a number, got 'abc'"}
 
     def test_zero_margin_model_is_evaluated(self, tmp_path, capsys) -> None:
         # eta is the constant kappa, so the F1 optimum predicts +1 everywhere
@@ -460,6 +463,25 @@ class TestTrainEvaluate:
             "error": "metric-domain",
             "message": "linfrac:1,0,0,0/0,0,0,0: the coefficients b are all zero, "
                        "so the metric is defined nowhere"}
+
+    def test_train_traced_peak_holds_one_copy_of_the_sample(self, gaussian_csv, tmp_path,
+                                                            capsys) -> None:
+        # train passes the loaded sample inline, so the split frees it: the
+        # halves and the fit come to 2.2x its bytes; a name bound to it in
+        # the CLI keeps it beside them, about 3.2x
+        n = 200_000
+        path = str(tmp_path / "big.csv")
+        save_dataset_csv(GaussianModel([2.0, 0.0], 0.5).sample(n, 1), path)
+        assert run_cli(capsys, "train", "--metric", "fbeta:1", "--data", gaussian_csv)[0] == 0
+        tracemalloc.start()
+        try:
+            code = main(["train", "--metric", "fbeta:1", "--data", path,
+                         "--out", str(tmp_path / "clf.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 2.5 * n * (2 * 8 + 8)
 
 
 class TestNonFiniteFeatures:
@@ -828,18 +850,18 @@ class TestFlagsMatchConfig:
 
 class TestFlagValues:
     """The model and estimator flags reach the config parser as text, so a
-    bad value exits 1 naming its key, as the same value in a config does."""
+    bad value exits 1 naming its key and flag, as the same value in a config does."""
 
     @pytest.mark.parametrize(("argv", "message"), [
         (("gen", "--model", "gaussian", "--mu", "2,0", "--kappa", "abc"),
-         "config key 'kappa' must be a number, got 'abc'"),
+         "config key 'kappa' (flag --kappa) must be a number, got 'abc'"),
         (("gen", "--model", "foo"), "unknown model 'foo'; use 'gaussian' or 'holder'"),
         (("gen", "--model", "holder", "--eta", "wave"),
          "unknown eta tag 'wave'; use 'sine' or 'flat'"),
         (("train", "--estimator", "kernel", "--kernel-beta", "abc"),
-         "config key 'kernel_beta' must be a number, got 'abc'"),
+         "config key 'kernel_beta' (flag --kernel-beta) must be a number, got 'abc'"),
         (("train", "--estimator", "kernel", "--kernel-const", "abc"),
-         "config key 'kernel_const' must be a number, got 'abc'"),
+         "config key 'kernel_const' (flag --kernel-const) must be a number, got 'abc'"),
     ], ids=["kappa", "model", "eta", "kernel-beta", "kernel-const"])
     def test_malformed_value_names_its_key(self, gaussian_csv, tmp_path, capsys, argv,
                                            message) -> None:
@@ -858,6 +880,13 @@ class TestFlagValues:
                                      "--kappa", "0.5", "--n", "10", "--out", path)
         assert code == 0, err
         assert read_sidecar(path)["model"] == "gaussian"
+
+    def test_eta_tag_is_read_in_any_case(self, tmp_path, capsys) -> None:
+        path = str(tmp_path / "x.csv")
+        code, payload, err = run_cli(capsys, "gen", "--model", "Holder", "--eta", "Flat",
+                                     "--n", "10", "--out", path)
+        assert code == 0, err
+        assert read_sidecar(path) == {"model": "holder", "eta_tag": "flat", "n": 10, "seed": 0}
 
     @pytest.mark.parametrize(("command", "flags", "message"), [
         ("train", ("--estimator", "logistic", "--mu", "abc"),

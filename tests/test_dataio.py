@@ -140,8 +140,8 @@ class TestCsv:
         assert str(caught.value) == f"{path}: data row 2: {width} columns, but data row 1 has 2"
 
     def test_loaded_sample_holds_its_arrays_only(self, tmp_path) -> None:
-        # the features are their own array, not a view that keeps the float
-        # label column alive next to the int labels
+        # the features are the parsed block shrunk in place, not a view that
+        # keeps the float label column alive next to the int labels
         path = str(tmp_path / "d.csv")
         save_dataset_csv(sample_gaussian(GaussianModel([2.0, 0.0], 0.5), 10_000, seed=1), path)
         load_dataset_csv(path)
@@ -153,6 +153,45 @@ class TestCsv:
             tracemalloc.stop()
         assert held <= loaded.features.nbytes + loaded.labels.nbytes + 64 * 1024
         assert loaded.features.flags.c_contiguous
+
+    def test_traced_peak_is_the_parsed_block_and_the_labels(self, tmp_path) -> None:
+        # the (n, d + 1) block and the int labels are 1.33x what is returned;
+        # a second copy of the features would make it 2x
+        path = str(tmp_path / "d.csv")
+        save_dataset_csv(sample_gaussian(GaussianModel([2.0, 0.0], 0.5), 100_000, seed=1), path)
+        load_dataset_csv(path)
+        tracemalloc.start()
+        try:
+            loaded, _ = load_dataset_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (loaded.features.nbytes + loaded.labels.nbytes)
+
+    @pytest.mark.parametrize(("name", "n", "dim"), [
+        ("d.csv", 3 * _CSV_BLOCK_ROWS - 5, 2), ("d.csv.gz", _CSV_BLOCK_ROWS + 1, 3),
+        ("one-row.csv", 1, 2), ("one-feature.csv", 2 * _CSV_BLOCK_ROWS, 1),
+    ], ids=["plain", "gz", "one-row", "one-feature"])
+    def test_features_are_packed_into_the_parsed_block(self, tmp_path, monkeypatch, name, n,
+                                                       dim) -> None:
+        data = sample_gaussian(GaussianModel(np.linspace(2.0, -1.0, dim), 0.4), n, seed=5)
+        path = str(tmp_path / name)
+        save_dataset_csv(data, path)
+        parsed = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            parsed.append(loadtxt(*args, **kwargs))
+            return parsed[-1]
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        loaded, _ = load_dataset_csv(path)
+        # resize works on a block that owns its memory, and no copy is made
+        assert loaded.features is parsed[0]
+        assert loaded.features.flags.owndata and loaded.features.flags.c_contiguous
+        assert loaded.features.shape == (n, dim)
+        assert loaded.features.tobytes() == data.features.tobytes()
+        assert loaded.labels.tobytes() == data.labels.tobytes()
 
     @pytest.mark.parametrize(("suffix", "opener"),
                              [(".gz", gzip.open), (".bz2", bz2.open), (".xz", lzma.open)])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -231,12 +232,16 @@ class TestConfigText:
     ])
     def test_float_key_that_is_not_a_number_names_the_key(self, key: str, value: str) -> None:
         raw = {**parse_config_text(self.GAUSSIAN_TEXT), "estimator": "kernel", key: value}
-        with pytest.raises(ValueError, match=f"config key '{key}' must be a number"):
+        # a key the CLI also takes as text names its flag too
+        flag = "" if key == "tolerance" else f" (flag --{key.replace('_', '-')})"
+        message = f"config key '{key}'{flag} must be a number"
+        with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig.from_mapping(raw)
 
     def test_constant_score_that_is_not_a_number_names_the_key(self) -> None:
         raw = {**parse_config_text(self.GAUSSIAN_TEXT), "estimator": "constant:abc"}
-        with pytest.raises(ValueError, match="config key 'estimator' must be a number, got 'abc'"):
+        with pytest.raises(ValueError, match=re.escape(
+                "config key 'estimator' (flag --estimator) must be a number, got 'abc'")):
             ExperimentConfig.from_mapping(raw)
 
     def test_from_file(self, tmp_path) -> None:
@@ -273,6 +278,8 @@ class TestModelKeys:
         assert model_from_config({"model": "Holder"}) == HolderModel("sine")
         gauss = model_from_config({"model": "gaussian", "mu": "2, 0", "kappa": "0.5"})
         assert gauss.to_dict() == GAUSS.to_dict()
+        # the eta tag is read in any case, as the model and estimator names are
+        assert model_from_config({"model": "holder", "eta": " Flat "}) == HolderModel("flat")
 
 
 class TestEstimatorKeys:

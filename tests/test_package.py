@@ -6,8 +6,7 @@ from __future__ import annotations
 import importlib
 import pathlib
 import re
-
-import pytest
+import tomllib
 
 import karmic
 import karmic.cli
@@ -56,7 +55,6 @@ def test_helpers_left_out_of_the_api_stay_importable_from_their_modules() -> Non
 
 
 def test_the_version_is_stated_once_in_the_package() -> None:
-    tomllib = pytest.importorskip("tomllib")
     with open(pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
         config = tomllib.load(fh)
     assert "version" not in config["project"]
@@ -65,12 +63,14 @@ def test_the_version_is_stated_once_in_the_package() -> None:
 
 
 def test_the_dependency_floors_match_the_readme() -> None:
-    tomllib = pytest.importorskip("tomllib")
     root = pathlib.Path(__file__).resolve().parent.parent
     with open(root / "pyproject.toml", "rb") as fh:
-        declared = tomllib.load(fh)["project"]["dependencies"]
+        project = tomllib.load(fh)["project"]
     installation = (root / "README.md").read_text(encoding="utf-8").split("## Installation", 1)[1]
     installation = installation.split("\n## ", 1)[0]
+    stated_python = re.findall(r"Python >= ([\d.]+)", installation)
+    assert [f">={floor}" for floor in stated_python] == [project["requires-python"]]
     stated = dict(re.findall(r"(numpy|scipy) \(>= ([\d.]+)", installation))
+    declared = project["dependencies"]
     assert sorted(declared) == [f"{name}>={floor}" for name, floor in sorted(stated.items())]
     assert set(stated) == {"numpy", "scipy"}
