@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: ``gen`` (synthetic data to CSV/NPZ), ``threshold`` (fit a
+Subcommands: ``gen`` (synthetic data to CSV), ``threshold`` (fit a
 decision threshold on a dataset), ``train`` (split/fit/threshold, emit a
 classifier JSON), ``evaluate`` (population-regret report for a saved
 classifier), ``rate`` (convergence-rate experiment from a config file),
@@ -21,7 +21,7 @@ import os
 import sys
 
 from .confusion import Dataset, ScoreProfile
-from .dataio import load_dataset_csv, load_dataset_npz, save_dataset_csv, save_dataset_npz
+from .dataio import load_dataset_csv, save_dataset_csv
 from .errors import KarmicError
 from .experiments import ExperimentConfig, estimator_from_config, model_from_config, run_rate_experiment
 from .metrics import metric_value, parse_metric
@@ -105,8 +105,7 @@ def _resolve_scorer(args, data: Dataset):
 
 
 def _load_data(path: str) -> Dataset:
-    loader = load_dataset_npz if path.endswith(".npz") else load_dataset_csv
-    data, _ = loader(path)
+    data, _ = load_dataset_csv(path)
     return data
 
 
@@ -114,10 +113,7 @@ def _cmd_gen(args) -> int:
     model = model_from_config(_config_keys(args))
     data = model.sample(args.n, args.seed)
     meta = {**model.to_dict(), "n": args.n, "seed": args.seed}
-    if args.out.endswith(".npz"):
-        save_dataset_npz(data, args.out, meta)
-    else:
-        save_dataset_csv(data, args.out, meta)
+    save_dataset_csv(data, args.out, meta)
     _emit({"written": args.out, "n": data.n, "dim": data.dim})
     return 0
 
@@ -212,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="write a synthetic dataset (CSV or NPZ)")
+    p = sub.add_parser("gen", help="write a synthetic dataset CSV (a .gz path is compressed)")
     _add_model_args(p, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

@@ -1,10 +1,11 @@
-"""Dataset export/import: CSV, a compressed binary cache, JSON sidecars.
+"""Dataset export/import: CSV files and their JSON sidecars.
 
 The CSV layout is ``x_1, ..., x_d, y`` with a header row; labels are -1 or
 +1, and the loader refuses any other label value (``1.7`` is an error, not
-a ``1``).  The binary cache is a compressed NPZ with ``features`` and
-``labels`` arrays.  Either format may carry generation metadata (seed,
-model parameters) in a ``<file>.meta.json`` sidecar written next to it.
+a ``1``).  A file may carry generation metadata (seed, model parameters)
+in a ``<file>.meta.json`` sidecar written next to it.  CSV is the one
+dataset format: a path ending in ``.npz`` is refused, not read or written
+as CSV under that name.
 
 Floats are written with 17 significant digits, so a save/load round trip is
 exact.  The CSV writer formats blocks of ``_CSV_BLOCK_ROWS`` rows with one
@@ -23,10 +24,8 @@ import json
 import lzma
 import os
 import warnings
-import zipfile
 
 import numpy as np
-from numpy.lib.npyio import NpzFile
 
 from .confusion import Dataset
 from .errors import EmptyDataError
@@ -34,8 +33,6 @@ from .errors import EmptyDataError
 __all__ = [
     "save_dataset_csv",
     "load_dataset_csv",
-    "save_dataset_npz",
-    "load_dataset_npz",
     "sidecar_path",
     "write_sidecar",
     "read_sidecar",
@@ -48,6 +45,15 @@ __all__ = [
 _CSV_BLOCK_ROWS = 4096
 #: the compressed formats ``np.savetxt`` and ``np.loadtxt`` pick by suffix
 _CSV_OPENERS = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open, ".lzma": lzma.open}
+
+
+def _opener(path: str):
+    """The opener for a dataset CSV, picked by suffix as ``np.savetxt`` and
+    ``np.loadtxt`` pick it; an ``.npz`` path is refused."""
+    if path.endswith(".npz"):
+        raise ValueError(f"{path}: datasets are CSV files (x_1,...,x_d,y with a header "
+                         "row), plain or compressed as .csv.gz; NPZ is not supported")
+    return _CSV_OPENERS.get(os.path.splitext(path)[1], open)
 
 
 def sidecar_path(path: str) -> str:
@@ -76,7 +82,7 @@ def save_dataset_csv(data: Dataset, path: str, meta: dict | None = None) -> None
         raise EmptyDataError("refusing to write an empty dataset")
     header = ",".join(f"x_{j + 1}" for j in range(data.dim)) + ",y\n"
     row = "%.17g," * data.dim + "%d\n"
-    opener = _CSV_OPENERS.get(os.path.splitext(path)[1], open)
+    opener = _opener(path)
     with opener(path, "wt", encoding="utf-8") as fh:
         fh.write(header)
         for start in range(0, data.n, _CSV_BLOCK_ROWS):
@@ -95,6 +101,7 @@ def load_dataset_csv(path: str) -> tuple[Dataset, dict | None]:
     parsed (see ``_pack_features``), so the load holds that block and the
     int labels at its peak, never a second copy of the features.
     """
+    _opener(path)  # refuses a path that names another format
     with warnings.catch_warnings():
         # an empty body is reported as EmptyDataError below, not as a warning
         warnings.simplefilter("ignore", UserWarning)
@@ -139,8 +146,7 @@ def _pack_features(block: np.ndarray) -> np.ndarray:
 def _first_bad_row(path: str) -> str | None:
     """The first data row (from 1, skipping blank and ``#`` lines) with a cell
     that is not a float or a column count other than data row 1's."""
-    opener = _CSV_OPENERS.get(os.path.splitext(path)[1], open)
-    with opener(path, "rt", encoding="utf-8", errors="replace") as fh:
+    with _opener(path)(path, "rt", encoding="utf-8", errors="replace") as fh:
         next(fh, None)  # the header
         width, row = None, 0
         for line in fh:
@@ -163,36 +169,3 @@ def _first_bad_row(path: str) -> str | None:
                     return f"data row {row}: column {column} is {cell.strip()!r}, not a number"
     return None
 
-
-def save_dataset_npz(data: Dataset, path: str, meta: dict | None = None) -> None:
-    """Write the compressed binary cache of a dataset."""
-    if data.n == 0:
-        raise EmptyDataError("refusing to write an empty dataset")
-    np.savez_compressed(path, features=data.features, labels=data.labels)
-    if meta is not None:
-        target = path if path.endswith(".npz") else f"{path}.npz"
-        write_sidecar(target, meta)
-
-
-def load_dataset_npz(path: str) -> tuple[Dataset, dict | None]:
-    """Read a dataset NPZ; returns the data and its sidecar metadata.  Every
-    refusal names the file, as the CSV loader's do."""
-    # opened here, since np.load leaves open a file it fails to read as a zip
-    with open(path, "rb") as fh:
-        try:
-            payload = np.load(fh)
-        except (EOFError, ValueError, zipfile.BadZipFile):
-            payload = None
-        # a bare .npy loads as one array, not as an archive
-        if not isinstance(payload, NpzFile):
-            raise ValueError(f"{path} is not an NPZ archive")
-        missing = [key for key in ("features", "labels") if key not in payload]
-        if missing:
-            raise ValueError(f"{path} lacks the array(s) {', '.join(missing)}")
-        try:
-            data = Dataset(payload["features"], payload["labels"])
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    if data.n == 0:
-        raise EmptyDataError(f"{path} contains no data rows")
-    return data, read_sidecar(path)

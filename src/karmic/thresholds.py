@@ -14,9 +14,10 @@ and ``p`` the score density.  The scalar
 with ``(N, S)`` from ``karmic_parts`` at C(delta) therefore has the same
 sign as the derivative of the population utility, and the optimal
 threshold is its unique zero crossing for quasi-concave utility curves.
-Every search here computes H that one way.  ``binary_search_threshold``
-halves the bracket [0, 1] on the empirical sign of H; the exhaustive
-oracles (`grid_search_threshold`, `brute_force_discrete`) exist to check it.
+Every search here computes H that one way, and one loop halves a bracket
+on its sign for both the sample threshold and the population fixed point;
+the exhaustive oracles (`grid_search_threshold`, `brute_force_discrete`)
+exist to check it.
 """
 
 from __future__ import annotations
@@ -27,12 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .confusion import Dataset, ScoreProfile
-from .errors import (
-    DegenerateDistributionError,
-    MetricDomainError,
-    NoSignChangeError,
-    TooManyAtomsError,
-)
+from .errors import (DegenerateDistributionError, MetricDomainError, NoSignChangeError,
+                     TooManyAtomsError)
 from .metrics import LinearFractional, MetricSpec, karmic_parts, metric_values_masked
 
 __all__ = [
@@ -45,8 +42,8 @@ __all__ = [
 ]
 
 _NUDGE_ATTEMPTS = 8
-#: midpoints of [0, 1] are exact dyadics, so the bracket is 2^-k wide after
-#: k halvings and this cap binds only at a tolerance of 2^-64 or less
+#: midpoints of [0, 1] are exact dyadics, so this binds only at a sample
+#: tolerance of 2^-64 or less; the population search stops within 52 halvings
 _MAX_ITERATIONS = 64
 
 
@@ -117,9 +114,38 @@ def _h_with_nudges(metric: MetricSpec, profile: ScoreProfile, delta: float, n: i
         h = _h(metric, profile.confusion(candidate), candidate)
         if h is not None:
             return candidate, h
-    raise DegenerateDistributionError(
-        f"H undefined near delta={delta:.6g} even after interior nudges"
-    )
+    raise DegenerateDistributionError(f"H undefined near delta={delta:.6g} "
+                                      "even after interior nudges")
+
+
+def _refuse_undefined(metric: MetricSpec) -> None:
+    """A ratio metric whose coefficients b are all zero has no domain."""
+    if isinstance(metric.kind, LinearFractional) and not any(metric.kind.b):
+        raise MetricDomainError(f"{metric.name}: the coefficients b are all zero, "
+                                "so the metric is defined nowhere")
+
+
+def _bisect(h, lo: float, hi: float, width: float, stop_at_zero: bool):
+    """Halve [lo, hi] on the sign of H, which must be >= 0 left of the root.
+
+    ``h(mid)`` returns the point it evaluated and H there.  H >= 0 moves
+    ``lo`` up, H < 0 moves ``hi`` down, and with ``stop_at_zero`` an exact
+    zero closes the bracket on its midpoint.  Stops once the bracket is
+    narrower than ``width`` or after ``_MAX_ITERATIONS`` halvings.  Returns
+    the final bracket and one (delta, H, sign) row per halving.
+    """
+    trace: list[tuple[float, float, int]] = []
+    while hi - lo >= width and len(trace) < _MAX_ITERATIONS:
+        mid = 0.5 * (lo + hi)
+        used, value = h(mid)
+        trace.append((used, value, 1 if value >= 0.0 else -1))
+        if stop_at_zero and value == 0.0:
+            return mid, mid, trace
+        if value >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, trace
 
 
 def binary_search_threshold(
@@ -128,29 +154,12 @@ def binary_search_threshold(
     data: Dataset,
     config: ThresholdSearchConfig | None = None,
 ) -> ThresholdResult:
-    """Halve [0, 1] on the empirical sign of H until the bracket is narrow.
-
-    The sign is taken at the bracket midpoint; an exact zero counts as
-    non-negative (the left edge moves up).  Stops when the bracket width
-    drops below the resolved tolerance, or after 64 halvings.
-    """
-    if isinstance(metric.kind, LinearFractional) and not any(metric.kind.b):
-        raise MetricDomainError(f"{metric.name}: the coefficients b are all zero, "
-                                "so the metric is defined nowhere")
+    """Bisect [0, 1] on the empirical sign of H down to the resolved tolerance."""
+    _refuse_undefined(metric)
     config = config or ThresholdSearchConfig()
     profile = ScoreProfile.from_scorer(scorer, data)
-    eps0 = config.resolve_tolerance(data.n)
-    lo, hi = 0.0, 1.0
-    trace: list[tuple[float, float, int]] = []
-    while (hi - lo) >= eps0 and len(trace) < _MAX_ITERATIONS:
-        mid = 0.5 * (lo + hi)
-        used, h = _h_with_nudges(metric, profile, mid, data.n)
-        sign = 1 if h >= 0.0 else -1
-        trace.append((used, h, sign))
-        if sign >= 0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi, trace = _bisect(lambda mid: _h_with_nudges(metric, profile, mid, data.n),
+                            0.0, 1.0, config.resolve_tolerance(data.n), stop_at_zero=False)
     return ThresholdResult(0.5 * (lo + hi), tuple(trace))
 
 
@@ -165,37 +174,27 @@ def fixed_point_threshold(metric: MetricSpec, curve, tol: float) -> float:
     """
     if not 0.0 < tol < 0.5:
         raise ValueError("tol must lie in (0, 0.5)")
+    _refuse_undefined(metric)
     lo, hi = tol, 1.0 - tol
+    orient = 1.0
 
-    def h(delta: float) -> float:
+    def h(delta: float) -> tuple[float, float]:
         value = _h(metric, curve(delta), delta)
         if value is None:
-            raise MetricDomainError(
-                f"{metric.name}: gradient undefined at the population confusion "
-                f"of delta={delta:.6g}"
-            )
-        return value
+            raise MetricDomainError(f"{metric.name}: gradient undefined at the population "
+                                    f"confusion of delta={delta:.6g}")
+        return delta, orient * value
 
-    h_lo = h(lo)
-    h_hi = h(hi)
+    (_, h_lo), (_, h_hi) = h(lo), h(hi)
     if h_lo == 0.0:
         return lo
     if h_hi == 0.0:
         return hi
     if np.sign(h_lo) == np.sign(h_hi):
-        raise NoSignChangeError(
-            f"{metric.name}: H has constant sign on ({lo:.3g}, {hi:.3g})"
-        )
-    width_target = max(tol * 1e-3, 4e-16)
-    while hi - lo > width_target:
-        mid = 0.5 * (lo + hi)
-        h_mid = h(mid)
-        if h_mid == 0.0:
-            return mid
-        if np.sign(h_mid) == np.sign(h_lo):
-            lo, h_lo = mid, h_mid
-        else:
-            hi = mid
+        raise NoSignChangeError(f"{metric.name}: H has constant sign on ({lo:.3g}, {hi:.3g})")
+    # h now gives H >= 0 left of the root; the loop runs while the width exceeds the target
+    orient = float(np.sign(h_lo))
+    lo, hi, _ = _bisect(h, lo, hi, np.nextafter(max(tol * 1e-3, 4e-16), 1.0), stop_at_zero=True)
     return 0.5 * (lo + hi)
 
 
@@ -207,6 +206,7 @@ def grid_search_threshold(metric: MetricSpec, scorer, data: Dataset, step: float
     """
     if not 0.0 < step <= 0.5:
         raise ValueError("step must lie in (0, 0.5]")
+    _refuse_undefined(metric)
     profile = ScoreProfile.from_scorer(scorer, data)
     count = int(math.floor(1.0 / step + 1e-9))
     grid = np.arange(count + 1) * step

@@ -39,6 +39,13 @@ def run_cli(capsys, *argv: str) -> tuple[int, dict | None, str]:
     return code, payload, captured.err
 
 
+def npz_refusal(path) -> dict:
+    """The error JSON of a dataset path ending in .npz, read or written."""
+    return {"error": "invalid-argument",
+            "message": f"{path}: datasets are CSV files (x_1,...,x_d,y with a header row), "
+                       "plain or compressed as .csv.gz; NPZ is not supported"}
+
+
 #: a well-formed classifier JSON, corrupted one field at a time below
 LOGISTIC_CLASSIFIER = {"scorer": {"kind": "logistic", "weights": [1.0, 0.0], "intercept": 0.0},
                        "delta": 0.5, "provenance": {}}
@@ -64,14 +71,16 @@ class TestGen:
                         "n": 4000, "seed": 7}
 
     def test_npz_output(self, tmp_path, capsys) -> None:
-        path = str(tmp_path / "d.npz")
-        code, payload, _ = run_cli(
+        # CSV is the one format: an .npz name is refused, not filled with CSV
+        path = tmp_path / "d.npz"
+        code, out, err = run_cli(
             capsys, "gen", "--model", "holder", "--eta", "sine",
-            "--n", "500", "--seed", "1", "--out", path,
+            "--n", "500", "--seed", "1", "--out", str(path),
         )
-        assert code == 0
-        assert payload["n"] == 500
-        assert read_sidecar(path)["model"] == "holder"
+        assert code == 1
+        assert out is None
+        assert json.loads(err) == npz_refusal(path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_mu_that_is_not_a_number_names_the_key(self, tmp_path, capsys) -> None:
         code, _, err = run_cli(
@@ -464,6 +473,22 @@ class TestTrainEvaluate:
             "message": "linfrac:1,0,0,0/0,0,0,0: the coefficients b are all zero, "
                        "so the metric is defined nowhere"}
 
+    @pytest.mark.parametrize("command", ["evaluate", "oracle"])
+    def test_population_and_grid_blame_a_ratio_with_zero_denominator_as_train_does(
+            self, gaussian_csv, tmp_path, capsys, command) -> None:
+        classifier = tmp_path / "clf.json"
+        classifier.write_text(json.dumps(LOGISTIC_CLASSIFIER), encoding="utf-8")
+        flags = {"evaluate": ["--classifier", str(classifier), "--model", "gaussian",
+                              "--mu", "2,0", "--kappa", "0.5"],
+                 "oracle": ["--data", gaussian_csv, "--estimator", "logistic"]}[command]
+        code, out, err = run_cli(capsys, command, "--metric", "linfrac:1,0,0,0/0,0,0,0", *flags)
+        assert code == 1
+        assert out is None
+        assert json.loads(err) == {
+            "error": "metric-domain",
+            "message": "linfrac:1,0,0,0/0,0,0,0: the coefficients b are all zero, "
+                       "so the metric is defined nowhere"}
+
     def test_train_traced_peak_holds_one_copy_of_the_sample(self, gaussian_csv, tmp_path,
                                                             capsys) -> None:
         # train passes the loaded sample inline, so the split frees it: the
@@ -539,8 +564,7 @@ class TestDatasetFiles:
         code, out, err = run_cli(capsys, "train", "--metric", "fbeta:1", "--data", str(path))
         assert code == 1
         assert out is None
-        assert json.loads(err) == {"error": "invalid-argument",
-                                   "message": f"{path} is not an NPZ archive"}
+        assert json.loads(err) == npz_refusal(path)
 
     def test_gzip_round_trip(self, tmp_path, capsys) -> None:
         path = str(tmp_path / "d.csv.gz")

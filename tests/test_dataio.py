@@ -1,10 +1,9 @@
-"""Dataset files: CSV and NPZ round trips with JSON sidecars."""
+"""Dataset files: CSV round trips with JSON sidecars."""
 
 from __future__ import annotations
 
 import bz2
 import gzip
-import io
 import lzma
 import re
 import tracemalloc
@@ -16,10 +15,8 @@ from karmic import Dataset, EmptyDataError, GaussianModel, sample_gaussian
 from karmic.dataio import (
     _CSV_BLOCK_ROWS,
     load_dataset_csv,
-    load_dataset_npz,
     read_sidecar,
     save_dataset_csv,
-    save_dataset_npz,
     sidecar_path,
     write_sidecar,
 )
@@ -206,6 +203,17 @@ class TestCsv:
         np.testing.assert_array_equal(loaded.features, data.features)
         np.testing.assert_array_equal(loaded.labels, data.labels)
 
+    def test_npz_path_is_refused_naming_the_csv_form(self, data, tmp_path) -> None:
+        # neither written as CSV under that name nor read as CSV from it
+        path = tmp_path / "d.npz"
+        message = f"^{re.escape(str(path))}: datasets are CSV files .*\\.csv\\.gz"
+        with pytest.raises(ValueError, match=message):
+            save_dataset_csv(data, str(path), meta={"seed": 6})
+        assert list(tmp_path.iterdir()) == []
+        path.write_text("x_1,y\n0.5,1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_dataset_csv(str(path))
+
 
 def savetxt_reference(data: Dataset, path) -> None:
     """The writer ``save_dataset_csv`` replaced, kept as its oracle."""
@@ -232,62 +240,4 @@ class TestCsvMatchesSavetxt:
         save_dataset_csv(one, str(tmp_path / "new.csv"))
         savetxt_reference(one, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-
-
-def zip_bytes() -> bytes:
-    """A well-formed dataset archive, as bytes."""
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, features=np.arange(100.0), labels=np.ones(100, dtype=int))
-    return buffer.getvalue()
-
-
-class TestNpz:
-    def test_exact_roundtrip(self, data, tmp_path) -> None:
-        path = str(tmp_path / "d.npz")
-        save_dataset_npz(data, path, meta={"kind": "cache"})
-        loaded, meta = load_dataset_npz(path)
-        np.testing.assert_array_equal(loaded.features, data.features)
-        np.testing.assert_array_equal(loaded.labels, data.labels)
-        assert meta == {"kind": "cache"}
-
-    def test_empty_dataset_refused(self, tmp_path) -> None:
-        empty = Dataset(np.zeros((0, 1)), np.array([], dtype=int))
-        with pytest.raises(EmptyDataError):
-            save_dataset_npz(empty, str(tmp_path / "e.npz"))
-
-    @pytest.mark.parametrize("body", [
-        lambda fh: np.save(fh, np.zeros(3)),  # a bare .npy renamed
-        lambda fh: fh.write(zip_bytes()[:200]),  # a truncated archive
-        lambda fh: None,  # an empty file
-        lambda fh: fh.write(b"x_1,y\n0.5,1\n"),  # text
-    ], ids=["bare-npy", "truncated", "empty-file", "text"])
-    def test_file_that_is_no_archive_is_named(self, tmp_path, body) -> None:
-        path = tmp_path / "d.npz"
-        with open(path, "wb") as fh:
-            body(fh)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not an NPZ archive$"):
-            load_dataset_npz(str(path))
-
-    @pytest.mark.parametrize(("arrays", "missing"), [
-        ({"labels": np.ones(2)}, "features"),
-        ({"features": np.zeros((2, 1))}, "labels"),
-        ({}, "features, labels"),
-    ])
-    def test_missing_array_is_named_with_the_file(self, tmp_path, arrays, missing) -> None:
-        path = str(tmp_path / "d.npz")
-        np.savez(path, **arrays)
-        with pytest.raises(ValueError, match=f"^{re.escape(path)} lacks the array\\(s\\) {missing}$"):
-            load_dataset_npz(path)
-
-    def test_bad_labels_name_the_file(self, tmp_path) -> None:
-        path = str(tmp_path / "d.npz")
-        np.savez(path, features=np.zeros((2, 1)), labels=np.array([1, 2]))
-        with pytest.raises(ValueError, match=f"^{re.escape(path)}: labels must be -1 or \\+1$"):
-            load_dataset_npz(path)
-
-    def test_empty_archive_is_empty_data(self, tmp_path) -> None:
-        path = str(tmp_path / "d.npz")
-        np.savez(path, features=np.zeros((0, 2)), labels=np.zeros(0, dtype=int))
-        with pytest.raises(EmptyDataError, match=f"^{re.escape(path)} contains no data rows$"):
-            load_dataset_npz(path)
 

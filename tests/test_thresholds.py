@@ -14,6 +14,7 @@ from karmic import (
     Dataset,
     DegenerateDistributionError,
     GaussianModel,
+    HolderModel,
     MetricDomainError,
     NoSignChangeError,
     ScoreProfile,
@@ -336,6 +337,79 @@ class TestFixedPoint:
     def test_tol_validation(self, tol: float) -> None:
         with pytest.raises(ValueError):
             fixed_point_threshold(parse_metric("accuracy"), None, tol)
+
+
+def reference_fixed_point(metric, curve, tol: float) -> float:
+    """The population bisection as it stood with a loop of its own, kept as
+    the oracle of ``fixed_point_threshold``."""
+    lo, hi = tol, 1.0 - tol
+
+    def h(delta: float) -> float:
+        numerator, sensitivity, valid = karmic_parts(metric, curve(delta))
+        if not valid:
+            raise MetricDomainError(f"undefined at delta={delta:.6g}")
+        return float(numerator - delta * sensitivity)
+
+    h_lo = h(lo)
+    h_hi = h(hi)
+    if h_lo == 0.0:
+        return lo
+    if h_hi == 0.0:
+        return hi
+    if np.sign(h_lo) == np.sign(h_hi):
+        raise NoSignChangeError("constant sign")
+    width_target = max(tol * 1e-3, 4e-16)
+    while hi - lo > width_target:
+        mid = 0.5 * (lo + hi)
+        h_mid = h(mid)
+        if h_mid == 0.0:
+            return mid
+        if np.sign(h_mid) == np.sign(h_lo):
+            lo, h_lo = mid, h_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestFixedPointMatchesReference:
+    """The shared bisection loop gives the population root and the number of
+    curve calls of the population search's own loop, bit for bit."""
+
+    MODELS = {"gaussian": GaussianModel(np.array([2.0, 0.0]), 0.5), "holder": HolderModel("sine")}
+    #: the F1 bracket on both models is exactly max(tol * 1e-3, 4e-16) wide
+    #: after 15 halvings, where stopping at > and at >= the target differ
+    LANDS_ON_TARGET = 0.028762080073629903
+
+    @staticmethod
+    def counted(model):
+        curve = population_confusion_of_model(model)
+        calls = []
+
+        def counting(delta: float) -> np.ndarray:
+            calls.append(delta)
+            return curve(delta)
+
+        return counting, calls
+
+    def outcome(self, solve, metric: str, model, tol: float):
+        curve, calls = self.counted(model)
+        try:
+            return solve(parse_metric(metric), curve, tol), len(calls)
+        except (NoSignChangeError, MetricDomainError) as exc:
+            return type(exc), len(calls)
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("metric", ["fbeta:1", "accuracy", "am", "jaccard", "qmean"])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6, 0.01, LANDS_ON_TARGET, 0.3])
+    def test_root_and_call_count_equal_the_reference(self, model: str, metric: str, tol: float) -> None:
+        got = self.outcome(fixed_point_threshold, metric, self.MODELS[model], tol)
+        want = self.outcome(reference_fixed_point, metric, self.MODELS[model], tol)
+        assert got == want
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize(("tol", "calls"), [(1e-10, 46), (LANDS_ON_TARGET, 17)])
+    def test_f1_call_counts(self, model: str, tol: float, calls: int) -> None:
+        assert self.outcome(fixed_point_threshold, "fbeta:1", self.MODELS[model], tol)[1] == calls
 
 
 class TestGridSearch:
