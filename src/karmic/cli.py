@@ -27,7 +27,7 @@ from .experiments import ExperimentConfig, estimator_from_config, model_from_con
 from .metrics import metric_value, parse_metric
 from .pipeline import EstimatorSpec, PluginClassifier, population_regret, train_plugin
 from .scorers import scorer_from_dict
-from .thresholds import ThresholdSearchConfig, binary_search_threshold, brute_force_discrete, grid_search_threshold
+from .thresholds import ThresholdSearchConfig, _bisect_profile, _grid_profile, brute_force_discrete
 
 __all__ = ["main", "build_parser"]
 
@@ -121,11 +121,10 @@ def _cmd_gen(args) -> int:
 def _cmd_threshold(args) -> int:
     metric = parse_metric(args.metric)
     data = _load_data(args.data)
-    scorer = _resolve_scorer(args, data)
-    result = binary_search_threshold(metric, scorer, data, ThresholdSearchConfig(args.tolerance))
+    profile = ScoreProfile.from_scorer(_resolve_scorer(args, data), data)
+    result = _bisect_profile(metric, profile, data.n, ThresholdSearchConfig(args.tolerance))
     payload = result.to_dict()
     payload["metric"] = metric.name
-    profile = ScoreProfile.from_scorer(scorer, data)
     payload["utility"] = metric_value(metric, profile.confusion(result.delta_hat))
     _emit(payload)
     return 0
@@ -193,10 +192,10 @@ def _cmd_oracle(args) -> int:
     if not args.data:
         raise ValueError("provide --discrete atoms or --data for a grid search")
     data = _load_data(args.data)
-    scorer = _resolve_scorer(args, data)
+    profile = ScoreProfile.from_scorer(_resolve_scorer(args, data), data)
     step = 1e-4 if args.step is None else args.step
-    delta = grid_search_threshold(metric, scorer, data, step)
-    utility = metric_value(metric, ScoreProfile.from_scorer(scorer, data).confusion(delta))
+    delta = _grid_profile(metric, profile, step)
+    utility = metric_value(metric, profile.confusion(delta))
     _emit({"metric": metric.name, "delta": delta, "utility": utility, "step": step})
     return 0
 

@@ -65,6 +65,8 @@ _KERNEL_MIN_WEIGHT = 1e-12
 _RIDGE = 1e-8
 _GRAD_TOL = 1e-10  # the Newton fit converges at a mean gradient of at most this max-norm
 _WEIGHT_NORM_LIMIT = 1e6
+#: queries or pieces a 1-d kernel pass takes at a time
+_BLOCK = 8192
 
 
 class Scorer:
@@ -184,13 +186,16 @@ class KernelScorer(Scorer):
     global positive rate; outputs are clipped away from {0, 1} so that
     downstream thresholds stay evaluable.
 
-    For 1-d training data the window sums are O(log n) per query via
-    prefix sums of the first three moments, split by label, over the
-    points in x order.  Any order of tied x gives the same numbers: windows
-    start and end at tie-group edges, where each prefix sum is the same
-    float, because a group adds identical rows (all points) or one row and
-    zeros (positives).  Queries are looked up in sorted order.  The training
-    arrays are kept by reference as ``train_x`` and ``train_y``.
+    For 1-d training data the window sums are O(log n) per query via one
+    ``(5, n + 1)`` prefix table of ``x, x^2, pos, pos x, pos x^2`` over the
+    points in x order (``pos`` marks a positive); a window's count is its
+    rank range.  Any order of tied x gives the same numbers: windows start
+    and end at tie-group edges, where each prefix sum is the same float,
+    because a group adds identical terms or zeros.  Each 1-d pass (queries
+    looked up in sorted order, or the pieces of ``acceptance_intervals``)
+    works in blocks of ``_BLOCK``, so its temporaries stay small whatever
+    its size.  The training arrays are kept by reference as ``train_x`` and
+    ``train_y``.
     """
 
     def __init__(self, train_x, train_y, bandwidth: float) -> None:
@@ -207,34 +212,27 @@ class KernelScorer(Scorer):
         self.global_rate = float(np.clip((y == 1).mean(), KERNEL_CLIP, 1 - KERNEL_CLIP))
         if self.dim == 1:
             order = np.argsort(X[:, 0])
-            x = X[order, 0]
-            pos = (y[order] == 1).astype(float)
-            self._x = x
-            self._moments = self._prefix_moments(x, np.ones_like(x))
-            self._pos_moments = self._prefix_moments(x, pos)
+            self._x = x = X[order, 0]
+            pos = (y.take(order) == 1).astype(float)
+            self._prefix = np.zeros((5, x.size + 1))
+            for row, term in zip(self._prefix[:, 1:], (x, x * x, pos, pos * x, pos * x * x)):
+                np.cumsum(term, out=row)
 
-    @staticmethod
-    def _prefix_moments(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Prefix sums of mask * (1, x, x^2), padded with a leading zero row."""
-        stacked = np.stack([mask, mask * x, mask * x * x], axis=1)
-        out = np.zeros((x.size + 1, 3))
-        np.cumsum(stacked, axis=0, out=out[1:])
-        return out
-
-    def _window_sum(self, moments: np.ndarray, lo, hi, q: np.ndarray):
-        """Sum of Epanechnikov weights over ranks [lo, hi) at queries q,
-        ``s0 (1 - q^2 / h^2) + s1 (2 q / h^2) - s2 / h^2``, and the window
-        moments ``(s0, s1, s2)`` from the same gather."""
-        h2 = self.bandwidth**2
-        # take gathers rows faster than fancy indexing does
-        s0, s1, s2 = (moments.take(hi, axis=0) - moments.take(lo, axis=0)).T
-        return s0 * (1.0 - q * q / h2) + s1 * (2.0 * q / h2) - s2 / h2, (s0, s1, s2)
-
-    def _window(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rank range ``[lo, hi)`` of the training points within h of each query."""
+    def _sums(self, q: np.ndarray):
+        """Window moments ``(s0, s1, s2)`` of all points and of the positives
+        within h of each query: one ``take`` of the prefix table per bound."""
         lo = np.searchsorted(self._x, q - self.bandwidth, side="left")
         hi = np.searchsorted(self._x, q + self.bandwidth, side="right")
-        return lo, hi
+        # take gathers columns faster than fancy indexing does
+        s = self._prefix.take(hi, axis=1) - self._prefix.take(lo, axis=1)
+        return ((hi - lo).astype(float), s[0], s[1]), (s[2], s[3], s[4])
+
+    def _weight(self, moments, q: np.ndarray) -> np.ndarray:
+        """Sum of Epanechnikov weights at queries q from window moments,
+        ``s0 (1 - q^2 / h^2) + s1 (2 q / h^2) - s2 / h^2``."""
+        s0, s1, s2 = moments
+        h2 = self.bandwidth**2
+        return s0 * (1.0 - q * q / h2) + s1 * (2.0 * q / h2) - s2 / h2
 
     def _estimate(self, num: np.ndarray, den: np.ndarray) -> np.ndarray:
         """``num / den``, the global rate where ``den`` vanishes, clipped."""
@@ -247,11 +245,12 @@ class KernelScorer(Scorer):
         arr = self._check_matrix(X)
         if self.dim == 1:
             order = np.argsort(arr[:, 0])
-            q = arr[order, 0]
-            lo, hi = self._window(q)
-            out = np.empty(q.size)
-            out[order] = self._estimate(self._window_sum(self._pos_moments, lo, hi, q)[0],
-                                        self._window_sum(self._moments, lo, hi, q)[0])
+            out = np.empty(order.size)
+            for start in range(0, order.size, _BLOCK):
+                rows = order[start : start + _BLOCK]
+                q = arr[rows, 0]
+                den, num = self._sums(q)
+                out[rows] = self._estimate(self._weight(num, q), self._weight(den, q))
             return out
         den = np.empty(arr.shape[0])
         num = np.empty(arr.shape[0])
@@ -275,8 +274,11 @@ class KernelScorer(Scorer):
         score's side of delta cannot change; the score at each midpoint
         decides it, global-rate fallback and clipping included.  A piece no
         root cuts keeps the midpoint and window that gave its quadratics, so
-        the sums gathered there decide it; only cut pieces are rescored.  All
-        but the roots of ``num - delta den`` and what they cut is built once.
+        the sums gathered there decide it; only cut pieces are rescored.  The
+        pieces are taken ``_BLOCK`` at a time: all but the roots of ``num -
+        delta den`` and what they cut is built once per block, and each
+        delta carries whether its set is open across a block edge, so only
+        the ends of its intervals are kept.
         """
         if self.dim != 1:
             return super().acceptance_intervals(deltas)
@@ -284,30 +286,34 @@ class KernelScorer(Scorer):
         h = self.bandwidth
         breaks = np.concatenate([self._x - h, self._x + h])
         edges = np.unique(np.concatenate([[0.0, 1.0], breaks[(breaks > 0.0) & (breaks < 1.0)]]))
-        left, right = edges[:-1], edges[1:]
-        mid = 0.5 * (left + right)
-        lo, hi = self._window(mid)
-        (den_mid, den), (num_mid, num) = (self._window_sum(m, lo, hi, mid)
-                                          for m in (self._moments, self._pos_moments))
-        h2 = self.bandwidth**2
-        den, num = (np.stack([-s0 / h2, 2.0 * s1 / h2, s0 - s2 / h2]) for s0, s1, s2 in (den, num))
-        floor_roots = _roots_inside(den - np.array([[0.0], [0.0], [_KERNEL_MIN_WEIGHT]]),
-                                    left, right)
-        estimate = self._estimate(num_mid, den_mid)
-        pieces = np.arange(left.size)
-
-        def cut(delta: float) -> np.ndarray:
-            roots = np.unique(np.concatenate([*_roots_inside(num - delta * den, left, right),
-                                              *floor_roots]))
-            piece = np.searchsorted(edges, roots) - 1  # the one piece each root cuts
-            cuts = np.insert(edges, piece + 1, roots)
-            accepted = np.insert(estimate > delta, piece + 1, False)
-            redo = np.isin(np.insert(pieces, piece + 1, piece), piece)
-            accepted[redo] = self.scores(0.5 * (cuts[:-1] + cuts[1:])[redo]) > delta
-            change = np.diff(np.concatenate([[0], accepted.astype(np.int8), [0]]))
-            return np.column_stack([cuts[change == 1], cuts[change == -1]])
-
-        found = [cut(delta) for delta in deltas.ravel()]
+        del breaks
+        h2 = h**2
+        flips = [[] for _ in range(deltas.size)]  # per delta, the cuts where acceptance flips
+        is_open = np.zeros(deltas.size, dtype=bool)
+        for first in range(0, edges.size - 1, _BLOCK):
+            block = edges[first : first + _BLOCK + 1]
+            left, right = block[:-1], block[1:]
+            mid = 0.5 * (left + right)
+            den, num = self._sums(mid)  # window moments, then the quadratics they give
+            estimate = self._estimate(self._weight(num, mid), self._weight(den, mid))
+            den, num = (np.stack([-s0 / h2, 2.0 * s1 / h2, s0 - s2 / h2])
+                        for s0, s1, s2 in (den, num))
+            floor_roots = _roots_inside(den - np.array([[0.0], [0.0], [_KERNEL_MIN_WEIGHT]]),
+                                        left, right)
+            pieces = np.arange(left.size)
+            for k, delta in enumerate(deltas.ravel()):
+                roots = np.unique(np.concatenate([*_roots_inside(num - delta * den, left, right),
+                                                  *floor_roots]))
+                piece = np.searchsorted(block, roots) - 1  # the one piece each root cuts
+                cuts = np.insert(block, piece + 1, roots)
+                accepted = np.insert(estimate > delta, piece + 1, False)
+                redo = np.isin(np.insert(pieces, piece + 1, piece), piece)
+                accepted[redo] = self.scores(0.5 * (cuts[:-1] + cuts[1:])[redo]) > delta
+                flips[k].append(cuts[:-1][np.diff(accepted, prepend=is_open[k])])
+                is_open[k] = accepted[-1]
+        # a set still open at the last piece ends at 1
+        found = [np.append(np.concatenate(f), [1.0] if o else []).reshape(-1, 2)
+                 for f, o in zip(flips, is_open)]
         out = np.ones((len(found), max((f.shape[0] for f in found), default=0), 2))
         for rows, f in zip(out, found):
             rows[: f.shape[0]] = f

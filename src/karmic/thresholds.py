@@ -155,11 +155,16 @@ def binary_search_threshold(
     config: ThresholdSearchConfig | None = None,
 ) -> ThresholdResult:
     """Bisect [0, 1] on the empirical sign of H down to the resolved tolerance."""
+    return _bisect_profile(metric, ScoreProfile.from_scorer(scorer, data), data.n, config)
+
+
+def _bisect_profile(metric: MetricSpec, profile: ScoreProfile, n: int,
+                    config: ThresholdSearchConfig | None) -> ThresholdResult:
+    """``binary_search_threshold`` on the profile of an ``n``-row sample."""
     _refuse_undefined(metric)
     config = config or ThresholdSearchConfig()
-    profile = ScoreProfile.from_scorer(scorer, data)
-    lo, hi, trace = _bisect(lambda mid: _h_with_nudges(metric, profile, mid, data.n),
-                            0.0, 1.0, config.resolve_tolerance(data.n), stop_at_zero=False)
+    lo, hi, trace = _bisect(lambda mid: _h_with_nudges(metric, profile, mid, n),
+                            0.0, 1.0, config.resolve_tolerance(n), stop_at_zero=False)
     return ThresholdResult(0.5 * (lo + hi), tuple(trace))
 
 
@@ -204,10 +209,14 @@ def grid_search_threshold(metric: MetricSpec, scorer, data: Dataset, step: float
     Invalid grid points (metric domain violations) are skipped; exact-value
     ties break toward the smallest delta.
     """
+    return _grid_profile(metric, ScoreProfile.from_scorer(scorer, data), step)
+
+
+def _grid_profile(metric: MetricSpec, profile: ScoreProfile, step: float) -> float:
+    """``grid_search_threshold`` on the profile of a sample."""
     if not 0.0 < step <= 0.5:
         raise ValueError("step must lie in (0, 0.5]")
     _refuse_undefined(metric)
-    profile = ScoreProfile.from_scorer(scorer, data)
     count = int(math.floor(1.0 / step + 1e-9))
     grid = np.arange(count + 1) * step
     if grid[-1] < 1.0 - 1e-12:

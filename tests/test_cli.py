@@ -23,7 +23,12 @@ from karmic import (
     GaussianModel,
     HolderModel,
     KarmicError,
+    LogisticScorer,
     PluginClassifier,
+    ScoreProfile,
+    binary_search_threshold,
+    grid_search_threshold,
+    metric_value,
     parse_metric,
     population_regret,
     train_plugin,
@@ -153,6 +158,32 @@ class TestThreshold:
         assert json.loads(err) == {"error": "invalid-argument",
                                    "message": f"flag {flag} does not apply beside --scorer-json"}
 
+    @pytest.mark.parametrize("command", ["threshold", "oracle"])
+    def test_the_sample_is_scored_once(self, gaussian_csv, capsys, monkeypatch,
+                                       command) -> None:
+        # one profile serves the search and the utility printed beside it
+        metric = parse_metric("fbeta:1")
+        calls = []
+        scores = LogisticScorer.scores
+        monkeypatch.setattr(LogisticScorer, "scores",
+                            lambda scorer, X: calls.append(len(X)) or scores(scorer, X))
+        assert main([command, "--metric", metric.name, "--data", gaussian_csv,
+                     "--estimator", "logistic"]) == 0
+        assert calls == [4000]
+        # what a search that scores the sample itself, and a second profile
+        # for the utility, print
+        data, _ = load_dataset_csv(gaussian_csv)
+        scorer = EstimatorSpec("logistic").build(data)
+        if command == "threshold":
+            want = binary_search_threshold(metric, scorer, data).to_dict()
+            delta = want["delta_hat"]
+        else:
+            delta = grid_search_threshold(metric, scorer, data, 1e-4)
+            want = {"delta": delta, "step": 1e-4}
+        want.update(metric=metric.name,
+                    utility=metric_value(metric, ScoreProfile.from_scorer(scorer, data)
+                                         .confusion(delta)))
+        assert capsys.readouterr().out == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize(("flags", "message"), [
         ((), "provide --scorer-json or --estimator"),

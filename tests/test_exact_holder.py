@@ -11,11 +11,13 @@ thresholds.
 from __future__ import annotations
 
 import functools
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import karmic.scorers
 from karmic import (
     ConstantScorer,
     DimensionMismatchError,
@@ -167,22 +169,37 @@ class TestKernel:
             SINE.classifier_confusion(scorer, 0.5)
 
 
+def piece_edges(scorer: KernelScorer) -> np.ndarray:
+    """0, 1 and every ``x_i -+ h`` inside (0, 1), sorted and distinct: the
+    edges of the pieces on which a 1-d kernel's window holds fixed points."""
+    x, h = scorer.train_x[:, 0], scorer.bandwidth
+    breaks = np.concatenate([x - h, x + h])
+    return np.unique(np.concatenate([[0.0, 1.0], breaks[(breaks > 0.0) & (breaks < 1.0)]]))
+
+
 def rescored_intervals(scorer: KernelScorer, delta: float) -> np.ndarray:
     """Reference for ``KernelScorer.acceptance_intervals``: the same pieces
     and cuts, but every cut midpoint, cut piece or not, is scored again
-    through ``scores``."""
+    through ``scores``.  The window moments are rebuilt here from the
+    training sample and the bandwidth alone."""
     h = scorer.bandwidth
     h2 = h**2
-    breaks = np.concatenate([scorer._x - h, scorer._x + h])
-    edges = np.unique(np.concatenate([[0.0, 1.0], breaks[(breaks > 0.0) & (breaks < 1.0)]]))
+    order = np.argsort(scorer.train_x[:, 0], kind="stable")
+    x = scorer.train_x[order, 0]
+    pos = (scorer.train_y[order] == 1).astype(float)
+    edges = piece_edges(scorer)
     left, right = edges[:-1], edges[1:]
-    lo, hi = scorer._window(0.5 * (left + right))
+    mid = 0.5 * (left + right)
+    lo = np.searchsorted(x, mid - h, side="left")
+    hi = np.searchsorted(x, mid + h, side="right")
 
-    def quadratic(moments: np.ndarray) -> np.ndarray:
-        s0, s1, s2 = (moments[hi] - moments[lo]).T
+    def quadratic(mask: np.ndarray) -> np.ndarray:
+        s0, s1, s2 = (np.concatenate([[0.0], np.cumsum(term)]) for term in
+                      (mask, mask * x, mask * x * x))
+        s0, s1, s2 = s0[hi] - s0[lo], s1[hi] - s1[lo], s2[hi] - s2[lo]
         return np.stack([-s0 / h2, 2.0 * s1 / h2, s0 - s2 / h2])
 
-    den, num = quadratic(scorer._moments), quadratic(scorer._pos_moments)
+    den, num = quadratic(np.ones_like(x)), quadratic(pos)
     floor = den - np.array([[0.0], [0.0], [_KERNEL_MIN_WEIGHT]])
     cuts = np.unique(np.concatenate([edges, *_roots_inside(num - delta * den, left, right),
                                      *_roots_inside(floor, left, right)]))
@@ -217,6 +234,62 @@ class TestIntervalsMatchRescoring:
         scorer = fit_kernel_smoother(sample_holder(SINE, 400, 5), 1.0, bandwidth_const=0.3)
         self.check(scorer, (KERNEL_CLIP / 2, KERNEL_CLIP, 2 * KERNEL_CLIP, 1 - 2 * KERNEL_CLIP,
                             1 - KERNEL_CLIP, 1 - KERNEL_CLIP / 2, 0.0, 1.0))
+
+
+@functools.lru_cache(maxsize=None)
+def block_case(tag: str) -> tuple[KernelScorer, tuple[float, ...]]:
+    """A kernel and thresholds to cut it at: a trained one, one with empty
+    windows, and one whose windows reach the clip."""
+    if tag == "trained":
+        clf = train_plugin(F1, sample_holder(SINE, 512, 0), EstimatorSpec("kernel"), seed=0)
+        return clf.scorer, (clf.delta, 0.2, 0.5, 0.8)
+    if tag == "empty":
+        scorer = fit_kernel_smoother(sample_holder(SINE, 100, 3), 1.0, bandwidth_const=0.05)
+        return scorer, (scorer.global_rate - 1e-3, scorer.global_rate, 0.5)
+    scorer = fit_kernel_smoother(sample_holder(SINE, 400, 5), 1.0, bandwidth_const=0.3)
+    return scorer, (KERNEL_CLIP, 1 - KERNEL_CLIP, 0.0, 1.0)
+
+
+class TestBlocks:
+    """Both 1-d kernel passes take ``_BLOCK`` queries or pieces at a time;
+    no block size may change a bit of their output."""
+
+    @pytest.mark.parametrize("block", [1, 3, 8192])
+    @pytest.mark.parametrize("tag", ["trained", "empty", "clip"])
+    def test_any_block_size_gives_the_same_bits(self, monkeypatch, tag: str,
+                                                block: int) -> None:
+        scorer, deltas = block_case(tag)
+        queries = np.linspace(-0.1, 1.1, 601)
+        want = scorer.acceptance_intervals(deltas), scorer.scores(queries)
+        monkeypatch.setattr(karmic.scorers, "_BLOCK", block)
+        got = scorer.acceptance_intervals(deltas), scorer.scores(queries)
+        assert all(g.tobytes() == w.tobytes() and g.shape == w.shape
+                   for g, w in zip(got, want))
+        TestIntervalsMatchRescoring.check(scorer, deltas)
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_sets_across_a_block_edge_and_open_at_the_last_piece(self, monkeypatch,
+                                                                  block: int) -> None:
+        scorer, _ = block_case("clip")
+        monkeypatch.setattr(karmic.scorers, "_BLOCK", block)
+        rows = scorer.acceptance_intervals(0.2)
+        inner = piece_edges(scorer)[block:-1:block]  # the edges where a block ends
+        assert any(((a < inner) & (inner < b)).any() for a, b in rows)
+        assert rows[-1, 0] < rows[-1, 1] == 1.0
+        assert np.array_equal(rows, rescored_intervals(scorer, 0.2))
+
+    def test_traced_peak_of_one_exact_evaluation(self) -> None:
+        # blocks of pieces hold a few arrays of _BLOCK each beside the ~2n
+        # edges; building every piece's sums at once peaked at 11.2 MB
+        scorer = fit_kernel_smoother(sample_holder(SINE, 32768, 0), 1.0)
+        SINE.classifier_confusion(scorer, 0.5)
+        tracemalloc.start()
+        try:
+            SINE.classifier_confusion(scorer, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5e6
 
 
 class TestHalfLineScorers:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +287,19 @@ class TestKernelScorer:
         assert scorer.train_x is data.features
         assert scorer.train_y is data.labels
         assert not hasattr(scorer, "beta")
+
+    def test_traced_peak_of_a_million_queries(self) -> None:
+        # the query order and the output, 8 MB each, and one block of
+        # temporaries; every window at once peaked at 96.0 MB
+        scorer = fit_kernel_smoother(sample_holder(HolderModel("sine"), 32768, seed=1), beta=1.0)
+        queries = np.random.default_rng(5).random((1_000_000, 1))
+        tracemalloc.start()
+        try:
+            scorer.scores(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24e6
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
