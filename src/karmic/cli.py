@@ -23,7 +23,8 @@ import sys
 from .confusion import Dataset, ScoreProfile
 from .dataio import load_dataset_csv, save_dataset_csv
 from .errors import KarmicError
-from .experiments import ExperimentConfig, estimator_from_config, model_from_config, run_rate_experiment
+from .experiments import (_FLAG_KEYS, _MODEL_FLAG_KEYS, ExperimentConfig, estimator_from_config,
+                          model_from_config, run_rate_experiment)
 from .metrics import metric_value, parse_metric
 from .pipeline import EstimatorSpec, PluginClassifier, population_regret, train_plugin
 from .scorers import scorer_from_dict
@@ -58,20 +59,16 @@ def _add_model_args(parser: argparse.ArgumentParser, required: bool) -> None:
 
 def _add_scorer_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--estimator",
-                        help="logistic | kernel | true-eta | constant:<p> "
+                        help="logistic | kernel (1-d data only) | true-eta | constant:<p> "
                              "(model flags go with true-eta alone)")
     parser.add_argument("--kernel-beta", help="kernel smoothness (default 1)")
     parser.add_argument("--kernel-const", help="kernel bandwidth constant (default 1)")
 
 
-#: flags whose ``dest`` is a config key; their text goes to the config parser
-_MODEL_FLAGS = ("model", "mu", "kappa", "eta")
-_CONFIG_FLAGS = (*_MODEL_FLAGS, "estimator", "kernel_beta", "kernel_const")
-
-
 def _config_keys(args) -> dict[str, str]:
-    """The set model and estimator flags as a config ``key -> text`` map."""
-    return {key: getattr(args, key) for key in _CONFIG_FLAGS
+    """The set model and estimator flags as a config ``key -> text`` map
+    (a flag's ``dest`` is its config key) for the config parser."""
+    return {key: getattr(args, key) for key in _FLAG_KEYS
             if getattr(args, key, None) is not None}
 
 
@@ -88,7 +85,7 @@ def _estimator(args) -> EstimatorSpec:
     (in a config file they name the study's model instead)."""
     spec = estimator_from_config({"estimator": "logistic", **_config_keys(args)})
     if spec.kind != "true-eta":
-        _refuse(args, _MODEL_FLAGS, f"to the {spec.kind} estimator")
+        _refuse(args, _MODEL_FLAG_KEYS, f"to the {spec.kind} estimator")
     return spec
 
 
@@ -96,7 +93,7 @@ def _resolve_scorer(args, data: Dataset):
     """In-sample scorer for threshold/oracle: a saved one or a fresh fit.
     A model or estimator flag beside a saved scorer is refused, not ignored."""
     if args.scorer_json:
-        _refuse(args, _CONFIG_FLAGS, "beside --scorer-json")
+        _refuse(args, _FLAG_KEYS, "beside --scorer-json")
         with open(args.scorer_json, encoding="utf-8") as fh:
             return scorer_from_dict(json.load(fh))
     if args.estimator:
@@ -181,7 +178,7 @@ def _parse_atoms(text: str) -> list[tuple[float, float]]:
 def _cmd_oracle(args) -> int:
     metric = parse_metric(args.metric)
     if args.discrete:
-        _refuse(args, ("data", "step", "scorer_json", *_CONFIG_FLAGS), "beside --discrete")
+        _refuse(args, ("data", "step", "scorer_json", *_FLAG_KEYS), "beside --discrete")
         best, argmax_set = brute_force_discrete(metric, _parse_atoms(args.discrete))
         _emit({
             "metric": metric.name,

@@ -21,12 +21,14 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import InsufficientPointsError, KarmicError
 from .metrics import parse_metric
-from .pipeline import EstimatorSpec, classifier_utility, population_optimum, train_plugin
+from .pipeline import (_ESTIMATOR_KINDS, EstimatorSpec, classifier_utility, population_optimum,
+                       train_plugin)
 from .synth import GaussianModel, HolderModel
 from .thresholds import ThresholdSearchConfig
 
@@ -43,15 +45,13 @@ logger = logging.getLogger(__name__)
 _EVAL_SEED_BASE = 1 << 40
 _EVAL_SEED_STRIDE = 10007
 CSV_COLUMNS = ("n", "seed", "regret", "delta_hat", "delta_star", "error")
-CONFIG_KEYS = frozenset({
-    "model", "mu", "kappa", "eta", "metric", "estimator", "kernel_beta", "kernel_const",
-    "n_list", "seeds", "tolerance", "mc_samples",
-})
 #: the model keys each model reads; the holder's ``eta`` is optional
 _MODEL_KEYS = {"gaussian": ("mu", "kappa"), "holder": ("eta",)}
-#: the keys the CLI also takes as flags of the same name
-_FLAG_KEYS = frozenset({"model", "mu", "kappa", "eta", "estimator", "kernel_beta",
-                        "kernel_const"})
+#: the keys that name a model and an estimator, in the order the CLI checks
+#: them; it takes each as a flag of the same name
+_MODEL_FLAG_KEYS = ("model", *chain.from_iterable(_MODEL_KEYS.values()))
+_FLAG_KEYS = (*_MODEL_FLAG_KEYS, "estimator", "kernel_beta", "kernel_const")
+CONFIG_KEYS = frozenset({*_FLAG_KEYS, "metric", "n_list", "seeds", "tolerance", "mc_samples"})
 
 
 @dataclass(frozen=True)
@@ -88,11 +88,14 @@ class ExperimentConfig:
             raise ValueError("seeds must lie in [1, 10000]")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
+        if self.estimator.kind == "kernel" and self.model.dim != 1:
+            raise ValueError(f"{_named('estimator')} is kernel, which takes 1-d data, but "
+                             f"{_named('mu')} has {self.model.dim} entries")
 
     @property
     def eval_mode(self) -> str:
         """Closed form (exact) wherever the model can integrate the rule: all
-        but a kernel on the Gaussian model, which takes Monte Carlo."""
+        but a kernel on the 1-d Gaussian model, which takes Monte Carlo."""
         exact = isinstance(self.model, HolderModel) or self.estimator.kind != "kernel"
         return "closed-form" if exact else "monte-carlo"
 
@@ -185,7 +188,7 @@ def model_from_config(raw: dict[str, str]) -> GaussianModel | HolderModel:
     tag = raw["model"].strip().lower()
     if tag not in _MODEL_KEYS:
         raise ValueError(f"unknown model {tag!r}; use 'gaussian' or 'holder'")
-    for key in ("mu", "kappa", "eta"):
+    for key in chain.from_iterable(_MODEL_KEYS.values()):
         if key in raw and key not in _MODEL_KEYS[tag]:
             raise ValueError(f"{_named(key)} does not apply to the {tag} model")
     if tag == "holder":
@@ -204,7 +207,7 @@ def estimator_from_config(raw: dict[str, str]) -> EstimatorSpec:
     A kernel key given to another estimator is refused, not ignored."""
     name = raw["estimator"].strip().lower()
     kind = "constant" if name.startswith("constant:") else name
-    if kind not in ("logistic", "kernel", "true-eta", "constant"):
+    if kind not in _ESTIMATOR_KINDS:
         raise ValueError(f"unknown estimator {raw['estimator']!r}")
     for key in ("kernel_beta", "kernel_const"):
         if key in raw and kind != "kernel":

@@ -16,10 +16,10 @@ any 1-d scorer on the Holder model.  The population curve
 (``population_confusion_of_model``) is its true-eta case, because the
 Bayes rule thresholds eta itself.  In "closed-form" mode the classifier's
 utility is exact too.  That covers every committed study.
-The one rule it cannot integrate, a kernel scorer on the Gaussian model,
-needs "monte-carlo" mode: an average over sampled feature points with
-labels integrated out analytically (each point contributes its exact
-conditional probability, not a sampled label, which strictly reduces
+The one rule it cannot integrate, a kernel scorer (which is 1-d) on the 1-d
+Gaussian model, needs "monte-carlo" mode: an average over sampled feature
+points with labels integrated out analytically (each point contributes its
+exact conditional probability, not a sampled label, which strictly reduces
 variance).
 """
 
@@ -62,6 +62,8 @@ _EVAL_TAG = 0x4D434556  # distinguishes Monte Carlo evaluation streams
 _SPLIT_RETRIES = 10
 _MC_SHARD = 1 << 20
 _FIXED_POINT_TOL = 1e-10
+#: the estimator kinds, as ``EstimatorSpec`` and the config parser take them
+_ESTIMATOR_KINDS = ("logistic", "kernel", "true-eta", "constant")
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,8 @@ class EstimatorSpec:
     """Recipe for fitting a scorer on the estimation half.
 
     kinds: "logistic" (Newton MLE), "kernel" (needs ``kernel_beta`` and
-    ``bandwidth_const``), "true-eta" (needs ``model``), "constant" (needs
-    ``p``; diagnostic use).
+    ``bandwidth_const``; fits 1-d data alone), "true-eta" (needs
+    ``model``), "constant" (needs ``p``; diagnostic use).
     """
 
     kind: str
@@ -80,7 +82,7 @@ class EstimatorSpec:
     p: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.kind not in ("logistic", "kernel", "true-eta", "constant"):
+        if self.kind not in _ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         for name, value in (("kernel_beta", self.kernel_beta),
                             ("bandwidth_const (config key kernel_const)", self.bandwidth_const)):

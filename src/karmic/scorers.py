@@ -65,7 +65,7 @@ _KERNEL_MIN_WEIGHT = 1e-12
 _RIDGE = 1e-8
 _GRAD_TOL = 1e-10  # the Newton fit converges at a mean gradient of at most this max-norm
 _WEIGHT_NORM_LIMIT = 1e6
-#: queries or pieces a 1-d kernel pass takes at a time
+#: queries or pieces a kernel pass takes at a time
 _BLOCK = 8192
 
 
@@ -163,8 +163,8 @@ class LogisticScorer(Scorer):
 
     def __init__(self, weights, intercept: float) -> None:
         w = np.atleast_1d(np.asarray(weights, dtype=float))
-        if w.ndim != 1 or not np.all(np.isfinite(w)) or not np.isfinite(intercept):
-            raise ValueError("weights and intercept must be finite")
+        if w.ndim != 1 or not w.size or not np.all(np.isfinite(w)) or not np.isfinite(intercept):
+            raise ValueError("weights must be one or more finite numbers and the intercept finite")
         self.weights = w
         self.intercept = float(intercept)
         self.dim = int(w.size)
@@ -186,37 +186,41 @@ class KernelScorer(Scorer):
     global positive rate; outputs are clipped away from {0, 1} so that
     downstream thresholds stay evaluable.
 
-    For 1-d training data the window sums are O(log n) per query via one
-    ``(5, n + 1)`` prefix table of ``x, x^2, pos, pos x, pos x^2`` over the
-    points in x order (``pos`` marks a positive); a window's count is its
-    rank range.  Any order of tied x gives the same numbers: windows start
-    and end at tie-group edges, where each prefix sum is the same float,
-    because a group adds identical terms or zeros.  Each 1-d pass (queries
-    looked up in sorted order, or the pieces of ``acceptance_intervals``)
-    works in blocks of ``_BLOCK``, so its temporaries stay small whatever
-    its size.  The training arrays are kept by reference as ``train_x`` and
-    ``train_y``.
+    The scorer is one-dimensional: a training sample of 2 or more feature
+    columns raises ``DimensionMismatchError``.  The window sums are
+    O(log n) per query via one ``(5, n + 1)`` prefix table of ``x, x^2,
+    pos, pos x, pos x^2`` over the points in x order (``pos`` marks a
+    positive); a window's count is its rank range.  Any order of tied x
+    gives the same numbers: windows start and end at tie-group edges, where
+    each prefix sum is the same float, because a group adds identical terms
+    or zeros.  Each pass (queries looked up in sorted order, or the pieces
+    of ``acceptance_intervals``) works in blocks of ``_BLOCK``, so its
+    temporaries stay small whatever its size.  The training arrays are kept
+    by reference as ``train_x`` and ``train_y``.
     """
+
+    dim = 1
 
     def __init__(self, train_x, train_y, bandwidth: float) -> None:
         sample = Dataset(train_x, train_y)  # finite features, labels in {-1, +1}
         if sample.n == 0:
             raise EmptyDataError("kernel smoother needs training data")
+        if sample.dim != 1:
+            raise DimensionMismatchError(
+                f"a kernel scorer takes 1 feature column, got {sample.dim} columns")
         h = float(bandwidth)
         if not (h > 0.0 and 0.0 < h * h < math.inf):
             raise ValueError(f"bandwidth must be positive with a finite square, got {h!r}")
         self.train_x = X = sample.features
         self.train_y = y = sample.labels
         self.bandwidth = h
-        self.dim = sample.dim
         self.global_rate = float(np.clip((y == 1).mean(), KERNEL_CLIP, 1 - KERNEL_CLIP))
-        if self.dim == 1:
-            order = np.argsort(X[:, 0])
-            self._x = x = X[order, 0]
-            pos = (y.take(order) == 1).astype(float)
-            self._prefix = np.zeros((5, x.size + 1))
-            for row, term in zip(self._prefix[:, 1:], (x, x * x, pos, pos * x, pos * x * x)):
-                np.cumsum(term, out=row)
+        order = np.argsort(X[:, 0])
+        self._x = x = X[order, 0]
+        pos = (y.take(order) == 1).astype(float)
+        self._prefix = np.zeros((5, x.size + 1))
+        for row, term in zip(self._prefix[:, 1:], (x, x * x, pos, pos * x, pos * x * x)):
+            np.cumsum(term, out=row)
 
     def _sums(self, q: np.ndarray):
         """Window moments ``(s0, s1, s2)`` of all points and of the positives
@@ -243,26 +247,14 @@ class KernelScorer(Scorer):
 
     def scores(self, X) -> np.ndarray:
         arr = self._check_matrix(X)
-        if self.dim == 1:
-            order = np.argsort(arr[:, 0])
-            out = np.empty(order.size)
-            for start in range(0, order.size, _BLOCK):
-                rows = order[start : start + _BLOCK]
-                q = arr[rows, 0]
-                den, num = self._sums(q)
-                out[rows] = self._estimate(self._weight(num, q), self._weight(den, q))
-            return out
-        den = np.empty(arr.shape[0])
-        num = np.empty(arr.shape[0])
-        pos = (self.train_y == 1).astype(float)
-        chunk = max(1, 2**22 // self.train_x.shape[0])
-        for start in range(0, arr.shape[0], chunk):
-            block = arr[start : start + chunk]
-            d2 = ((block[:, None, :] - self.train_x[None, :, :]) ** 2).sum(axis=2)
-            w = np.maximum(0.0, 1.0 - d2 / self.bandwidth**2)
-            den[start : start + block.shape[0]] = w.sum(axis=1)
-            num[start : start + block.shape[0]] = w @ pos
-        return self._estimate(num, den)
+        order = np.argsort(arr[:, 0])
+        out = np.empty(order.size)
+        for start in range(0, order.size, _BLOCK):
+            rows = order[start : start + _BLOCK]
+            q = arr[rows, 0]
+            den, num = self._sums(q)
+            out[rows] = self._estimate(self._weight(num, q), self._weight(den, q))
+        return out
 
     def acceptance_intervals(self, deltas) -> np.ndarray:
         """The 1-d acceptance sets, exactly, padded with ``(1, 1)`` rows.
@@ -280,8 +272,6 @@ class KernelScorer(Scorer):
         delta carries whether its set is open across a block edge, so only
         the ends of its intervals are kept.
         """
-        if self.dim != 1:
-            return super().acceptance_intervals(deltas)
         deltas = np.asarray(deltas, dtype=float)
         h = self.bandwidth
         breaks = np.concatenate([self._x - h, self._x + h])
@@ -426,8 +416,9 @@ def fit_kernel_smoother(
 ) -> KernelScorer:
     """Kernel conditional-probability fit with rate-optimal bandwidth.
 
-    The bandwidth is ``bandwidth_const * n**(-1 / (2 beta + d))`` for
-    nominal smoothness ``beta``.
+    The bandwidth is ``bandwidth_const * n**(-1 / (2 beta + 1))`` for
+    nominal smoothness ``beta`` in one dimension; a sample of 2 or more
+    feature columns raises ``DimensionMismatchError``.
     """
     if data.n == 0:
         raise EmptyDataError("cannot fit a kernel smoother on no data")
@@ -437,7 +428,7 @@ def fit_kernel_smoother(
         raise ValueError(f"beta must be positive and finite, got {beta!r}")
     if not 0.0 < bandwidth_const < math.inf:
         raise ValueError(f"bandwidth_const must be positive and finite, got {bandwidth_const!r}")
-    h = bandwidth_const * data.n ** (-1.0 / (2.0 * beta + data.dim))
+    h = bandwidth_const * data.n ** (-1.0 / (2.0 * beta + 1.0))
     return KernelScorer(data.features, data.labels, h)
 
 

@@ -67,19 +67,15 @@ def naive_confusion(scores, labels, delta: float) -> np.ndarray:
 
 def naive_epanechnikov(train_x, train_y, h: float, queries,
                        clip: float = 1e-6) -> np.ndarray:
-    """O(n*m) reference for the kernel smoother (any dimension)."""
-    train_x = np.atleast_2d(np.asarray(train_x, dtype=float))
-    if train_x.shape[0] == 1 and np.asarray(train_y).size > 1:
-        train_x = train_x.T
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    if queries.shape[1] != train_x.shape[1]:
-        queries = queries.T
+    """O(n*m) reference for the kernel smoother: 1-d training points and
+    queries, each a flat array."""
+    train_x = np.asarray(train_x, dtype=float)
+    queries = np.asarray(queries, dtype=float)
     pos = (np.asarray(train_y) == 1).astype(float)
     global_rate = float(np.clip(pos.mean(), clip, 1 - clip))
-    out = np.empty(queries.shape[0])
+    out = np.empty(queries.size)
     for i, q in enumerate(queries):
-        u2 = ((train_x - q) ** 2).sum(axis=1) / h**2
-        w = np.maximum(0.0, 1.0 - u2)
+        w = np.maximum(0.0, 1.0 - (train_x - q) ** 2 / h**2)
         den = w.sum()
         out[i] = (w @ pos) / den if den > 1e-12 else global_rate
     return np.clip(out, clip, 1 - clip)

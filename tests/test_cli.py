@@ -320,29 +320,48 @@ class TestTrainEvaluate:
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
 
-    def test_kernel_classifier_on_gaussian_data_reloads_exactly(
-        self, gaussian_csv, tmp_path, capsys
-    ) -> None:
-        clf_path = str(tmp_path / "k2.json")
-        code, _, err = run_cli(capsys, "train", "--metric", "fbeta:1", "--data", gaussian_csv,
+    def test_kernel_classifier_on_gaussian_data_reloads_exactly(self, tmp_path, capsys) -> None:
+        data_path = str(tmp_path / "g1.csv")
+        gaussian = ("--model", "gaussian", "--mu", "2", "--kappa", "0.5")
+        run_cli(capsys, "gen", *gaussian, "--n", "4000", "--seed", "7", "--out", data_path)
+        clf_path = str(tmp_path / "k1.json")
+        code, _, err = run_cli(capsys, "train", "--metric", "fbeta:1", "--data", data_path,
                                "--estimator", "kernel", "--seed", "1", "--out", clf_path)
         assert code == 0, err
         code, report, err = run_cli(
-            capsys, "evaluate", "--classifier", clf_path, "--metric", "fbeta:1",
-            "--model", "gaussian", "--mu", "2,0", "--kappa", "0.5",
+            capsys, "evaluate", "--classifier", clf_path, "--metric", "fbeta:1", *gaussian,
             "--mode", "monte-carlo", "--mc-samples", "20000", "--mc-seed", "3",
         )
         assert code == 0, err
-        data, _ = load_dataset_csv(gaussian_csv)
+        data, _ = load_dataset_csv(data_path)
         trained = train_plugin(parse_metric("fbeta:1"), data, EstimatorSpec("kernel"), seed=1)
         with open(clf_path, encoding="utf-8") as fh:
             reloaded = PluginClassifier.from_dict(json.load(fh))
-        queries = np.random.default_rng(0).normal(size=(500, 2))
+        queries = np.random.default_rng(0).normal(size=(500, 1))
         assert np.array_equal(reloaded.scorer.scores(queries), trained.scorer.scores(queries))
         want = population_regret(parse_metric("fbeta:1"), trained,
-                                 GaussianModel(np.array([2.0, 0.0]), 0.5),
+                                 GaussianModel(np.array([2.0]), 0.5),
                                  mode="monte-carlo", mc_samples=20000, mc_seed=3)
         assert report == {**want.to_dict(), "metric": "fbeta:1"}
+
+    @pytest.mark.parametrize("command", ["train", "threshold", "oracle", "evaluate"])
+    def test_kernel_on_two_columns_is_refused(self, gaussian_csv, tmp_path, capsys,
+                                              command) -> None:
+        # a kernel scorer is 1-d; earlier versions also fitted and wrote 2-d ones
+        clf_path = tmp_path / "k2.json"
+        clf_path.write_text(json.dumps({
+            "scorer": {"kind": "kernel", "x": [[0.5, 0.1], [0.25, -0.3]], "y": [1, -1],
+                       "bandwidth": 0.5},
+            "delta": 0.5, "provenance": {}}), encoding="utf-8")
+        flags = (("--classifier", str(clf_path), "--model", "gaussian", "--mu", "2,0",
+                  "--kappa", "0.5", "--mode", "monte-carlo", "--mc-samples", "1000")
+                 if command == "evaluate" else ("--data", gaussian_csv, "--estimator", "kernel"))
+        code, out, err = run_cli(capsys, command, "--metric", "fbeta:1", *flags)
+        assert code == 1
+        assert out is None
+        assert json.loads(err) == {"error": "dimension-mismatch",
+                                   "message": "a kernel scorer takes 1 feature column, "
+                                              "got 2 columns"}
 
     def test_kernel_classifier_evaluates_from_any_directory(
         self, tmp_path, capsys, monkeypatch
@@ -419,7 +438,9 @@ class TestTrainEvaluate:
                       "bandwidth": 0.1}, "delta": 0.5}, "'y'"),
          ({**LOGISTIC_CLASSIFIER, "delta": "0.5"}, "'delta'"),
          ({"scorer": {"kind": "true-eta"}, "delta": 0.5},
-          "true-eta scorer lacks the field(s) model")],
+          "true-eta scorer lacks the field(s) model"),
+         ({**LOGISTIC_CLASSIFIER,
+           "scorer": {**LOGISTIC_CLASSIFIER["scorer"], "weights": []}}, "weights")],
     )
     def test_malformed_classifier_json(self, tmp_path, capsys, payload, field) -> None:
         clf_path = tmp_path / "bad.json"
@@ -767,6 +788,22 @@ class TestRate:
         assert field in failure["message"]
         assert not (tmp_path / "run.csv").exists()
 
+    def test_kernel_on_a_two_dimensional_model_fails_before_any_row(self, tmp_path,
+                                                                     capsys) -> None:
+        # every row would fail to fit, a study of nothing but errors
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(self.CONFIG.replace("logistic", "kernel") + "mc_samples = 1000\n",
+                            encoding="utf-8")
+        code, out, err = run_cli(capsys, "rate", "--config", str(cfg_path),
+                                 "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert out is None
+        assert json.loads(err) == {
+            "error": "invalid-argument",
+            "message": "config key 'estimator' (flag --estimator) is kernel, which takes 1-d "
+                       "data, but config key 'mu' (flag --mu) has 2 entries"}
+        assert not (tmp_path / "run.csv").exists()
+
     def test_unknown_model_fails_before_any_row(self, tmp_path, capsys) -> None:
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(self.CONFIG.replace("gaussian", "beta"), encoding="utf-8")
@@ -841,7 +878,8 @@ class TestFlagsMatchConfig:
     the model flags name the model of ``true-eta`` alone."""
 
     MODELS = {
-        "gaussian": {"model": "gaussian", "mu": "2,0", "kappa": "0.3"},
+        # one dimension, which a kernel fits
+        "gaussian": {"model": "gaussian", "mu": "2", "kappa": "0.3"},
         "holder": {"model": "holder", "eta": "flat"},
     }
     ESTIMATORS = {

@@ -20,6 +20,7 @@ import pytest
 import karmic.scorers
 from karmic import (
     ConstantScorer,
+    Dataset,
     DimensionMismatchError,
     EstimatorSpec,
     GaussianModel,
@@ -36,6 +37,7 @@ from karmic import (
     population_optimum,
     population_regret,
     sample_holder,
+    scorer_from_dict,
     train_plugin,
 )
 from karmic.scorers import _KERNEL_MIN_WEIGHT, KERNEL_CLIP, _roots_inside
@@ -159,14 +161,18 @@ class TestKernel:
         clf = train_plugin(F1, sample_holder(flat, 4096, 2), EstimatorSpec("kernel"), seed=2)
         assert_rows_match(compare(flat, clf.scorer, [clf.delta, 0.5]))
 
-    def test_two_dimensional_kernel_has_no_intervals(self) -> None:
+    def test_two_dimensional_sample_is_refused_at_construction(self) -> None:
+        # a kernel scorer is 1-d, so every route to one refuses 2 columns
         rng = np.random.default_rng(0)
-        scorer = KernelScorer(rng.random((50, 2)), np.where(rng.random(50) < 0.5, 1, -1),
-                              0.3)
-        with pytest.raises(DimensionMismatchError):
-            scorer.acceptance_intervals(0.5)
-        with pytest.raises(DimensionMismatchError):
-            SINE.classifier_confusion(scorer, 0.5)
+        data = Dataset(rng.random((50, 2)), np.where(rng.random(50) < 0.5, 1, -1))
+        payload = {"kind": "kernel", "x": data.features.tolist(), "y": data.labels.tolist(),
+                   "bandwidth": 0.3}
+        for build in (lambda: KernelScorer(data.features, data.labels, 0.3),
+                      lambda: fit_kernel_smoother(data, 1.0),
+                      lambda: EstimatorSpec("kernel").build(data),
+                      lambda: scorer_from_dict(payload)):
+            with pytest.raises(DimensionMismatchError, match="got 2 columns"):
+                build()
 
 
 def piece_edges(scorer: KernelScorer) -> np.ndarray:

@@ -35,6 +35,8 @@ from karmic.experiments import (
 from helpers import ols_slope
 
 GAUSS = GaussianModel(np.array([2.0, 0.0]), 0.5)
+#: the Gaussian model a kernel study can run on: a kernel scorer is 1-d
+GAUSS_1D = GaussianModel(np.array([2.0]), 0.5)
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -53,7 +55,7 @@ def tiny_config(**overrides) -> ExperimentConfig:
 class TestConfigValidation:
     def test_eval_mode_defaults(self) -> None:
         assert tiny_config().eval_mode == "closed-form"
-        kernel = tiny_config(estimator=EstimatorSpec("kernel"))
+        kernel = tiny_config(model=GAUSS_1D, estimator=EstimatorSpec("kernel"))
         assert kernel.eval_mode == "monte-carlo"
         holder = tiny_config(model=HolderModel("sine"), estimator=EstimatorSpec("kernel"))
         assert holder.eval_mode == "closed-form"
@@ -74,6 +76,8 @@ class TestConfigValidation:
             {"mc_samples": 0},
             {"tolerance": math.nan},
             {"metric": "f1"},
+            # a kernel is 1-d, and GAUSS has two dimensions
+            {"estimator": EstimatorSpec("kernel")},
         ],
     )
     def test_rejections(self, overrides) -> None:
@@ -112,17 +116,18 @@ class TestConfigValidation:
         (EstimatorSpec("logistic"), {}),
         (EstimatorSpec("kernel", kernel_beta=2.0, bandwidth_const=0.5),
          {"kernel_beta": 2.0, "bandwidth_const": 0.5}),
-        (EstimatorSpec("true-eta", model=GAUSS), {}),
+        (EstimatorSpec("true-eta", model=GAUSS_1D), {}),
         (EstimatorSpec("constant", p=0.3), {"p": 0.3}),
     ], ids=["logistic", "kernel", "true-eta", "constant"])
     def test_to_dict_records_only_the_settings_of_its_estimator(self, estimator,
                                                                 settings) -> None:
-        payload = tiny_config(estimator=estimator).to_dict()
+        payload = tiny_config(model=GAUSS_1D, estimator=estimator).to_dict()
         assert payload["estimator"] == {"kind": estimator.kind, **settings}
 
     def test_to_dict_records_mc_samples_only_for_monte_carlo(self) -> None:
         assert "mc_samples" not in tiny_config(mc_samples=5000).to_dict()
-        payload = tiny_config(estimator=EstimatorSpec("kernel"), mc_samples=5000).to_dict()
+        payload = tiny_config(model=GAUSS_1D, estimator=EstimatorSpec("kernel"),
+                              mc_samples=5000).to_dict()
         assert payload["mc_samples"] == 5000
 
 
@@ -479,10 +484,10 @@ class TestOneOptimumPerStudy:
             return train(metric, data, estimator, config, seed=seed)
 
         monkeypatch.setattr(karmic.experiments, "train_plugin", failing_seed_zero)
-        cfg = tiny_config(metric="linfrac:1,1,0,0/1,1,1,1",
+        cfg = tiny_config(model=GAUSS_1D, metric="linfrac:1,1,0,0/1,1,1,1",
                           estimator=EstimatorSpec("kernel"))
         with pytest.raises(NoSignChangeError):
-            karmic.pipeline.population_optimum(karmic.parse_metric(cfg.metric), GAUSS)
+            karmic.pipeline.population_optimum(karmic.parse_metric(cfg.metric), GAUSS_1D)
         table = run_rate_experiment(cfg)
         assert [(r.seed, r.error) for r in table.rows] == [
             (0, "split-degenerate"), (1, "no-sign-change"), (2, "no-sign-change")
@@ -497,7 +502,7 @@ class TestGoldenCsv:
     file was written once the population optimum came from the same
     interval integrator as the classifier; against the file it replaces,
     ``delta_hat`` and ``delta_star`` are byte-identical and every regret is
-    within 3.4e-16.  A kernel on the Gaussian model, which no model can
+    within 3.4e-16.  A kernel on the 1-d Gaussian model, which no model can
     integrate, pins the Monte-Carlo path: the per-row evaluation seeds and
     ``mc_samples``.
 
@@ -517,10 +522,10 @@ class TestGoldenCsv:
 
     def test_gaussian_kernel_study_monte_carlo(self) -> None:
         cfg = ExperimentConfig.from_file(str(ROOT / "configs" / "rate_gaussian_f1.cfg"))
-        cfg = dataclasses.replace(cfg, estimator=EstimatorSpec("kernel"), n_list=(256, 512),
-                                  seeds=2, mc_samples=20_000)
+        cfg = dataclasses.replace(cfg, model=GAUSS_1D, estimator=EstimatorSpec("kernel"),
+                                  n_list=(256, 512), seeds=2, mc_samples=20_000)
         assert cfg.eval_mode == "monte-carlo"
-        self.check(cfg, "rate_gaussian_kernel_mc_seeds2.csv")
+        self.check(cfg, "rate_gaussian1d_kernel_mc_seeds2.csv")
 
     def test_holder_study_exact(self) -> None:
         cfg = ExperimentConfig.from_file(str(ROOT / "configs" / "rate_holder_f1.cfg"))

@@ -30,15 +30,17 @@ from karmic import (
 from karmic.pipeline import _SPLIT_RETRIES, _SPLIT_TAG, _monte_carlo_confusion
 
 MODEL = GaussianModel(np.array([2.0, 0.0]), 0.5)
+#: the Gaussian model a kernel can fit: a kernel scorer is 1-d
+MODEL_1D = GaussianModel(np.array([2.0]), 0.5)
 
 
 class TestEstimatorSpec:
     def test_kinds(self) -> None:
-        data = sample_gaussian(MODEL, 200, seed=1)
+        data = sample_gaussian(MODEL_1D, 200, seed=1)
         assert EstimatorSpec("logistic").build(data).__class__.__name__ == "LogisticScorer"
         assert EstimatorSpec("kernel").build(data).__class__.__name__ == "KernelScorer"
         assert (
-            EstimatorSpec("true-eta", model=MODEL).build(data).__class__.__name__
+            EstimatorSpec("true-eta", model=MODEL_1D).build(data).__class__.__name__
             == "TrueEtaScorer"
         )
         constant = EstimatorSpec("constant", p=0.3).build(data)
@@ -198,7 +200,7 @@ class TestTrainPlugin:
         assert peak <= 2.5 * n * (2 * 8 + 8)
 
     def test_kept_sample_is_left_unchanged(self) -> None:
-        data = MODEL.sample(2000, 4)
+        data = MODEL_1D.sample(2000, 4)
         features, labels = data.features, data.labels
         expected = features.tobytes(), labels.tobytes()
         train_plugin(parse_metric("fbeta:1"), data, EstimatorSpec("kernel"), seed=3)
@@ -300,10 +302,10 @@ class TestPopulationRegret:
         assert medians[0] > medians[1] > medians[2] > medians[3]
 
     def test_kernel_closed_form_unsupported(self) -> None:
-        data = sample_gaussian(MODEL, 200, seed=1)
+        data = sample_gaussian(MODEL_1D, 200, seed=1)
         clf = train_plugin(parse_metric("accuracy"), data, EstimatorSpec("kernel"), seed=0)
         with pytest.raises(ModeUnsupportedError):
-            population_regret(parse_metric("accuracy"), clf, MODEL, mode="closed-form")
+            population_regret(parse_metric("accuracy"), clf, MODEL_1D, mode="closed-form")
 
     def test_holder_constant_rule_predicts_all_or_nothing(self) -> None:
         # eta integrates to 1/2 on [0, 1] for both tags; ties go negative

@@ -64,6 +64,9 @@ class TestLogisticScorer:
             LogisticScorer(np.array([np.nan]), 0.0)
         with pytest.raises(ValueError):
             LogisticScorer(np.array([1.0]), np.inf)
+        # no weights at all would load as a 0-d rule that no model can evaluate
+        with pytest.raises(ValueError, match="one or more"):
+            LogisticScorer(np.array([]), 0.0)
 
     def test_one_dimensional_matrix_promotion(self) -> None:
         s = LogisticScorer(np.array([1.0]), 0.0)
@@ -197,15 +200,6 @@ class TestKernelScorer:
         queries = np.concatenate([rng.random(150), x[:25], [0.0, 1.0, -0.5, 1.5]])
         want = naive_epanechnikov(x, y, h, queries)
         np.testing.assert_allclose(scorer.scores(queries), want, atol=1e-12)
-
-    def test_two_dimensional_matches_naive_reference(self, rng) -> None:
-        n = 300
-        X = rng.random((n, 2))
-        y = rng.choice([-1, 1], size=n)
-        h = 0.2
-        scorer = KernelScorer(X, y, bandwidth=h)
-        Q = rng.random((80, 2))
-        np.testing.assert_allclose(scorer.scores(Q), naive_epanechnikov(X, y, h, Q), atol=1e-12)
 
     def test_empty_window_falls_back_to_global_rate(self) -> None:
         x = np.full(20, 0.5)
@@ -377,8 +371,8 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "data",
         [sample_holder(HolderModel("sine"), 300, seed=5),
-         sample_gaussian(GaussianModel(np.array([2.0, 0.0]), 0.5), 300, seed=5)],
-        ids=["holder-1d", "gaussian-2d"],
+         sample_gaussian(GaussianModel(np.array([2.0]), 0.5), 300, seed=5)],
+        ids=["holder-1d", "gaussian-1d"],
     )
     def test_kernel_roundtrip_carries_its_sample(self, data) -> None:
         scorer = fit_kernel_smoother(data, beta=1.0)
