@@ -258,9 +258,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_negative_seeds(args) -> None:
+    """numpy refuses a negative seed without naming the flag it came from."""
+    for dest in ("seed", "mc_seed"):
+        value = getattr(args, dest, 0)
+        if value < 0:
+            raise ValueError(f"flag --{dest.replace('_', '-')} must be >= 0, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _refuse_negative_seeds(args)
         return args.handler(args)
     except _StdoutClosed:
         # devnull takes the flush at exit (Python docs, SIGPIPE)

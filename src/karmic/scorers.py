@@ -374,7 +374,9 @@ def fit_logistic_mle(data: Dataset,
     theta = np.zeros(X.shape[1])
     diagonal = np.diag_indices(X.shape[1])
     logits = np.zeros(data.n)  # X @ theta, from the line search that accepted theta
-    nll_path = [_mean_nll(data.labels * logits)]
+    # every margin is 0 at theta = 0: n copies of one zero margin's loss,
+    # averaged as _mean_nll averages n losses, without n calls of logaddexp
+    nll_path = [float(np.full(data.n, _mean_nll(np.zeros(1))).mean())]
     for iterations in range(max_iter + 1):
         p = expit(logits)
         del logits

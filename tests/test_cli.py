@@ -999,6 +999,28 @@ class TestFlagValues:
         assert out is None
         assert json.loads(err) == {"error": "invalid-argument", "message": message}
 
+    @pytest.mark.parametrize(("command", "flag"), [
+        ("gen", "--seed"), ("train", "--seed"), ("evaluate", "--mc-seed"),
+    ], ids=["gen", "train", "evaluate"])
+    def test_negative_seed_names_its_flag(self, gaussian_csv, tmp_path, capsys, command,
+                                          flag) -> None:
+        out = tmp_path / "out.json"
+        classifier = tmp_path / "clf.json"
+        classifier.write_text(json.dumps(LOGISTIC_CLASSIFIER), encoding="utf-8")
+        rest = {
+            "gen": ("--model", "holder", "--n", "10", "--out", str(out)),
+            "train": ("--metric", "fbeta:1", "--data", gaussian_csv, "--out", str(out)),
+            "evaluate": ("--classifier", str(classifier), "--metric", "fbeta:1",
+                         "--model", "gaussian", "--mu", "2,0", "--kappa", "0.5",
+                         "--mode", "monte-carlo", "--mc-samples", "1000"),
+        }[command]
+        code, payload, err = run_cli(capsys, command, *rest, flag, "-1")
+        assert code == 1
+        assert payload is None
+        assert json.loads(err) == {"error": "invalid-argument",
+                                   "message": f"flag {flag} must be >= 0, got -1"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [
         ("--data", "d.csv"), ("--step", "5"), ("--scorer-json", "s.json"),
         ("--estimator", "svm"), ("--model", "holder"), ("--kernel-beta", "2"),

@@ -5,15 +5,20 @@ from __future__ import annotations
 import bz2
 import gzip
 import lzma
+import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from karmic import Dataset, EmptyDataError, GaussianModel, sample_gaussian
 from karmic.dataio import (
     _CSV_BLOCK_ROWS,
+    _format_g17,
     load_dataset_csv,
     read_sidecar,
     save_dataset_csv,
@@ -228,9 +233,13 @@ class TestCsvMatchesSavetxt:
 
     @pytest.mark.parametrize("dim", [1, 2, 5])
     @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
-    def test_same_bytes(self, tmp_path, dim, n) -> None:
+    # "unit" is the scale of a generated Gaussian sample, where nearly every
+    # value takes the fast path of the writer
+    @pytest.mark.parametrize("exponents", [300, 0], ids=["wide", "unit"])
+    def test_same_bytes(self, tmp_path, dim, n, exponents) -> None:
         rng = np.random.default_rng(1000 * dim + n)
-        features = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-300, 300, size=(n, dim))
+        features = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-exponents, exponents + 1,
+                                                                     size=(n, dim))
         head = min(n * dim, len(self.EXTREMES))
         features.flat[:head] = self.EXTREMES[:head]
         features.flat[-head:] = self.EXTREMES[:head]
@@ -241,3 +250,73 @@ class TestCsvMatchesSavetxt:
         savetxt_reference(one, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
+
+def assert_g17(values) -> None:
+    """``_format_g17`` writes each value as ``"%.17g" % v`` does."""
+    values = np.asarray(values, dtype=float)
+    got = [row.tobytes().translate(None, b"\0").decode() for row in _format_g17(values)]
+    want = ["%.17g" % v for v in values.tolist()]
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not bad, f"{len(bad)} of {values.size} differ, first (value, got, want): {bad[0]}"
+
+
+class TestG17Exact:
+    """The vectorized ``%.17g`` of the CSV writer against Python's own."""
+
+    def test_random_bit_patterns(self) -> None:
+        rng = np.random.default_rng(17)
+        low, high = np.array([1e-7, 1e18]).view(np.int64)
+        values = rng.integers(low, high, size=100_000, endpoint=True).view(np.float64)
+        assert_g17(values * rng.choice([-1.0, 1.0], size=values.size))
+
+    def test_powers_of_ten_and_their_neighbours(self) -> None:
+        values = []
+        for k in range(-5, 17):
+            power = float(f"1e{k}")
+            below = above = power
+            values.append(power)
+            for _ in range(3):
+                below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+                values += [below, above]
+        assert_g17(values)
+        assert_g17(-np.array(values))
+
+    def test_half_way_ties_round_to_even(self) -> None:
+        # x = m / 2**j with m odd and j = 17 - X, X its decimal exponent:
+        # x has 18 significant digits and the last is a 5, a tie at the 17th
+        rng = np.random.default_rng(5)
+        values = []
+        for exponent in range(-4, 15):
+            j = 17 - exponent
+            low = math.ceil(Fraction(10) ** exponent * 2**j)
+            high = math.floor(Fraction(10) ** (exponent + 1) * 2**j) - 1
+            for m in rng.integers(low, high, size=20, endpoint=True).tolist():
+                x = math.ldexp(m | 1, -j)
+                scaled = Fraction(x) * Fraction(10) ** (16 - exponent)
+                assert scaled.denominator == 2  # a tie, as constructed
+                values.append(x)
+        assert_g17(values)
+        assert_g17(-np.array(values))
+
+    def test_values_just_below_a_decade(self) -> None:
+        # np.log10 may round these up to the next decade, which the exact
+        # check takes back (999999999999999.88 is also a tie)
+        assert_g17([0.99999999999999994, 0.00099999999999999980, 0.099999999999999992,
+                    99.999999999999986, 9999999999999.998, 999999999999999.88])
+
+    def test_fallback_values(self) -> None:
+        assert_g17([0.0, -0.0, 5e-324, -1e-310, 9.9999999999999991e-05, 1e15, -1e15,
+                    1.7976931348623157e308, 123456789012345678.0])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(features=st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                             | st.floats(1e-4, 1e15).map(lambda v: -v)
+                             | st.floats(1e-4, 1e15), min_size=1, max_size=3),
+           label=st.sampled_from([-1, 1]))
+    def test_one_row_dataset_matches_savetxt(self, tmp_path_factory, features, label) -> None:
+        folder = tmp_path_factory.getbasetemp() / "one-row"
+        folder.mkdir(exist_ok=True)
+        one = Dataset(np.array([features]), np.array([label]))
+        save_dataset_csv(one, str(folder / "new.csv"))
+        savetxt_reference(one, folder / "old.csv")
+        assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()

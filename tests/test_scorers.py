@@ -106,6 +106,17 @@ class TestLogisticFit:
         assert (np.diff(path) <= 1e-15).all()
         assert report.iterations + 1 >= len(report.nll_path)
 
+    @pytest.mark.parametrize("n", [2, 7, 128, 8193])
+    def test_start_of_the_path_is_the_mean_loss_of_zero_margins(self, n) -> None:
+        # bit for bit the logaddexp of n zero margins, averaged; at 8193 that
+        # is one ulp below log 2
+        rng = np.random.default_rng(n)
+        labels = np.resize([1, -1], n)
+        data = Dataset(rng.normal(size=n) + labels, labels)
+        _, report = fit_logistic_mle(data, max_iter=0)
+        start = float(np.logaddexp(0.0, -(data.labels * np.zeros(n))).mean())
+        assert report.nll_path[0].hex() == start.hex()
+
     def test_every_exit_counts_accepted_steps(self) -> None:
         data = sample_gaussian(GaussianModel(np.array([1.0, -1.0]), 0.4), 5_000, seed=2)
         for max_iter in (0, 1, 2, 100):
