@@ -32,6 +32,9 @@ from .thresholds import ThresholdSearchConfig, _bisect_profile, _grid_profile, b
 
 __all__ = ["main", "build_parser"]
 
+#: the ``evaluate`` flags that only Monte-Carlo mode reads
+_MC_FLAGS = ("mc_samples", "mc_seed")
+
 
 class _StdoutClosed(Exception):
     """stdout's reader is gone before the result was written."""
@@ -146,11 +149,14 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     metric = parse_metric(args.metric)
+    if args.mode != "monte-carlo":
+        _refuse(args, _MC_FLAGS, "without --mode monte-carlo")
     model = model_from_config(_config_keys(args))
     with open(args.classifier, encoding="utf-8") as fh:
         clf = PluginClassifier.from_dict(json.load(fh))
-    report = population_regret(metric, clf, model, mode=args.mode,
-                               mc_samples=args.mc_samples, mc_seed=args.mc_seed)
+    # a draw flag not given keeps population_regret's default
+    draws = {dest: getattr(args, dest) for dest in _MC_FLAGS if getattr(args, dest) is not None}
+    report = population_regret(metric, clf, model, mode=args.mode, **draws)
     payload = report.to_dict()
     payload["metric"] = metric.name
     _emit(payload)
@@ -236,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p, required=True)
     p.add_argument("--mode", choices=("closed-form", "monte-carlo"),
                    default="closed-form")
-    p.add_argument("--mc-samples", type=int, default=1_000_000)
-    p.add_argument("--mc-seed", type=int, default=0)
+    p.add_argument("--mc-samples", type=int, help="monte-carlo draws (default 1e6)")
+    p.add_argument("--mc-seed", type=int, help="monte-carlo stream seed (default 0)")
     p.set_defaults(handler=_cmd_evaluate)
 
     p = sub.add_parser("rate", help="convergence-rate experiment from a config file")
@@ -261,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _refuse_negative_seeds(args) -> None:
     """numpy refuses a negative seed without naming the flag it came from."""
     for dest in ("seed", "mc_seed"):
-        value = getattr(args, dest, 0)
-        if value < 0:
+        value = getattr(args, dest, None)
+        if value is not None and value < 0:
             raise ValueError(f"flag --{dest.replace('_', '-')} must be >= 0, got {value}")
 
 

@@ -137,7 +137,7 @@ class ExperimentConfig:
         if missing:
             raise ValueError(f"missing config keys: {sorted(missing)}")
         tolerance = raw.get("tolerance", "logn-over-n").strip()
-        return cls(
+        config = cls(
             model=model_from_config(raw),
             metric=raw["metric"].strip(),
             estimator=estimator_from_config(raw),
@@ -146,6 +146,11 @@ class ExperimentConfig:
             tolerance=None if tolerance == "logn-over-n" else _number("tolerance", tolerance),
             mc_samples=raw.get("mc_samples", 1_000_000),
         )
+        if "mc_samples" in raw and config.eval_mode != "monte-carlo":
+            # exact evaluation makes no draw: the key would be ignored
+            raise ValueError(f"{_named('mc_samples')} does not apply to a study evaluated "
+                             f"in {config.eval_mode} mode")
+        return config
 
 
 def _named(key: str) -> str:

@@ -12,10 +12,11 @@ which depends only on the metric and the model, and is refused where the
 metric is not Karmic).  Both read the model's one exact evaluator,
 ``model.classifier_confusion``: a half-space mass for affine scorers on
 the Gaussian model and an integral of eta over the acceptance intervals of
-any 1-d scorer on the Holder model.  The population curve
-(``population_confusion_of_model``) is its true-eta case, because the
-Bayes rule thresholds eta itself.  In "closed-form" mode the classifier's
-utility is exact too.  That covers every committed study.
+any 1-d scorer on the Holder model.  The Bayes rule thresholds eta itself,
+so a model is the scorer of its own Bayes rule: the population curve
+(``population_confusion_of_model``) is the model evaluated at itself, and
+the "true-eta" estimator returns the model.  In "closed-form" mode the
+classifier's utility is exact too.  That covers every committed study.
 The one rule it cannot integrate, a kernel scorer (which is 1-d) on the 1-d
 Gaussian model, needs "monte-carlo" mode: an average over sampled feature
 points with labels integrated out analytically (each point contributes its
@@ -37,14 +38,13 @@ from .errors import ModeUnsupportedError, NonKarmicPointError, SplitDegenerateEr
 from .metrics import MetricSpec, karmic_parts, metric_value
 from .scorers import (
     ConstantScorer,
-    Scorer,
-    TrueEtaScorer,
     fit_kernel_smoother,
     fit_logistic_mle,
     scorer_from_dict,
     scorer_to_dict,
 )
-from .synth import GaussianModel, HolderModel, number_field, require_fields, unit_thresholds
+from .synth import (GaussianModel, HolderModel, Scorer, number_field, require_fields,
+                    unit_thresholds)
 from .thresholds import ThresholdSearchConfig, binary_search_threshold, fixed_point_threshold
 
 __all__ = [
@@ -72,7 +72,8 @@ class EstimatorSpec:
 
     kinds: "logistic" (Newton MLE), "kernel" (needs ``kernel_beta`` and
     ``bandwidth_const``; fits 1-d data alone), "true-eta" (needs
-    ``model``), "constant" (needs ``p``; diagnostic use).
+    ``model``, which is its own scorer), "constant" (needs ``p``;
+    diagnostic use).
     """
 
     kind: str
@@ -100,7 +101,7 @@ class EstimatorSpec:
         if self.kind == "kernel":
             return fit_kernel_smoother(data, self.kernel_beta, self.bandwidth_const)
         if self.kind == "true-eta":
-            return TrueEtaScorer(self.model)
+            return self.model
         return ConstantScorer(self.p)
 
 
@@ -197,8 +198,8 @@ def train_plugin(
 
 def population_confusion_of_model(model: GaussianModel | HolderModel):
     """The population curve: threshold(s) -> exact confusion of thresholding
-    eta itself, ``model.classifier_confusion`` of the true-eta scorer."""
-    return functools.partial(model.classifier_confusion, TrueEtaScorer(model))
+    eta itself, ``model.classifier_confusion`` of the model as its own scorer."""
+    return functools.partial(model.classifier_confusion, model)
 
 
 @dataclass(frozen=True)
@@ -224,8 +225,9 @@ def _monte_carlo_confusion(
 ) -> np.ndarray:
     """Average exact conditional confusion over m sampled feature points.
 
-    Sharded into fixed-size blocks with independently derived substreams,
-    so the result depends only on (m, seed), not on scheduling.
+    Drawn in shards of at most ``_MC_SHARD`` points, so memory stays bounded
+    whatever m is; each shard has its own substream derived from
+    ``(seed, _EVAL_TAG)``, so the result depends only on (m, seed).
     """
     shards = math.ceil(m / _MC_SHARD)
     children = np.random.SeedSequence([int(seed), _EVAL_TAG]).spawn(shards)

@@ -1,18 +1,20 @@
 """Conditional-probability scorers and their fitting routines.
 
 A scorer maps feature vectors to estimates of P(Y=+1 | X=x) in [0, 1].
-Four variants share the interface: a constant, the exact conditional
-probability of a synthetic model, a logistic model fit by Newton maximum
-likelihood, and a Nadaraya-Watson kernel smoother with the Epanechnikov
-kernel.  Fitted scorers are immutable and safe to share across threads.
+Three variants of :class:`karmic.synth.Scorer` live here: a constant, a
+logistic model fit by Newton maximum likelihood, and a Nadaraya-Watson
+kernel smoother with the Epanechnikov kernel.  The fourth, the exact
+conditional probability, is a synthetic model itself, the scorer of its
+own eta.  Fitted scorers are immutable and safe to share across threads.
 ``scorer_to_dict`` gives each scorer a whole JSON form: a kernel scorer is a
-function of its training sample, so it carries that sample inline.
+function of its training sample, so it carries that sample inline, and a
+model is ``{"kind": "true-eta", "model": ...}``.
 
 For exact population evaluation a scorer describes its decision rule
 ``score(x) > delta`` in the form a synthetic model integrates:
 ``halfspace`` gives an affine rule ``sigmoid(w.x + b)`` (constant, logistic,
-true eta of the Gaussian model), and ``acceptance_intervals(deltas)`` gives
-the acceptance sets of a 1-d scorer on [0, 1] for a batch of thresholds, as
+the Gaussian model), and ``acceptance_intervals(deltas)`` gives the
+acceptance sets of a 1-d scorer on [0, 1] for a batch of thresholds, as
 one padded block of sorted intervals (a zero-width row is an empty piece).
 
 ``expit`` and ``logit`` come from :mod:`karmic.synth`, which loads
@@ -33,12 +35,12 @@ from .errors import (
     DegenerateDesignError,
     DimensionMismatchError,
     EmptyDataError,
-    ModeUnsupportedError,
     SeparableDataError,
 )
 from .synth import (
     GaussianModel,
     HolderModel,
+    Scorer,
     expit,
     logit,
     model_from_dict,
@@ -47,9 +49,7 @@ from .synth import (
 )
 
 __all__ = [
-    "Scorer",
     "ConstantScorer",
-    "TrueEtaScorer",
     "LogisticScorer",
     "KernelScorer",
     "LogisticFitReport",
@@ -69,58 +69,6 @@ _WEIGHT_NORM_LIMIT = 1e6
 _BLOCK = 8192
 
 
-class Scorer:
-    """Interface: ``scores`` on a feature matrix, ``score`` on one point."""
-
-    #: expected feature dimension, or None when any dimension is accepted
-    dim: int | None = None
-
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def score(self, x) -> float:
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if arr.ndim != 1:
-            raise DimensionMismatchError("score expects a single feature vector")
-        return float(self.scores(arr[None, :])[0])
-
-    def halfspace(self, dim: int) -> tuple[np.ndarray, float]:
-        """``(w, b)`` with ``score(x) = sigmoid(w.x + b)`` on ``dim``-d points."""
-        raise ModeUnsupportedError(
-            f"closed-form evaluation needs an affine score rule; got {type(self).__name__}"
-        )
-
-    def acceptance_intervals(self, deltas) -> np.ndarray:
-        """``{x in [0, 1] : score(x) > delta}`` for each delta: sorted ``(a, b)``
-        rows with ``a <= b`` in one block of shape ``deltas.shape + (k, 2)``,
-        where a zero-width row is an empty piece.  Here the half-line of the
-        affine rule ``halfspace(1)``, one row per delta; with ``w = 0``, all
-        or nothing as ``predict`` decides it, by the score against delta.  A
-        scorer of dimension 2 or more raises ``DimensionMismatchError``.
-        """
-        if self.dim not in (None, 1):
-            raise DimensionMismatchError(
-                f"acceptance intervals on [0, 1] need a 1-d score rule; "
-                f"{type(self).__name__} has dimension {self.dim}")
-        (w,), intercept = self.halfspace(1)
-        deltas = np.asarray(deltas, dtype=float)
-        with np.errstate(over="ignore"):  # a tiny w puts the edge at an infinity, clipped
-            edge = (np.where(self.score(0.0) > deltas, 0.0, 1.0) if w == 0.0
-                    else np.clip((logit(deltas) - intercept) / w, 0.0, 1.0))
-        ends = (edge, np.ones_like(edge)) if w >= 0.0 else (np.zeros_like(edge), edge)
-        return np.stack(ends, axis=-1)[..., None, :]
-
-    def _check_matrix(self, X) -> np.ndarray:
-        arr = np.asarray(X, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.ndim != 2 or (self.dim is not None and arr.shape[1] != self.dim):
-            raise DimensionMismatchError(
-                f"expected points of dimension {self.dim}, got shape {np.shape(X)}"
-            )
-        return arr
-
-
 @dataclass(frozen=True)
 class ConstantScorer(Scorer):
     """Scores every point as the same probability."""
@@ -138,24 +86,6 @@ class ConstantScorer(Scorer):
 
     def halfspace(self, dim: int) -> tuple[np.ndarray, float]:
         return np.zeros(dim), float(logit(self.p))
-
-
-class TrueEtaScorer(Scorer):
-    """Exact conditional probability of a synthetic model; its decision rule
-    is the model's own ``halfspace`` or ``superlevel_intervals``."""
-
-    def __init__(self, model: GaussianModel | HolderModel) -> None:
-        self.model = model
-        self.dim = model.dim
-
-    def scores(self, X) -> np.ndarray:
-        return self.model.eta(self._check_matrix(X))
-
-    def halfspace(self, dim: int) -> tuple[np.ndarray, float]:
-        return self.model.halfspace(dim)
-
-    def acceptance_intervals(self, deltas) -> np.ndarray:
-        return self.model.superlevel_intervals(deltas)
 
 
 class LogisticScorer(Scorer):
@@ -445,8 +375,8 @@ def scorer_to_dict(scorer: Scorer) -> dict:
             "weights": [float(v) for v in scorer.weights],
             "intercept": scorer.intercept,
         }
-    if isinstance(scorer, TrueEtaScorer):
-        return {"kind": "true-eta", "model": scorer.model.to_dict()}
+    if isinstance(scorer, (GaussianModel, HolderModel)):
+        return {"kind": "true-eta", "model": scorer.to_dict()}
     if isinstance(scorer, KernelScorer):
         return {
             "kind": "kernel",
@@ -467,7 +397,7 @@ def scorer_from_dict(payload: dict) -> Scorer:
                               number_field(payload, "intercept"))
     if kind == "true-eta":
         require_fields(payload, "true-eta scorer", ("model",))
-        return TrueEtaScorer(model_from_dict(payload["model"]))
+        return model_from_dict(payload["model"])
     if kind == "kernel":
         require_fields(payload, "kernel scorer", ("x", "y", "bandwidth"))
         return KernelScorer(number_field(payload, "x", 2), number_field(payload, "y", 1),

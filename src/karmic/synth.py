@@ -18,11 +18,13 @@ Each model class holds everything model-specific: ``sample(n, seed)``,
 ``eta(X)``, ``draw_features(rng, k)`` for Monte-Carlo evaluation, and
 ``classifier_confusion(scorer, deltas)``, its one exact evaluator: the
 population confusion of a score rule at every threshold of a batch, shape
-``deltas.shape + (4,)``; the true eta (``TrueEtaScorer``) gives the
-population curve.  The Gaussian rule is a half-space (``halfspace``), whose
-mass is a normal tail; the Holder rule is the padded block of intervals of
-[0, 1] that a 1-d scorer's ``acceptance_intervals`` returns, which one
-integrator integrates.  ``sample_gaussian`` and ``sample_holder`` are the
+``deltas.shape + (4,)``.  The Gaussian rule is a half-space (``halfspace``),
+whose mass is a normal tail; the Holder rule is the padded block of
+intervals of [0, 1] that a 1-d scorer's ``acceptance_intervals`` returns,
+which one integrator integrates.  ``Scorer``, the interface both read, is
+defined here.  The Bayes rule thresholds eta itself, so each model is the
+``Scorer`` of its own eta, and the model evaluated at itself gives the
+population curve.  ``sample_gaussian`` and ``sample_holder`` are the
 ``sample`` methods, called with the model as first argument.
 
 Sampling uses one named child stream per role (labels, features) spawned
@@ -48,6 +50,7 @@ from .confusion import Dataset
 from .errors import DimensionMismatchError, ModeUnsupportedError
 
 __all__ = [
+    "Scorer",
     "GaussianModel",
     "HolderModel",
     "sample_gaussian",
@@ -81,12 +84,66 @@ def ndtr(z):
     return ufunc(z)
 
 
+class Scorer:
+    """Interface: ``scores`` on a feature matrix, ``score`` on one point."""
+
+    #: expected feature dimension, or None when any dimension is accepted
+    dim: int | None = None
+
+    def scores(self, X: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def score(self, x) -> float:
+        arr = np.atleast_1d(np.asarray(x, dtype=float))
+        if arr.ndim != 1:
+            raise DimensionMismatchError("score expects a single feature vector")
+        return float(self.scores(arr[None, :])[0])
+
+    def halfspace(self, dim: int) -> tuple[np.ndarray, float]:
+        """``(w, b)`` with ``score(x) = sigmoid(w.x + b)`` on ``dim``-d points."""
+        raise ModeUnsupportedError(
+            f"closed-form evaluation needs an affine score rule; got {type(self).__name__}"
+        )
+
+    def acceptance_intervals(self, deltas) -> np.ndarray:
+        """``{x in [0, 1] : score(x) > delta}`` for each delta: sorted ``(a, b)``
+        rows with ``a <= b`` in one block of shape ``deltas.shape + (k, 2)``,
+        where a zero-width row is an empty piece.  Here the half-line of the
+        affine rule ``halfspace(1)``, one row per delta; with ``w = 0``, all
+        or nothing as ``predict`` decides it, by the score against delta.  A
+        scorer of dimension 2 or more raises ``DimensionMismatchError``.
+        """
+        if self.dim not in (None, 1):
+            raise DimensionMismatchError(
+                f"acceptance intervals on [0, 1] need a 1-d score rule; "
+                f"{type(self).__name__} has dimension {self.dim}")
+        (w,), intercept = self.halfspace(1)
+        deltas = np.asarray(deltas, dtype=float)
+        with np.errstate(over="ignore"):  # a tiny w puts the edge at an infinity, clipped
+            edge = (np.where(self.score(0.0) > deltas, 0.0, 1.0) if w == 0.0
+                    else np.clip((logit(deltas) - intercept) / w, 0.0, 1.0))
+        ends = (edge, np.ones_like(edge)) if w >= 0.0 else (np.zeros_like(edge), edge)
+        return np.stack(ends, axis=-1)[..., None, :]
+
+    def _check_matrix(self, X) -> np.ndarray:
+        arr = np.asarray(X, dtype=float)
+        if arr.ndim == 1:
+            arr = arr[:, None]
+        if arr.ndim != 2 or (self.dim is not None and arr.shape[1] != self.dim):
+            raise DimensionMismatchError(
+                f"expected points of dimension {self.dim}, got shape {np.shape(X)}"
+            )
+        return arr
+
+
 @dataclass(frozen=True, eq=False)
-class GaussianModel:
+class GaussianModel(Scorer):
     """Two spherical Gaussian classes at ``+mu/2`` and ``-mu/2``.
 
     ``kappa`` is the positive-class prior.  ``mu`` may be zero: eta is then
-    the constant ``kappa`` (pure-noise labels).
+    the constant ``kappa`` (pure-noise labels).  As a scorer the model is its
+    true eta, the affine rule ``halfspace``; in one dimension the inherited
+    ``acceptance_intervals`` give that rule's half-line on [0, 1].
     """
 
     mu: np.ndarray
@@ -121,13 +178,11 @@ class GaussianModel:
         return Dataset(features, labels)
 
     def eta(self, X) -> np.ndarray:
-        """Exact P(Y=+1 | X=x) = sigmoid(mu . x + logit(kappa)) at each row of X."""
-        arr = np.asarray(X, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                f"expected rows of dimension {self.dim}, got shape {np.shape(X)}"
-            )
-        return expit(arr @ self.mu + logit(self.kappa))
+        """Exact P(Y=+1 | X=x) = sigmoid(mu . x + logit(kappa)) at each row of X
+        (a 1-d array is a feature column)."""
+        return expit(self._check_matrix(X) @ self.mu + logit(self.kappa))
+
+    scores = eta
 
     def draw_features(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """k feature rows from the mixture, class memberships drawn first."""
@@ -139,10 +194,6 @@ class GaussianModel:
     def halfspace(self, dim: int) -> tuple[np.ndarray, float]:
         """``(mu, logit(kappa))``: eta is ``sigmoid(mu.x + logit(kappa))``."""
         return self.mu, float(logit(self.kappa))
-
-    def superlevel_intervals(self, deltas) -> np.ndarray:
-        """Raises ``ModeUnsupportedError``: eta lives on R^d, not on [0, 1]."""
-        raise ModeUnsupportedError("the Gaussian eta has no acceptance intervals on [0, 1]")
 
     def classifier_confusion(self, scorer, deltas) -> np.ndarray:
         """Exact population confusion of ``predict +1 iff scorer(x) > delta``
@@ -180,8 +231,10 @@ class GaussianModel:
 
 
 @dataclass(frozen=True)
-class HolderModel:
-    """One-dimensional model on [0,1] with a fixed smooth eta curve."""
+class HolderModel(Scorer):
+    """One-dimensional model on [0,1] with a fixed smooth eta curve.  As a
+    scorer the model is its true eta, whose rule is ``acceptance_intervals``;
+    it has no affine rule, so the Gaussian model cannot integrate it."""
 
     eta_tag: str = "sine"
 
@@ -207,20 +260,18 @@ class HolderModel:
 
     def eta(self, X) -> np.ndarray:
         """The eta curve at every point of X (a feature column or a 1-d array)."""
-        x = np.reshape(np.asarray(X, dtype=float), -1)
+        x = self._check_matrix(X)[:, 0]
         if self.eta_tag == "flat":
             return np.full_like(x, 0.5)
         return 0.5 + _SINE_AMPLITUDE * np.sin(_TWO_PI * x)
+
+    scores = eta
 
     def draw_features(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """k uniform feature rows."""
         return rng.random((k, 1))
 
-    def halfspace(self, dim: int) -> tuple[np.ndarray, float]:
-        """Raises ``ModeUnsupportedError``: eta is not an affine score rule."""
-        raise ModeUnsupportedError("the Holder eta is not an affine score rule")
-
-    def superlevel_intervals(self, deltas) -> np.ndarray:
+    def acceptance_intervals(self, deltas) -> np.ndarray:
         """``{x in [0, 1] : eta(x) > delta}`` for each delta, as two sorted
         ``(a, b)`` rows: shape ``deltas.shape + (2, 2)``.
 

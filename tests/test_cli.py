@@ -1021,6 +1021,22 @@ class TestFlagValues:
                                    "message": f"flag {flag} must be >= 0, got -1"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", [(), ("--mode", "closed-form")],
+                             ids=["default-mode", "closed-form"])
+    @pytest.mark.parametrize("flag", ["--mc-samples", "--mc-seed"])
+    def test_draw_flags_need_monte_carlo_mode(self, tmp_path, capsys, flag, mode) -> None:
+        # exact evaluation makes no draw: a draw flag beside it is refused, not ignored
+        classifier = tmp_path / "clf.json"
+        classifier.write_text(json.dumps(LOGISTIC_CLASSIFIER), encoding="utf-8")
+        code, out, err = run_cli(capsys, "evaluate", "--classifier", str(classifier),
+                                 "--metric", "fbeta:1", "--model", "gaussian", "--mu", "2,0",
+                                 "--kappa", "0.5", *mode, flag, "7")
+        assert code == 1
+        assert out is None
+        assert json.loads(err) == {
+            "error": "invalid-argument",
+            "message": f"flag {flag} does not apply without --mode monte-carlo"}
+
     @pytest.mark.parametrize("flags", [
         ("--data", "d.csv"), ("--step", "5"), ("--scorer-json", "s.json"),
         ("--estimator", "svm"), ("--model", "holder"), ("--kernel-beta", "2"),

@@ -16,6 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logit
 
 import karmic.scorers
 from karmic import (
@@ -27,9 +28,7 @@ from karmic import (
     HolderModel,
     KernelScorer,
     LogisticScorer,
-    ModeUnsupportedError,
     PluginClassifier,
-    TrueEtaScorer,
     fit_kernel_smoother,
     fit_logistic_mle,
     metric_value,
@@ -132,7 +131,7 @@ def constant_case(p: float) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=None)
 def arc_case(tag: str) -> tuple[np.ndarray, np.ndarray]:
     model = HolderModel(tag)
-    return compare(model, TrueEtaScorer(model), ARC_DELTAS)
+    return compare(model, model, ARC_DELTAS)
 
 
 class TestKernel:
@@ -341,17 +340,20 @@ class TestTrueEta:
 
     def test_zero_regret_at_the_optimum(self) -> None:
         delta_star, _ = population_optimum(F1, SINE)
-        report = population_regret(F1, PluginClassifier(TrueEtaScorer(SINE), delta_star), SINE)
+        report = population_regret(F1, PluginClassifier(SINE, delta_star), SINE)
         assert report.mode == {"mode": "closed-form"}
         assert abs(report.regret) <= 1e-12
 
-    def test_gaussian_true_eta_has_no_intervals(self) -> None:
-        scorer = TrueEtaScorer(GaussianModel(np.array([1.0]), 0.5))
-        with pytest.raises(ModeUnsupportedError):
-            scorer.acceptance_intervals(0.5)
+    @pytest.mark.parametrize("mu", [1.5, -2.0, 0.0])
+    def test_one_dimensional_gaussian_true_eta_is_its_affine_rule(self, mu: float) -> None:
+        # the 1-d Gaussian eta is sigmoid(mu x + logit kappa): the logistic
+        # rule of those weights, integrated as that rule, bit for bit
+        model, deltas = GaussianModel([mu], 0.3), np.linspace(0.0, 1.0, 101)
+        want = SINE.classifier_confusion(LogisticScorer([mu], float(logit(0.3))), deltas)
+        got = SINE.classifier_confusion(model, deltas)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    def test_gaussian_true_eta_of_any_dimension_has_no_intervals(self) -> None:
-        # the Gaussian eta lives on R^d: no [0, 1] rule, whatever d is
-        scorer = TrueEtaScorer(GaussianModel(np.array([1.0, 2.0]), 0.5))
-        with pytest.raises(ModeUnsupportedError):
-            SINE.classifier_confusion(scorer, 0.5)
+    def test_gaussian_true_eta_of_two_dimensions_is_refused(self) -> None:
+        # as every multi-feature scorer is: its rule has no intervals on [0, 1]
+        with pytest.raises(DimensionMismatchError, match="GaussianModel has dimension 2"):
+            SINE.classifier_confusion(GaussianModel(np.array([1.0, 2.0]), 0.5), 0.5)

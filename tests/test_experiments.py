@@ -182,14 +182,27 @@ class TestConfigText:
         kernel_const = 0.8
         n_list = 1e3, 2e3, 4e3
         seeds = 2
-        mc_samples = 5e4
         """
         cfg = ExperimentConfig.from_mapping(parse_config_text(text))
         assert isinstance(cfg.model, HolderModel)
         assert cfg.n_list == (1000, 2000, 4000)
         assert cfg.estimator.bandwidth_const == 0.8
         assert cfg.eval_mode == "closed-form"
-        assert cfg.mc_samples == 50_000
+
+    @pytest.mark.parametrize(("model", "estimator"), [
+        ({"model": "holder"}, "kernel"), ({"model": "holder"}, "logistic"),
+        ({"model": "gaussian", "mu": "2", "kappa": "0.5"}, "logistic"),
+    ], ids=["holder-kernel", "holder-logistic", "gaussian-logistic"])
+    def test_draw_count_of_an_exact_study_is_refused(self, model, estimator) -> None:
+        # an exactly evaluated study makes no draw, so the key would be ignored
+        raw = {**model, "metric": "fbeta:1", "estimator": estimator, "n_list": "64, 128",
+               "seeds": "2", "mc_samples": "5"}
+        with pytest.raises(ValueError) as refused:
+            ExperimentConfig.from_mapping(raw)
+        assert str(refused.value) == ("config key 'mc_samples' does not apply to a study "
+                                      "evaluated in closed-form mode")
+        del raw["mc_samples"]
+        assert ExperimentConfig.from_mapping(raw).eval_mode == "closed-form"
 
     def test_constant_estimator_and_float_tolerance(self) -> None:
         text = """
@@ -227,8 +240,9 @@ class TestConfigText:
                            ("seeds", "2.5"), ("seeds", "two"), ("seeds", "nan")):
             with pytest.raises(ValueError, match=key):
                 ExperimentConfig.from_mapping({**raw, key: value})
-        # every integer key reads 1e1 alike
-        cfg = ExperimentConfig.from_mapping({**raw, "seeds": "1e1", "mc_samples": "2.0e4"})
+        # every integer key reads 1e1 alike (mc_samples in a study that draws)
+        cfg = ExperimentConfig.from_mapping({**raw, "mu": "2", "estimator": "kernel",
+                                             "seeds": "1e1", "mc_samples": "2.0e4"})
         assert (cfg.seeds, cfg.mc_samples) == (10, 20_000)
 
     @pytest.mark.parametrize(("key", "value"), [

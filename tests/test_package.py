@@ -1,5 +1,5 @@
-"""The package: each library module's ``__all__`` is what ``karmic`` exports, and
-pyproject.toml declares what README states."""
+"""The package: each library module's ``__all__`` is what ``karmic`` exports,
+pyproject.toml declares what README states, and README's quick tour runs."""
 
 from __future__ import annotations
 
@@ -74,3 +74,17 @@ def test_the_dependency_floors_match_the_readme() -> None:
     declared = project["dependencies"]
     assert sorted(declared) == [f"{name}>={floor}" for name, floor in sorted(stated.items())]
     assert set(stated) == {"numpy", "scipy"}
+
+
+def test_readme_quick_tour_runs(capsys) -> None:
+    # README's first Python block, run as written, so its code cannot drift
+    # from the API it shows
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    tour = readme.split("\n## Quick tour\n", 1)[1].split("\n## ", 1)[0]
+    block = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md (Quick tour)", "exec"), {"__name__": "quick_tour"})
+    delta, n1, n2, regret, delta_star, u_star = map(float, capsys.readouterr().out.split())
+    assert (n1, n2) == (2000, 2000)
+    assert 0.0 < delta < 1.0 and 0.0 < delta_star < 1.0 and 0.0 < u_star <= 1.0
+    assert regret >= -1e-9

@@ -18,7 +18,6 @@ from karmic import (
     NonKarmicPointError,
     PluginClassifier,
     SplitDegenerateError,
-    TrueEtaScorer,
     classifier_utility,
     parse_metric,
     population_optimum,
@@ -39,10 +38,8 @@ class TestEstimatorSpec:
         data = sample_gaussian(MODEL_1D, 200, seed=1)
         assert EstimatorSpec("logistic").build(data).__class__.__name__ == "LogisticScorer"
         assert EstimatorSpec("kernel").build(data).__class__.__name__ == "KernelScorer"
-        assert (
-            EstimatorSpec("true-eta", model=MODEL_1D).build(data).__class__.__name__
-            == "TrueEtaScorer"
-        )
+        # the model is the scorer of its own eta
+        assert EstimatorSpec("true-eta", model=MODEL_1D).build(data) is MODEL_1D
         constant = EstimatorSpec("constant", p=0.3).build(data)
         assert constant.p == 0.3
 
@@ -256,7 +253,7 @@ class TestPopulationRegret:
         spec = parse_metric("fbeta:1")
         report = population_regret(spec, PluginClassifier(ConstantScorer(0.5), 0.5), MODEL)
         # first find the true threshold, then hand it to the true scorer
-        star = PluginClassifier(TrueEtaScorer(MODEL), report.delta_star)
+        star = PluginClassifier(MODEL, report.delta_star)
         exact = population_regret(spec, star, MODEL)
         assert exact.regret == pytest.approx(0.0, abs=1e-9)
         assert exact.u_hat == pytest.approx(exact.u_star, abs=1e-9)

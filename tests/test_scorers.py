@@ -20,7 +20,6 @@ from karmic import (
     KernelScorer,
     LogisticScorer,
     SeparableDataError,
-    TrueEtaScorer,
     fit_kernel_smoother,
     fit_logistic_mle,
     sample_gaussian,
@@ -369,15 +368,17 @@ class TestSerialization:
         [GaussianModel(np.array([2.0, 1.0]), 0.3), HolderModel("sine")],
     )
     def test_true_eta_roundtrip(self, model) -> None:
-        s = TrueEtaScorer(model)
-        again = scorer_from_dict(scorer_to_dict(s))
-        assert isinstance(again, TrueEtaScorer)
-        assert again.model.to_dict() == model.to_dict()
+        # a model is the scorer of its own eta, written as kind "true-eta"
+        payload = scorer_to_dict(model)
+        assert payload == {"kind": "true-eta", "model": model.to_dict()}
+        again = scorer_from_dict(payload)
+        assert type(again) is type(model)
+        assert again.to_dict() == model.to_dict()
 
     def test_true_eta_ignores_legacy_beta(self) -> None:
         payload = {"kind": "true-eta",
                    "model": {"model": "holder", "eta_tag": "flat", "beta": 2.0}}
-        assert scorer_from_dict(payload).model == HolderModel("flat")
+        assert scorer_from_dict(payload) == HolderModel("flat")
 
     @pytest.mark.parametrize(
         "data",

@@ -29,7 +29,6 @@ from karmic import (
     ModeUnsupportedError,
     ScoreProfile,
     PluginClassifier,
-    TrueEtaScorer,
     fit_kernel_smoother,
     fit_logistic_mle,
     parse_metric,
@@ -175,7 +174,19 @@ class TestTrueEta:
     def test_scorer_wrapper_agrees(self) -> None:
         m = GaussianModel(np.array([1.5, -0.5]), 0.4)
         X = np.random.default_rng(0).standard_normal((50, 2))
-        np.testing.assert_allclose(TrueEtaScorer(m).scores(X), m.eta(X))
+        np.testing.assert_allclose(m.scores(X), m.eta(X))
+
+    def test_one_dimensional_gaussian_takes_a_feature_column(self) -> None:
+        # a 1-d array is a feature column to eta, as it is to every scorer
+        m = GaussianModel([1.5], 0.4)
+        x = np.random.default_rng(1).standard_normal(20)
+        assert np.array_equal(m.eta(x), m.eta(x[:, None]))
+        assert np.array_equal(m.eta(x), m.scores(x))
+
+    @pytest.mark.parametrize("tag", ["sine", "flat"])
+    def test_holder_eta_refuses_two_columns(self, tag: str) -> None:
+        with pytest.raises(DimensionMismatchError):
+            HolderModel(tag).eta(np.zeros((3, 2)))
 
 
 class TestGaussianConfusion:
@@ -225,7 +236,7 @@ class TestGaussianConfusion:
                 m = GaussianModel(np.array([1.0, 0.0]), kappa)
             delta = float(rng.uniform(0.1, 0.9))
             data = sample_gaussian(m, 200_000, seed=int(rng.integers(1 << 31)))
-            mc = ScoreProfile.from_scorer(TrueEtaScorer(m), data).confusion(delta)
+            mc = ScoreProfile.from_scorer(m, data).confusion(delta)
             exact = population_confusion_of_model(m)(delta)
             np.testing.assert_allclose(mc, exact, atol=5e-3)
 
@@ -319,7 +330,7 @@ class TestHalfspaceConfusion:
 
     def test_holder_eta_has_no_half_space(self) -> None:
         with pytest.raises(ModeUnsupportedError):
-            GaussianModel(np.array([1.0]), 0.5).classifier_confusion(TrueEtaScorer(SINE), 0.5)
+            GaussianModel(np.array([1.0]), 0.5).classifier_confusion(SINE, 0.5)
 
     @pytest.mark.parametrize("kind", ["logistic", "constant"])
     def test_batch_equals_scalar_calls(self, kind: str) -> None:
@@ -340,7 +351,7 @@ def interval_scorers(model) -> dict:
     fitted on 1-d data: constant, logistic, kernel and the model's true eta."""
     data = sample_holder(HolderModel("sine"), 2000, 4)
     return {"constant": ConstantScorer(0.45), "logistic": fit_logistic_mle(data)[0],
-            "kernel": fit_kernel_smoother(data, 1.0), "true-eta": TrueEtaScorer(model)}
+            "kernel": fit_kernel_smoother(data, 1.0), "true-eta": model}
 
 
 class FixedIntervals:

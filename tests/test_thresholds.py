@@ -13,6 +13,7 @@ from karmic import (
     ConstantScorer,
     Dataset,
     DegenerateDistributionError,
+    EstimatorSpec,
     GaussianModel,
     HolderModel,
     MetricDomainError,
@@ -32,6 +33,7 @@ from karmic import (
     parse_metric,
     registered_metrics,
     sample_gaussian,
+    train_plugin,
 )
 from karmic.pipeline import population_confusion_of_model
 from karmic.thresholds import _h_with_nudges, default_tolerance
@@ -201,6 +203,20 @@ class TestBinarySearch:
             else:
                 hi = mid
         assert result.delta_hat == pytest.approx(0.5 * (lo + hi), abs=0)
+
+    @pytest.mark.parametrize("metric", ["fbeta:1", "gmean", "am"])
+    @pytest.mark.parametrize("model", [GaussianModel([2.0], 0.3), HolderModel("sine")],
+                             ids=["gaussian", "holder"])
+    def test_default_tolerance_returns_a_dyadic_midpoint(self, model, metric: str) -> None:
+        # k halvings of [0, 1] leave a bracket of width 2^-k on the dyadic
+        # grid, nudged probes or not: delta_hat * 2^(k+1) is an odd integer,
+        # so delta_hat sits up to half the final bracket off any root inside
+        estimator = EstimatorSpec("kernel" if isinstance(model, HolderModel) else "logistic")
+        for n, seed in ((200, 0), (1000, 1), (4000, 2)):
+            clf = train_plugin(parse_metric(metric), model.sample(n, seed), estimator, seed=seed)
+            k = clf.provenance["search"]["iterations"]
+            scaled = math.ldexp(clf.delta, k + 1)
+            assert scaled.is_integer() and int(scaled) % 2 == 1, (n, seed, clf.delta, k)
 
     def test_all_scores_at_one_is_degenerate_for_gmean(self) -> None:
         data = Dataset(np.zeros((40, 1)), np.array([1, -1] * 20))
