@@ -15,9 +15,11 @@ with ``(N, S)`` from ``karmic_parts`` at C(delta) therefore has the same
 sign as the derivative of the population utility, and the optimal
 threshold is its unique zero crossing for quasi-concave utility curves.
 Every search here computes H that one way, and one loop halves a bracket
-on its sign for both the sample threshold and the population fixed point;
-the exhaustive oracles (`grid_search_threshold`, `brute_force_discrete`)
-exist to check it.
+on its sign for both the sample threshold and the population fixed point.
+Off the metric's domain H is undefined, and one rule stands in for its
+sign: H >= 0 below delta = 1/2, H < 0 from 1/2 up.  The exhaustive
+oracles (`grid_search_threshold`, `brute_force_discrete`) exist to check
+it.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ __all__ = [
     "brute_force_discrete",
 ]
 
-_NUDGE_ATTEMPTS = 8
 #: midpoints of [0, 1] are exact dyadics, so this binds only at a sample
 #: tolerance of 2^-64 or less; the population search stops within 52 halvings
 _MAX_ITERATIONS = 64
@@ -76,10 +77,10 @@ class ThresholdSearchConfig:
 @dataclass(frozen=True)
 class ThresholdResult:
     """Outcome of a bisection run; ``h_trace`` rows are (delta, H, sign),
-    one per halving."""
+    one per halving, with H None where delta is off the metric's domain."""
 
     delta_hat: float
-    h_trace: tuple[tuple[float, float, int], ...] = field(default_factory=tuple)
+    h_trace: tuple[tuple[float, float | None, int], ...] = field(default_factory=tuple)
 
     @property
     def iterations(self) -> int:
@@ -93,29 +94,20 @@ class ThresholdResult:
         }
 
 
-def _h(metric: MetricSpec, confusion, delta: float) -> float | None:
-    """H = N - delta * S at one confusion vector, or None off the domain."""
-    numerator, sensitivity, valid = karmic_parts(metric, confusion)
-    return float(numerator - delta * sensitivity) if valid else None
+def _h(metric: MetricSpec, confusion, delta: float) -> tuple[float | None, int]:
+    """H = N - delta * S at one confusion vector, and its sign: +1 for
+    H >= 0, -1 for H < 0.
 
-
-def _h_with_nudges(metric: MetricSpec, profile: ScoreProfile, delta: float, n: int):
-    """Evaluate H, stepping the point toward the interior off the domain.
-
-    Up to 8 nudges of 1/(2n) each; the empirical confusion is piecewise
-    constant so small moves only matter when they cross a sample score.
+    Off the metric's domain H is None, and one rule gives the sign: below
+    delta = 1/2 the point counts as H >= 0, so a search raises delta; at
+    or above 1/2 it counts as H < 0.  A rate metric's domain ends where
+    every point is predicted one way, and the ascent leads back inside.
     """
-    step = 1.0 / (2.0 * n)
-    direction = 1.0 if delta < 0.5 else -1.0
-    for k in range(_NUDGE_ATTEMPTS + 1):
-        candidate = delta + direction * k * step
-        if not 0.0 < candidate < 1.0 and k > 0:
-            continue
-        h = _h(metric, profile.confusion(candidate), candidate)
-        if h is not None:
-            return candidate, h
-    raise DegenerateDistributionError(f"H undefined near delta={delta:.6g} "
-                                      "even after interior nudges")
+    numerator, sensitivity, valid = karmic_parts(metric, confusion)
+    if not valid:
+        return None, 1 if delta < 0.5 else -1
+    value = float(numerator - delta * sensitivity)
+    return value, 1 if value >= 0.0 else -1
 
 
 def _refuse_undefined(metric: MetricSpec) -> None:
@@ -126,25 +118,30 @@ def _refuse_undefined(metric: MetricSpec) -> None:
 
 
 def _bisect(h, lo: float, hi: float, width: float, stop_at_zero: bool):
-    """Halve [lo, hi] on the sign of H, which must be >= 0 left of the root.
+    """Halve [lo, hi] on the sign of H that ``h(mid)`` reports.
 
-    ``h(mid)`` returns the point it evaluated and H there.  H >= 0 moves
-    ``lo`` up, H < 0 moves ``hi`` down, and with ``stop_at_zero`` an exact
-    zero closes the bracket on its midpoint.  Stops once the bracket is
-    narrower than ``width`` or after ``_MAX_ITERATIONS`` halvings.  Returns
-    the final bracket and one (delta, H, sign) row per halving.
+    ``h(mid)`` returns H at the midpoint (None off the domain) and its
+    sign, as ``_h`` does.  Sign +1 moves ``lo`` up, -1 moves ``hi`` down,
+    and with ``stop_at_zero`` an exact zero closes the bracket on its
+    midpoint.  Stops once the bracket is narrower than ``width`` or after
+    ``_MAX_ITERATIONS`` halvings.  Returns the final bracket and one
+    (delta, H, sign) row per halving; raises
+    :class:`DegenerateDistributionError` if H was undefined at every probe.
     """
-    trace: list[tuple[float, float, int]] = []
+    trace: list[tuple[float, float | None, int]] = []
     while hi - lo >= width and len(trace) < _MAX_ITERATIONS:
         mid = 0.5 * (lo + hi)
-        used, value = h(mid)
-        trace.append((used, value, 1 if value >= 0.0 else -1))
+        value, sign = h(mid)
+        trace.append((mid, value, sign))
         if stop_at_zero and value == 0.0:
             return mid, mid, trace
-        if value >= 0.0:
+        if sign > 0:
             lo = mid
         else:
             hi = mid
+    if trace and all(value is None for _, value, _ in trace):
+        raise DegenerateDistributionError(f"H undefined at all {len(trace)} probes, "
+                                          f"down to [{lo:.6g}, {hi:.6g}]")
     return lo, hi, trace
 
 
@@ -163,7 +160,7 @@ def _bisect_profile(metric: MetricSpec, profile: ScoreProfile, n: int,
     """``binary_search_threshold`` on the profile of an ``n``-row sample."""
     _refuse_undefined(metric)
     config = config or ThresholdSearchConfig()
-    lo, hi, trace = _bisect(lambda mid: _h_with_nudges(metric, profile, mid, n),
+    lo, hi, trace = _bisect(lambda mid: _h(metric, profile.confusion(mid), mid),
                             0.0, 1.0, config.resolve_tolerance(n), stop_at_zero=False)
     return ThresholdResult(0.5 * (lo + hi), tuple(trace))
 
@@ -173,32 +170,29 @@ def fixed_point_threshold(metric: MetricSpec, curve, tol: float) -> float:
 
     ``curve`` maps a threshold to its length-4 population confusion
     vector.  Where the sensitivity S is positive the root is the fixed
-    point delta = N/S.  Raises :class:`NoSignChangeError` when H has
-    constant sign on the bracket, :class:`MetricDomainError` where the
-    gradient is undefined.
+    point delta = N/S.  A point off the metric's domain takes its sign
+    from ``_h``'s rule.  Raises :class:`NoSignChangeError` when H has
+    constant sign on the bracket, :class:`DegenerateDistributionError`
+    when H is undefined at every probe.
     """
     if not 0.0 < tol < 0.5:
         raise ValueError("tol must lie in (0, 0.5)")
     _refuse_undefined(metric)
     lo, hi = tol, 1.0 - tol
-    orient = 1.0
-
-    def h(delta: float) -> tuple[float, float]:
-        value = _h(metric, curve(delta), delta)
-        if value is None:
-            raise MetricDomainError(f"{metric.name}: gradient undefined at the population "
-                                    f"confusion of delta={delta:.6g}")
-        return delta, orient * value
-
-    (_, h_lo), (_, h_hi) = h(lo), h(hi)
+    (h_lo, sign_lo), (h_hi, sign_hi) = _h(metric, curve(lo), lo), _h(metric, curve(hi), hi)
     if h_lo == 0.0:
         return lo
     if h_hi == 0.0:
         return hi
-    if np.sign(h_lo) == np.sign(h_hi):
+    if sign_lo == sign_hi:
         raise NoSignChangeError(f"{metric.name}: H has constant sign on ({lo:.3g}, {hi:.3g})")
-    # h now gives H >= 0 left of the root; the loop runs while the width exceeds the target
-    orient = float(np.sign(h_lo))
+
+    # flipped by the left end's sign, H is >= 0 left of the root; the loop
+    # runs while the width exceeds the target
+    def h(delta: float) -> tuple[float | None, int]:
+        value, sign = _h(metric, curve(delta), delta)
+        return value, sign_lo * sign
+
     lo, hi, _ = _bisect(h, lo, hi, np.nextafter(max(tol * 1e-3, 4e-16), 1.0), stop_at_zero=True)
     return 0.5 * (lo + hi)
 

@@ -230,6 +230,19 @@ class TestTrainEvaluate:
         assert report["regret"] < 0.05
         assert report["metric"] == "fbeta:1"
 
+    def test_train_then_evaluate_gmean(self, gaussian_csv, tmp_path, capsys) -> None:
+        clf_path = str(tmp_path / "clf.json")
+        code, _, err = run_cli(capsys, "train", "--metric", "gmean", "--data", gaussian_csv,
+                               "--seed", "3", "--out", clf_path)
+        assert code == 0, err
+        code, report, err = run_cli(
+            capsys, "evaluate", "--classifier", clf_path, "--metric", "gmean",
+            "--model", "gaussian", "--mu", "2,0", "--kappa", "0.5",
+        )
+        assert code == 0, err
+        assert report["delta_star"] == 0.5
+        assert 0.0 <= report["regret"] < 0.05
+
     def test_evaluate_refuses_a_non_karmic_optimum(self, tmp_path, capsys) -> None:
         clf_path = tmp_path / "clf.json"
         clf_path.write_text(json.dumps(LOGISTIC_CLASSIFIER), encoding="utf-8")

@@ -441,6 +441,13 @@ class TestRunExperiment:
         assert {r.error for r in table.rows} == {"degenerate-distribution"}
         assert all(math.isnan(r.regret) for r in table.rows)
 
+    def test_gmean_study_has_no_failed_row(self) -> None:
+        # the population gmean optimum exists once the bracket's undefined
+        # ends count as a sign change
+        table = run_rate_experiment(tiny_config(metric="gmean", n_list=(256, 1024, 4096)))
+        assert len(table.rows) == 9
+        assert all(row.ok and row.regret >= -1e-9 for row in table.rows)
+
     def test_non_karmic_optimum_recorded_on_every_row(self) -> None:
         table = run_rate_experiment(tiny_config(metric="linfrac:0.2,0.8,0.4,0.0/0.1,0.5,0.2,0.1"))
         assert {r.error for r in table.rows} == {"non-karmic-point"}

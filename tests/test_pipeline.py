@@ -26,7 +26,9 @@ from karmic import (
     sample_holder,
     train_plugin,
 )
-from karmic.pipeline import _SPLIT_RETRIES, _SPLIT_TAG, _monte_carlo_confusion
+from karmic.metrics import metric_values_masked
+from karmic.pipeline import (_SPLIT_RETRIES, _SPLIT_TAG, _monte_carlo_confusion,
+                             population_confusion_of_model)
 
 MODEL = GaussianModel(np.array([2.0, 0.0]), 0.5)
 #: the Gaussian model a kernel can fit: a kernel scorer is 1-d
@@ -240,6 +242,25 @@ class TestMonteCarloConfusion:
 #: negative on both models: that root is a minimum of the utility
 NON_KARMIC = ("linfrac:0.2,0.8,0.4,0.0/0.1,0.5,0.2,0.1",
               "linfrac:-0.5,0.5,0.4,-0.7/0.4,0.4,0.7,0.5")
+
+
+class TestGmeanOptimum:
+    """gmean is undefined at both ends of the population bracket (TN = 0
+    below, TP = 0 above); the domain rule reads them as a sign change."""
+
+    MODELS = {"gaussian": MODEL, "kappa-0.2": GaussianModel(np.array([2.0, 0.0]), 0.2),
+              "holder": HolderModel("sine")}
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_population_optimum_is_the_grid_argmax(self, model: str) -> None:
+        spec = parse_metric("gmean")
+        delta_star, u_star = population_optimum(spec, self.MODELS[model])
+        grid = np.linspace(0.0, 1.0, 100_001)
+        curve = population_confusion_of_model(self.MODELS[model])
+        values, valid = metric_values_masked(spec, curve(grid))
+        best = int(np.argmax(np.where(valid, values, -np.inf)))
+        assert abs(delta_star - grid[best]) <= 2e-5
+        assert u_star >= values[best] - 1e-12
 
 
 class TestPopulationRegret:

@@ -171,11 +171,6 @@ class TestTrueEta:
         with pytest.raises(DimensionMismatchError):
             m.eta(np.array([0.5, 3.0]))
 
-    def test_scorer_wrapper_agrees(self) -> None:
-        m = GaussianModel(np.array([1.5, -0.5]), 0.4)
-        X = np.random.default_rng(0).standard_normal((50, 2))
-        np.testing.assert_allclose(m.scores(X), m.eta(X))
-
     def test_one_dimensional_gaussian_takes_a_feature_column(self) -> None:
         # a 1-d array is a feature column to eta, as it is to every scorer
         m = GaussianModel([1.5], 0.4)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -36,7 +37,7 @@ from karmic import (
     train_plugin,
 )
 from karmic.pipeline import population_confusion_of_model
-from karmic.thresholds import _h_with_nudges, default_tolerance
+from karmic.thresholds import _h, default_tolerance
 
 from helpers import FixedScorer, random_interior_confusions
 
@@ -196,7 +197,7 @@ class TestBinarySearch:
         lo, hi = 0.0, 1.0
         for delta, h, sign in result.h_trace:
             mid = 0.5 * (lo + hi)
-            assert abs(delta - mid) <= 8 / (2 * data.n) + 1e-12
+            assert delta == mid
             assert sign == (1 if h >= 0 else -1)
             if sign >= 0:
                 lo = mid
@@ -209,7 +210,7 @@ class TestBinarySearch:
                              ids=["gaussian", "holder"])
     def test_default_tolerance_returns_a_dyadic_midpoint(self, model, metric: str) -> None:
         # k halvings of [0, 1] leave a bracket of width 2^-k on the dyadic
-        # grid, nudged probes or not: delta_hat * 2^(k+1) is an odd integer,
+        # grid: delta_hat * 2^(k+1) is an odd integer,
         # so delta_hat sits up to half the final bracket off any root inside
         estimator = EstimatorSpec("kernel" if isinstance(model, HolderModel) else "logistic")
         for n, seed in ((200, 0), (1000, 1), (4000, 2)):
@@ -241,32 +242,56 @@ class TestBinarySearch:
         }
 
 
-class TestNudges:
-    def test_nudges_step_off_a_bad_plateau(self) -> None:
-        # tn/tp is undefined while nothing clears the threshold; stepping
-        # the evaluation point down in 1/(2n) hops crosses the sample
-        # scores and restores a finite value.
-        spec = parse_metric("linfrac:0,0,0,1/1,0,0,0")
-        profile = ScoreProfile(np.array([0.3, 0.6]), np.array([1, -1]))
-        used, h = _h_with_nudges(spec, profile, 0.7, n=2)
-        assert used == pytest.approx(0.2)
-        assert h == pytest.approx(1.6)
+class TestDomainRule:
+    """Off the metric's domain H is undefined: below delta = 1/2 the point
+    counts as H >= 0, so the search raises delta; from 1/2 up as H < 0."""
 
-    def test_nudges_move_up_below_half(self) -> None:
-        # tn/fn mirrors the previous case: undefined until the threshold
-        # climbs above the positive point's score.
-        spec = parse_metric("linfrac:0,0,0,1/0,0,1,0")
-        profile = ScoreProfile(np.array([0.05, 0.1]), np.array([1, -1]))
-        used, h = _h_with_nudges(spec, profile, 0.04, n=2)
-        # direction is upward (0.04 < 0.5); one 1/(2n) hop clears both scores
-        assert used == pytest.approx(0.29)
-        assert h == pytest.approx(0.84)
+    #: tn/tp is undefined while nothing clears the threshold
+    ABOVE = (parse_metric("linfrac:0,0,0,1/1,0,0,0"), np.array([0.3, 0.6]))
+    #: tn/fn mirrors it: undefined until the threshold clears the positive point
+    BELOW = (parse_metric("linfrac:0,0,0,1/0,0,1,0"), np.array([0.05, 0.1]))
 
-    def test_gives_up_after_eight_steps(self) -> None:
-        spec = parse_metric("gmean")
-        profile = ScoreProfile(np.array([1.0, 1.0]), np.array([1, -1]))
-        with pytest.raises(DegenerateDistributionError):
-            _h_with_nudges(spec, profile, 0.5, n=2)
+    @pytest.mark.parametrize(("case", "delta", "sign"), [(ABOVE, 0.7, -1), (BELOW, 0.04, 1)],
+                             ids=["above-half", "below-half"])
+    def test_off_domain_point_takes_the_rule_sign(self, case, delta: float, sign: int) -> None:
+        spec, scores = case
+        profile = ScoreProfile(scores, np.array([1, -1]))
+        assert _h(spec, profile.confusion(delta), delta) == (None, sign)
+
+    def test_search_records_the_midpoint_and_the_rule_sign(self) -> None:
+        # tn/tp is undefined from the positive point's score 0.3 up to the
+        # negative point's 0.6; the rule reads that stretch as H < 0 from
+        # 1/2 up and as H >= 0 below it, so the search climbs toward 1/2
+        spec, scores = self.ABOVE
+        data = Dataset(np.zeros((2, 1)), np.array([1, -1]))
+        config = ThresholdSearchConfig(tolerance=0.1)
+        result = binary_search_threshold(spec, FixedScorer(scores), data, config)
+        assert result.h_trace == ((0.5, None, -1), (0.25, 1.5, 1), (0.375, None, 1),
+                                  (0.4375, None, 1))
+        assert result.delta_hat == 0.46875
+
+    def test_undefined_at_every_probe_is_degenerate(self) -> None:
+        data = Dataset(np.zeros((2, 1)), np.array([1, -1]))
+        with pytest.raises(DegenerateDistributionError, match="undefined at all"):
+            binary_search_threshold(parse_metric("gmean"), FixedScorer(np.ones(2)), data)
+
+    def test_population_undefined_at_every_probe_is_degenerate(self) -> None:
+        # every point predicted positive leaves no true negatives for gmean
+        def curve(delta: float) -> np.ndarray:
+            return np.array([0.5, 0.5, 0.0, 0.0])
+
+        with pytest.raises(DegenerateDistributionError, match="undefined at all"):
+            fixed_point_threshold(parse_metric("gmean"), curve, 1e-10)
+
+    def test_provenance_with_an_off_domain_last_probe_is_strict_json(self) -> None:
+        # precision is undefined once nothing is predicted positive; here the
+        # last probe lands above every score of the threshold half
+        precision = parse_metric("linfrac:1,0,0,0/1,1,0,0")
+        data = GaussianModel(np.array([2.0, 0.0]), 0.5).sample(64, 1)
+        clf = train_plugin(precision, data, EstimatorSpec("logistic"), seed=1)
+        assert clf.provenance["search"]["final_h"] is None
+        text = json.dumps(clf.to_dict(), allow_nan=False)
+        assert json.loads(text)["provenance"] == clf.provenance
 
 
 class TestBisectionProperty:
