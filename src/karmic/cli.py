@@ -27,7 +27,6 @@ from .experiments import (_FLAG_KEYS, _MODEL_FLAG_KEYS, ExperimentConfig, estima
                           model_from_config, run_rate_experiment)
 from .metrics import metric_value, parse_metric
 from .pipeline import EstimatorSpec, PluginClassifier, population_regret, train_plugin
-from .scorers import scorer_from_dict
 from .thresholds import ThresholdSearchConfig, _bisect_profile, _grid_profile, brute_force_discrete
 
 __all__ = ["main", "build_parser"]
@@ -93,15 +92,16 @@ def _estimator(args) -> EstimatorSpec:
 
 
 def _resolve_scorer(args, data: Dataset):
-    """In-sample scorer for threshold/oracle: a saved one or a fresh fit.
-    A model or estimator flag beside a saved scorer is refused, not ignored."""
-    if args.scorer_json:
-        _refuse(args, _FLAG_KEYS, "beside --scorer-json")
-        with open(args.scorer_json, encoding="utf-8") as fh:
-            return scorer_from_dict(json.load(fh))
+    """In-sample scorer for threshold/oracle: the scorer of a saved
+    classifier or a fresh fit.  A model or estimator flag beside a saved
+    classifier is refused, not ignored."""
+    if args.classifier:
+        _refuse(args, _FLAG_KEYS, "beside --classifier")
+        with open(args.classifier, encoding="utf-8") as fh:
+            return PluginClassifier.from_dict(json.load(fh)).scorer
     if args.estimator:
         return _estimator(args).build(data)
-    raise ValueError("provide --scorer-json or --estimator")
+    raise ValueError("provide --classifier or --estimator")
 
 
 def _load_data(path: str) -> Dataset:
@@ -164,7 +164,11 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_rate(args) -> int:
-    table = run_rate_experiment(ExperimentConfig.from_file(args.config))
+    config = ExperimentConfig.from_file(args.config)
+    folder = os.path.dirname(args.out) or "."  # checked before any row runs
+    if not os.path.isdir(folder):
+        raise ValueError(f"flag --out: directory {folder!r} does not exist")
+    table = run_rate_experiment(config)
     table.write_csv(f"{args.out}.csv")
     summary = table.write_summary(f"{args.out}.json")
     _emit({**summary, "csv": f"{args.out}.csv", "summary": f"{args.out}.json"})
@@ -184,7 +188,7 @@ def _parse_atoms(text: str) -> list[tuple[float, float]]:
 def _cmd_oracle(args) -> int:
     metric = parse_metric(args.metric)
     if args.discrete:
-        _refuse(args, ("data", "step", "scorer_json", *_FLAG_KEYS), "beside --discrete")
+        _refuse(args, ("data", "step", "classifier", *_FLAG_KEYS), "beside --discrete")
         best, argmax_set = brute_force_discrete(metric, _parse_atoms(args.discrete))
         _emit({
             "metric": metric.name,
@@ -220,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="bisection threshold fit on a dataset")
     p.add_argument("--metric", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--scorer-json", help="path to a serialized scorer, instead of --estimator")
+    p.add_argument("--classifier", help="classifier JSON whose scorer replaces --estimator")
     _add_scorer_args(p)
     _add_model_args(p, required=False)
     p.add_argument("--tolerance", type=float, default=None)
@@ -256,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--discrete", help="atoms as weight:eta,weight:eta,...")
     p.add_argument("--data")
     p.add_argument("--step", type=float, help="grid step (default 1e-4)")
-    p.add_argument("--scorer-json", help="path to a serialized scorer, instead of --estimator")
+    p.add_argument("--classifier", help="classifier JSON whose scorer replaces --estimator")
     _add_scorer_args(p)
     _add_model_args(p, required=False)
     p.set_defaults(handler=_cmd_oracle)

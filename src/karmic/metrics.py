@@ -94,10 +94,15 @@ class SmoothClosedForm:
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """A named metric and its evaluation kind."""
+    """A named metric and its evaluation kind; a ratio with b = 0 is refused."""
 
     name: str
     kind: LinearFractional | SmoothClosedForm
+
+    def __post_init__(self) -> None:
+        if isinstance(self.kind, LinearFractional) and not any(self.kind.b):
+            raise MetricDomainError(f"{self.name}: the coefficients b are all zero, "
+                                    "so the metric is defined nowhere")
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")

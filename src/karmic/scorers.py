@@ -80,9 +80,7 @@ class ConstantScorer(Scorer):
             raise ValueError("constant score must lie in [0, 1]")
 
     def scores(self, X) -> np.ndarray:
-        arr = np.asarray(X, dtype=float)
-        n = arr.shape[0] if arr.ndim else 1
-        return np.full(n, self.p)
+        return np.full(self._check_matrix(X).shape[0], self.p)
 
     def halfspace(self, dim: int) -> tuple[np.ndarray, float]:
         return np.zeros(dim), float(logit(self.p))

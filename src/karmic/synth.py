@@ -85,19 +85,13 @@ def ndtr(z):
 
 
 class Scorer:
-    """Interface: ``scores`` on a feature matrix, ``score`` on one point."""
+    """Interface: ``scores`` on a feature matrix, one row per point."""
 
     #: expected feature dimension, or None when any dimension is accepted
     dim: int | None = None
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def score(self, x) -> float:
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if arr.ndim != 1:
-            raise DimensionMismatchError("score expects a single feature vector")
-        return float(self.scores(arr[None, :])[0])
 
     def halfspace(self, dim: int) -> tuple[np.ndarray, float]:
         """``(w, b)`` with ``score(x) = sigmoid(w.x + b)`` on ``dim``-d points."""
@@ -120,7 +114,7 @@ class Scorer:
         (w,), intercept = self.halfspace(1)
         deltas = np.asarray(deltas, dtype=float)
         with np.errstate(over="ignore"):  # a tiny w puts the edge at an infinity, clipped
-            edge = (np.where(self.score(0.0) > deltas, 0.0, 1.0) if w == 0.0
+            edge = (np.where(self.scores(np.zeros((1, 1)))[0] > deltas, 0.0, 1.0) if w == 0.0
                     else np.clip((logit(deltas) - intercept) / w, 0.0, 1.0))
         ends = (edge, np.ones_like(edge)) if w >= 0.0 else (np.zeros_like(edge), edge)
         return np.stack(ends, axis=-1)[..., None, :]
@@ -215,7 +209,8 @@ class GaussianModel(Scorer):
                 f"weight dimension {np.shape(w)} does not match model dimension {self.dim}")
         kappa = self.kappa
         if not w.any():
-            rate_pos = rate_neg = np.where(scorer.score(np.zeros(self.dim)) > deltas, 1.0, 0.0)
+            rate_pos = rate_neg = np.where(scorer.scores(np.zeros((1, self.dim)))[0] > deltas,
+                                           1.0, 0.0)
         else:
             # scaled by an exact 2^k so that w.w neither underflows nor overflows;
             # a cut past the float range is the right limit, an infinite one

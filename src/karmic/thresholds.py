@@ -17,7 +17,9 @@ threshold is its unique zero crossing for quasi-concave utility curves.
 Every search here computes H that one way, and one loop halves a bracket
 on its sign for both the sample threshold and the population fixed point.
 Off the metric's domain H is undefined, and one rule stands in for its
-sign: H >= 0 below delta = 1/2, H < 0 from 1/2 up.  The exhaustive
+sign: H >= 0 below delta = 1/2, H < 0 from 1/2 up.  A population H that
+rises across its bracket (its root a utility minimum) is refused, as is a
+final bracket with H undefined at both ends.  The exhaustive
 oracles (`grid_search_threshold`, `brute_force_discrete`) exist to check
 it.
 """
@@ -31,8 +33,8 @@ import numpy as np
 
 from .confusion import Dataset, ScoreProfile
 from .errors import (DegenerateDistributionError, MetricDomainError, NoSignChangeError,
-                     TooManyAtomsError)
-from .metrics import LinearFractional, MetricSpec, karmic_parts, metric_values_masked
+                     NonKarmicPointError, TooManyAtomsError)
+from .metrics import MetricSpec, karmic_parts, metric_values_masked
 
 __all__ = [
     "ThresholdSearchConfig",
@@ -110,38 +112,35 @@ def _h(metric: MetricSpec, confusion, delta: float) -> tuple[float | None, int]:
     return value, 1 if value >= 0.0 else -1
 
 
-def _refuse_undefined(metric: MetricSpec) -> None:
-    """A ratio metric whose coefficients b are all zero has no domain."""
-    if isinstance(metric.kind, LinearFractional) and not any(metric.kind.b):
-        raise MetricDomainError(f"{metric.name}: the coefficients b are all zero, "
-                                "so the metric is defined nowhere")
+def _bisect(metric: MetricSpec, confusion, lo: float, hi: float, width: float,
+            stop_at_zero: bool):
+    """Halve [lo, hi] on the sign of H (``_h``) at ``confusion(mid)``.
 
-
-def _bisect(h, lo: float, hi: float, width: float, stop_at_zero: bool):
-    """Halve [lo, hi] on the sign of H that ``h(mid)`` reports.
-
-    ``h(mid)`` returns H at the midpoint (None off the domain) and its
-    sign, as ``_h`` does.  Sign +1 moves ``lo`` up, -1 moves ``hi`` down,
-    and with ``stop_at_zero`` an exact zero closes the bracket on its
-    midpoint.  Stops once the bracket is narrower than ``width`` or after
+    Sign +1 moves ``lo`` up, -1 moves ``hi`` down, and with
+    ``stop_at_zero`` an exact zero closes the bracket on its midpoint.
+    Stops once the bracket is narrower than ``width`` or after
     ``_MAX_ITERATIONS`` halvings.  Returns the final bracket and one
     (delta, H, sign) row per halving; raises
-    :class:`DegenerateDistributionError` if H was undefined at every probe.
+    :class:`DegenerateDistributionError` when neither end of the final
+    bracket is a probe where H was defined, so the root it brackets may lie
+    where the metric is undefined.
     """
     trace: list[tuple[float, float | None, int]] = []
+    lo_defined = hi_defined = False
     while hi - lo >= width and len(trace) < _MAX_ITERATIONS:
         mid = 0.5 * (lo + hi)
-        value, sign = h(mid)
+        value, sign = _h(metric, confusion(mid), mid)
         trace.append((mid, value, sign))
         if stop_at_zero and value == 0.0:
             return mid, mid, trace
         if sign > 0:
-            lo = mid
+            lo, lo_defined = mid, value is not None
         else:
-            hi = mid
-    if trace and all(value is None for _, value, _ in trace):
-        raise DegenerateDistributionError(f"H undefined at all {len(trace)} probes, "
-                                          f"down to [{lo:.6g}, {hi:.6g}]")
+            hi, hi_defined = mid, value is not None
+    if trace and not (lo_defined or hi_defined):
+        raise DegenerateDistributionError(
+            f"H undefined at both ends of the final bracket [{lo:.6g}, {hi:.6g}] "
+            f"after {len(trace)} probes")
     return lo, hi, trace
 
 
@@ -158,10 +157,9 @@ def binary_search_threshold(
 def _bisect_profile(metric: MetricSpec, profile: ScoreProfile, n: int,
                     config: ThresholdSearchConfig | None) -> ThresholdResult:
     """``binary_search_threshold`` on the profile of an ``n``-row sample."""
-    _refuse_undefined(metric)
     config = config or ThresholdSearchConfig()
-    lo, hi, trace = _bisect(lambda mid: _h(metric, profile.confusion(mid), mid),
-                            0.0, 1.0, config.resolve_tolerance(n), stop_at_zero=False)
+    lo, hi, trace = _bisect(metric, profile.confusion, 0.0, 1.0, config.resolve_tolerance(n),
+                            stop_at_zero=False)
     return ThresholdResult(0.5 * (lo + hi), tuple(trace))
 
 
@@ -172,12 +170,12 @@ def fixed_point_threshold(metric: MetricSpec, curve, tol: float) -> float:
     vector.  Where the sensitivity S is positive the root is the fixed
     point delta = N/S.  A point off the metric's domain takes its sign
     from ``_h``'s rule.  Raises :class:`NoSignChangeError` when H has
-    constant sign on the bracket, :class:`DegenerateDistributionError`
-    when H is undefined at every probe.
+    constant sign on the bracket, and :class:`NonKarmicPointError` when H
+    rises from < 0 at ``tol`` to > 0 at ``1 - tol``: its root is then a
+    minimum of the utility (a ratio has H' = -S at every root of H).
     """
     if not 0.0 < tol < 0.5:
         raise ValueError("tol must lie in (0, 0.5)")
-    _refuse_undefined(metric)
     lo, hi = tol, 1.0 - tol
     (h_lo, sign_lo), (h_hi, sign_hi) = _h(metric, curve(lo), lo), _h(metric, curve(hi), hi)
     if h_lo == 0.0:
@@ -186,14 +184,12 @@ def fixed_point_threshold(metric: MetricSpec, curve, tol: float) -> float:
         return hi
     if sign_lo == sign_hi:
         raise NoSignChangeError(f"{metric.name}: H has constant sign on ({lo:.3g}, {hi:.3g})")
-
-    # flipped by the left end's sign, H is >= 0 left of the root; the loop
-    # runs while the width exceeds the target
-    def h(delta: float) -> tuple[float | None, int]:
-        value, sign = _h(metric, curve(delta), delta)
-        return value, sign_lo * sign
-
-    lo, hi, _ = _bisect(h, lo, hi, np.nextafter(max(tol * 1e-3, 4e-16), 1.0), stop_at_zero=True)
+    if sign_lo < 0:
+        raise NonKarmicPointError(
+            f"{metric.name}: H rises from {h_lo:.3g} to {h_hi:.3g} across ({lo:.3g}, {hi:.3g}), "
+            "so its root minimizes the utility (a ratio's karmic sensitivity is -H' there)")
+    lo, hi, _ = _bisect(metric, curve, lo, hi, np.nextafter(max(tol * 1e-3, 4e-16), 1.0),
+                        stop_at_zero=True)
     return 0.5 * (lo + hi)
 
 
@@ -210,7 +206,6 @@ def _grid_profile(metric: MetricSpec, profile: ScoreProfile, step: float) -> flo
     """``grid_search_threshold`` on the profile of a sample."""
     if not 0.0 < step <= 0.5:
         raise ValueError("step must lie in (0, 0.5]")
-    _refuse_undefined(metric)
     count = int(math.floor(1.0 / step + 1e-9))
     grid = np.arange(count + 1) * step
     if grid[-1] < 1.0 - 1e-12:

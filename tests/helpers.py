@@ -25,9 +25,6 @@ class FixedScorer:
     def scores(self, X) -> np.ndarray:
         return self.values
 
-    def score(self, x) -> float:
-        return float(self.values[0])
-
 
 def central_difference_gradient(spec, c: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Entrywise central finite differences of the metric value."""

@@ -6,6 +6,8 @@ import json
 import os
 import re
 import runpy
+import shlex
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -147,16 +149,16 @@ class TestThreshold:
         ("threshold", ("--model", "holder"), "--model"),
         ("oracle", ("--kernel-const", "2"), "--kernel-const"),
     ], ids=["threshold-estimator", "threshold-model", "oracle-kernel-const"])
-    def test_scorer_json_beside_a_model_or_estimator_flag_is_refused(
+    def test_classifier_beside_a_model_or_estimator_flag_is_refused(
             self, gaussian_csv, tmp_path, capsys, command, flags, flag) -> None:
-        scorer_path = tmp_path / "scorer.json"
-        scorer_path.write_text(json.dumps({"kind": "constant", "p": 0.5}), encoding="utf-8")
+        classifier = tmp_path / "clf.json"
+        classifier.write_text(json.dumps(LOGISTIC_CLASSIFIER), encoding="utf-8")
         code, out, err = run_cli(capsys, command, "--metric", "accuracy", "--data", gaussian_csv,
-                                 "--scorer-json", str(scorer_path), *flags)
+                                 "--classifier", str(classifier), *flags)
         assert code == 1
         assert out is None
         assert json.loads(err) == {"error": "invalid-argument",
-                                   "message": f"flag {flag} does not apply beside --scorer-json"}
+                                   "message": f"flag {flag} does not apply beside --classifier"}
 
     @pytest.mark.parametrize("command", ["threshold", "oracle"])
     def test_the_sample_is_scored_once(self, gaussian_csv, capsys, monkeypatch,
@@ -186,7 +188,7 @@ class TestThreshold:
         assert capsys.readouterr().out == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize(("flags", "message"), [
-        ((), "provide --scorer-json or --estimator"),
+        ((), "provide --classifier or --estimator"),
         (("--estimator", "true-eta"), "no model given (config key 'model', flag --model)"),
     ], ids=["no-scorer", "true-eta-without-model"])
     def test_missing_scorer_or_model_is_refused(self, tmp_path, capsys, flags,
@@ -538,17 +540,31 @@ class TestTrainEvaluate:
             "message": "linfrac:1,0,0,0/0,0,0,0: the coefficients b are all zero, "
                        "so the metric is defined nowhere"}
 
-    @pytest.mark.parametrize("command", ["evaluate", "oracle"])
-    def test_population_and_grid_blame_a_ratio_with_zero_denominator_as_train_does(
+    @pytest.mark.parametrize("command", ["evaluate", "oracle", "threshold", "oracle-discrete",
+                                         "rate"])
+    def test_every_command_blames_a_ratio_with_zero_denominator_as_train_does(
             self, gaussian_csv, tmp_path, capsys, command) -> None:
+        metric = "linfrac:1,0,0,0/0,0,0,0"
         classifier = tmp_path / "clf.json"
         classifier.write_text(json.dumps(LOGISTIC_CLASSIFIER), encoding="utf-8")
-        flags = {"evaluate": ["--classifier", str(classifier), "--model", "gaussian",
-                              "--mu", "2,0", "--kappa", "0.5"],
-                 "oracle": ["--data", gaussian_csv, "--estimator", "logistic"]}[command]
-        code, out, err = run_cli(capsys, command, "--metric", "linfrac:1,0,0,0/0,0,0,0", *flags)
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"model = holder\nmetric = {metric}\nestimator = kernel\n"
+                          "n_list = 24, 32, 48\nseeds = 2\n", encoding="utf-8")
+        argv = {"evaluate": ["evaluate", "--classifier", str(classifier), "--model", "gaussian",
+                             "--mu", "2,0", "--kappa", "0.5", "--metric", metric],
+                "oracle": ["oracle", "--data", gaussian_csv, "--estimator", "logistic",
+                           "--metric", metric],
+                "threshold": ["threshold", "--data", gaussian_csv, "--estimator", "logistic",
+                              "--metric", metric],
+                "oracle-discrete": ["oracle", "--discrete", "0.5:0.2,0.5:0.8",
+                                    "--metric", metric],
+                # refused when the config is read: no row runs, no file is written
+                "rate": ["rate", "--config", str(config), "--out", str(tmp_path / "run")],
+                }[command]
+        code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out is None
+        assert not (tmp_path / "run.csv").exists()
         assert json.loads(err) == {
             "error": "metric-domain",
             "message": "linfrac:1,0,0,0/0,0,0,0: the coefficients b are all zero, "
@@ -643,31 +659,61 @@ class TestDatasetFiles:
         assert payload["provenance"]["n1"] + payload["provenance"]["n2"] == 2000
 
 
-class TestScorerJson:
-    def test_kernel_scorer_from_another_directory(self, tmp_path, capsys, monkeypatch) -> None:
+class TestClassifierJson:
+    def test_kernel_classifier_from_another_directory(self, tmp_path, capsys,
+                                                      monkeypatch) -> None:
         monkeypatch.chdir(tmp_path)
         run_cli(capsys, "gen", "--model", "holder", "--n", "2000", "--seed", "4",
                 "--out", "h.csv")
         (tmp_path / "sub").mkdir()
-        code, stored, err = run_cli(capsys, "train", "--metric", "fbeta:1", "--data", "h.csv",
-                                    "--estimator", "kernel")
+        code, _, err = run_cli(capsys, "train", "--metric", "fbeta:1", "--data", "h.csv",
+                               "--estimator", "kernel", "--out", os.path.join("sub", "clf.json"))
         assert code == 0, err
-        (tmp_path / "sub" / "scorer.json").write_text(json.dumps(stored["scorer"]),
-                                                      encoding="utf-8")
         commands = [("threshold", "--metric", "fbeta:1"),
                     ("oracle", "--metric", "fbeta:1", "--step", "0.01")]
         from_parent = []
         for argv in commands:
             code, payload, err = run_cli(capsys, *argv, "--data", "h.csv",
-                                         "--scorer-json", os.path.join("sub", "scorer.json"))
+                                         "--classifier", os.path.join("sub", "clf.json"))
             assert code == 0, err
             from_parent.append(payload)
         monkeypatch.chdir(tmp_path / "sub")
         for argv, want in zip(commands, from_parent):
             code, payload, err = run_cli(capsys, *argv, "--data", os.path.join("..", "h.csv"),
-                                         "--scorer-json", "scorer.json")
+                                         "--classifier", "clf.json")
             assert code == 0, err
             assert payload == want
+
+    @pytest.mark.parametrize("command", ["threshold", "oracle"])
+    def test_only_the_scorer_of_the_classifier_is_used(self, gaussian_csv, tmp_path, capsys,
+                                                       command) -> None:
+        # the saved delta and provenance play no part: the result is that of
+        # the scorer alone, refitted here as the same logistic rule
+        classifier = tmp_path / "clf.json"
+        classifier.write_text(json.dumps({**LOGISTIC_CLASSIFIER, "delta": 0.9}),
+                              encoding="utf-8")
+        code, payload, err = run_cli(capsys, command, "--metric", "fbeta:1",
+                                     "--data", gaussian_csv, "--classifier", str(classifier))
+        assert code == 0, err
+        data, _ = load_dataset_csv(gaussian_csv)
+        scorer = LogisticScorer([1.0, 0.0], 0.0)
+        if command == "threshold":
+            assert payload["delta_hat"] == binary_search_threshold(
+                parse_metric("fbeta:1"), scorer, data).delta_hat
+        else:
+            assert payload["delta"] == grid_search_threshold(
+                parse_metric("fbeta:1"), scorer, data, 1e-4)
+
+    def test_a_bare_scorer_document_is_refused(self, gaussian_csv, tmp_path, capsys) -> None:
+        scorer = tmp_path / "scorer.json"
+        scorer.write_text(json.dumps(LOGISTIC_CLASSIFIER["scorer"]), encoding="utf-8")
+        code, out, err = run_cli(capsys, "threshold", "--metric", "fbeta:1",
+                                 "--data", gaussian_csv, "--classifier", str(scorer))
+        assert code == 1
+        assert out is None
+        failure = json.loads(err)
+        assert failure["error"] == "invalid-argument"
+        assert "classifier lacks the field(s)" in failure["message"]
 
 
 class TestOracle:
@@ -726,16 +772,6 @@ class TestOracle:
         assert metric in failure["message"]
 
 
-    def test_metric_with_no_domain_point(self, capsys) -> None:
-        # the denominator is 0 at every confusion, so no threshold is evaluable
-        code, out, err = run_cli(capsys, "oracle", "--metric", "linfrac:1,0,0,0/0,0,0,0",
-                                 "--discrete", "0.5:0.2,0.5:0.8")
-        assert code == 1
-        assert out is None
-        assert json.loads(err) == {
-            "error": "metric-domain",
-            "message": "linfrac:1,0,0,0/0,0,0,0: every assignment is outside the domain"}
-
 
 class TestRate:
     CONFIG = """
@@ -766,6 +802,21 @@ class TestRate:
             stored = json.load(fh)
         assert stored["schema"] == 1
         assert stored["config"]["metric"] == "fbeta:1"
+
+    def test_out_in_a_missing_directory_is_refused_before_any_row(self, tmp_path, capsys,
+                                                                   monkeypatch) -> None:
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(self.CONFIG, encoding="utf-8")
+        monkeypatch.setattr(karmic.cli, "run_rate_experiment",
+                            lambda cfg: pytest.fail("the study ran"))
+        missing = str(tmp_path / "runs")
+        code, out, err = run_cli(capsys, "rate", "--config", str(cfg_path),
+                                 "--out", os.path.join(missing, "gauss"))
+        assert code == 1
+        assert out is None
+        assert json.loads(err) == {
+            "error": "invalid-argument",
+            "message": f"flag --out: directory {missing!r} does not exist"}
 
     def test_missing_out_fails(self, tmp_path, capsys) -> None:
         # --out is the only output prefix, so argparse requires it
@@ -1051,9 +1102,9 @@ class TestFlagValues:
             "message": f"flag {flag} does not apply without --mode monte-carlo"}
 
     @pytest.mark.parametrize("flags", [
-        ("--data", "d.csv"), ("--step", "5"), ("--scorer-json", "s.json"),
+        ("--data", "d.csv"), ("--step", "5"), ("--classifier", "c.json"),
         ("--estimator", "svm"), ("--model", "holder"), ("--kernel-beta", "2"),
-    ], ids=["data", "step", "scorer-json", "estimator", "model", "kernel-beta"])
+    ], ids=["data", "step", "classifier", "estimator", "model", "kernel-beta"])
     def test_discrete_oracle_refuses_every_other_input(self, capsys, flags) -> None:
         code, out, err = run_cli(capsys, "oracle", "--metric", "fbeta:1",
                                  "--discrete", "0.5:0.3,0.5:0.7", *flags)
@@ -1090,7 +1141,9 @@ def test_closed_stdout_exits_1_without_a_message(tmp_path, capsys, argv) -> None
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
-        ["train", "--metric", "fbeta:1", "--data", "d.csv", "--scorer-json", "s.json"],
+        # train fits its own scorer, and no command reads a bare scorer document
+        ["train", "--metric", "fbeta:1", "--data", "d.csv", "--classifier", "c.json"],
+        ["threshold", "--metric", "fbeta:1", "--data", "d.csv", "--scorer-json", "s.json"],
         ["gen", "--model", "holder", "--beta", "2", "--n", "10", "--out", "d.csv"],
         # the bisection stops on its tolerance alone
         ["threshold", "--metric", "fbeta:1", "--data", "d.csv", "--max-iterations", "5"],
@@ -1128,6 +1181,25 @@ class TestUsageErrors:
             runpy.run_module("karmic", run_name="__main__")
         assert exc.value.code == 0
         assert "threshold" in capsys.readouterr().out
+
+
+def test_readme_command_line_block_runs(tmp_path, capsys, monkeypatch) -> None:
+    # README's "Command line" block, line by line in a fresh directory with
+    # the committed configs, so every example stays one that works
+    root = Path(__file__).resolve().parent.parent
+    section = (root / "README.md").read_text(encoding="utf-8").split(
+        "\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line.strip() and not line.startswith("#")]
+    assert {argv[0] for argv in commands} == {"karmic"}
+    shutil.copytree(root / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, payload, err = run_cli(capsys, *argv[1:])
+        assert (code, err) == (0, ""), argv
+        assert payload, argv
+    assert {"gauss.csv", "gauss.json", "clf.json", "data.csv"} <= set(os.listdir(tmp_path))
 
 
 def test_readme_errors_list_every_code() -> None:

@@ -317,7 +317,7 @@ class TestHalfLineScorers:
         # accepts all of [0, 1] or none of it, as the score against delta says
         scorer = LogisticScorer([w], b)
         for delta in (0.5, 0.9):
-            everything = scorer.score(0.5) > delta
+            everything = scorer.scores(np.array([0.5]))[0] > delta
             want = SINE.classifier_confusion(ConstantScorer(float(everything)), 0.5)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from karmic import (
     LinearFractional,
     MetricDomainError,
+    MetricSpec,
     SmoothClosedForm,
     karmic_parts,
     metric_gradient,
@@ -268,3 +269,13 @@ class TestParsing:
     def test_linfrac_roundtrip(self) -> None:
         spec = parse_metric("linfrac:1,0,0,0/1,1,0,0")
         assert spec.name == "linfrac:1,0,0,0/1,1,0,0"
+
+    def test_a_ratio_with_all_zero_b_is_refused_when_built(self) -> None:
+        # b.C = 0 at every confusion: the metric has no domain at all
+        message = ("linfrac:1,0,0,0/0,0,0,0: the coefficients b are all zero, "
+                   "so the metric is defined nowhere")
+        with pytest.raises(MetricDomainError) as exc:
+            parse_metric("linfrac:1,0,0,0/0,0,0,0")
+        assert str(exc.value) == message
+        with pytest.raises(MetricDomainError, match="coefficients b are all zero"):
+            MetricSpec("ratio", LinearFractional((1, 0, 0, 0), (0, -0.0, 0, 0)))

@@ -27,6 +27,7 @@ from karmic import (
     train_plugin,
 )
 from karmic.metrics import metric_values_masked
+from karmic.thresholds import fixed_point_threshold
 from karmic.pipeline import (_SPLIT_RETRIES, _SPLIT_TAG, _monte_carlo_confusion,
                              population_confusion_of_model)
 
@@ -269,6 +270,22 @@ class TestPopulationRegret:
     def test_non_karmic_root_is_refused(self, name: str, model) -> None:
         with pytest.raises(NonKarmicPointError, match="sensitivity"):
             population_optimum(parse_metric(name), model)
+
+    @pytest.mark.parametrize("model", [MODEL, HolderModel("sine")], ids=["gaussian", "holder"])
+    @pytest.mark.parametrize("name", NON_KARMIC)
+    def test_rising_h_is_refused_at_the_bracket_ends(self, name: str, model) -> None:
+        # H < 0 at tol and > 0 at 1 - tol: the root is a minimum, refused
+        # by the search itself before any halving
+        curve = population_confusion_of_model(model)
+        calls = []
+
+        def counted(delta):
+            calls.append(delta)
+            return curve(delta)
+
+        with pytest.raises(NonKarmicPointError, match="H rises"):
+            fixed_point_threshold(parse_metric(name), counted, 1e-10)
+        assert calls == [1e-10, 1.0 - 1e-10]
 
     def test_true_optimum_has_zero_regret(self) -> None:
         spec = parse_metric("fbeta:1")

@@ -36,7 +36,9 @@ class TestConstantScorer:
     def test_scores_and_single_point(self) -> None:
         s = ConstantScorer(0.7)
         np.testing.assert_allclose(s.scores(np.zeros((5, 3))), 0.7)
-        assert s.score(np.zeros(3)) == 0.7
+        assert s.scores(np.zeros((1, 3))).tolist() == [0.7]
+        with pytest.raises(DimensionMismatchError):
+            s.scores(0.0)
 
     @pytest.mark.parametrize("p", [-0.1, 1.1])
     def test_range_check(self, p: float) -> None:
@@ -55,8 +57,6 @@ class TestLogisticScorer:
         s = LogisticScorer(np.array([1.0, 2.0]), 0.0)
         with pytest.raises(DimensionMismatchError):
             s.scores(np.zeros((4, 3)))
-        with pytest.raises(DimensionMismatchError, match="single feature vector"):
-            s.score(np.zeros((1, 2)))
 
     def test_rejects_non_finite_parameters(self) -> None:
         with pytest.raises(ValueError):
@@ -346,7 +346,7 @@ class TestKernelOrderFree:
         assert same_bits(scorer.scores(q[perm]), out[perm])
         assert same_bits(scorer.scores(q[:, None]), out)
         assert scorer.scores(np.empty((0, 1))).shape == (0,)
-        assert [scorer.score(v) for v in q[:40]] == out[:40].tolist()
+        assert [scorer.scores(np.array([v]))[0] for v in q[:40]] == out[:40].tolist()
 
 
 class TestSerialization:

@@ -224,14 +224,6 @@ class TestBinarySearch:
         with pytest.raises(DegenerateDistributionError):
             binary_search_threshold(parse_metric("gmean"), ConstantScorer(1.0), data)
 
-    def test_ratio_with_zero_denominator_is_outside_the_domain(self, rng) -> None:
-        # b = 0 makes the metric undefined at every confusion; that is a fault
-        # of the metric, not of the sample the nudges would blame
-        data, scores = make_data(rng, 200)
-        metric = parse_metric("linfrac:1,0,0,0/0,0,0,0")
-        with pytest.raises(MetricDomainError, match="coefficients b are all zero"):
-            binary_search_threshold(metric, FixedScorer(scores), data)
-
     def test_result_serialization(self) -> None:
         result = ThresholdResult(0.5, ((0.5, 0.0, 1), (0.75, -0.5, -1)))
         assert result.iterations == 2
@@ -258,21 +250,30 @@ class TestDomainRule:
         profile = ScoreProfile(scores, np.array([1, -1]))
         assert _h(spec, profile.confusion(delta), delta) == (None, sign)
 
-    def test_search_records_the_midpoint_and_the_rule_sign(self) -> None:
+    def test_search_refuses_a_final_bracket_undefined_at_both_ends(self) -> None:
         # tn/tp is undefined from the positive point's score 0.3 up to the
         # negative point's 0.6; the rule reads that stretch as H < 0 from
-        # 1/2 up and as H >= 0 below it, so the search climbs toward 1/2
+        # 1/2 up and as H >= 0 below it, so the search climbs toward 1/2 with
+        # probes 0.5 (None), 0.25 (H 1.5), 0.375 and 0.4375 (None), and ends
+        # on [0.4375, 0.5], where the metric is undefined
         spec, scores = self.ABOVE
         data = Dataset(np.zeros((2, 1)), np.array([1, -1]))
         config = ThresholdSearchConfig(tolerance=0.1)
-        result = binary_search_threshold(spec, FixedScorer(scores), data, config)
-        assert result.h_trace == ((0.5, None, -1), (0.25, 1.5, 1), (0.375, None, 1),
-                                  (0.4375, None, 1))
-        assert result.delta_hat == 0.46875
+        with pytest.raises(DegenerateDistributionError,
+                           match=r"both ends of the final bracket \[0\.4375, 0\.5\] after 4"):
+            binary_search_threshold(spec, FixedScorer(scores), data, config)
+
+    def test_constant_scores_under_precision_are_degenerate(self) -> None:
+        # nothing clears a threshold above 0.3, so precision is undefined
+        # there, and the search climbs toward 1/2 as above
+        precision = parse_metric("linfrac:1,0,0,0/1,1,0,0")
+        data = GaussianModel(np.array([2.0, 0.0]), 0.5).sample(40, 0)
+        with pytest.raises(DegenerateDistributionError, match="both ends of the final bracket"):
+            train_plugin(precision, data, EstimatorSpec("constant", p=0.3), seed=0)
 
     def test_undefined_at_every_probe_is_degenerate(self) -> None:
         data = Dataset(np.zeros((2, 1)), np.array([1, -1]))
-        with pytest.raises(DegenerateDistributionError, match="undefined at all"):
+        with pytest.raises(DegenerateDistributionError, match="undefined at both ends"):
             binary_search_threshold(parse_metric("gmean"), FixedScorer(np.ones(2)), data)
 
     def test_population_undefined_at_every_probe_is_degenerate(self) -> None:
@@ -280,7 +281,7 @@ class TestDomainRule:
         def curve(delta: float) -> np.ndarray:
             return np.array([0.5, 0.5, 0.0, 0.0])
 
-        with pytest.raises(DegenerateDistributionError, match="undefined at all"):
+        with pytest.raises(DegenerateDistributionError, match="undefined at both ends"):
             fixed_point_threshold(parse_metric("gmean"), curve, 1e-10)
 
     def test_provenance_with_an_off_domain_last_probe_is_strict_json(self) -> None:
