@@ -2,11 +2,11 @@
 
 A run is a grid of (n, seed) rows.  The population optimum depends only on
 the metric and the model, so it is solved once per run; each row then
-samples a fresh training set, trains the plug-in classifier, and evaluates
-its population regret against that optimum.  Rows run in order in the
-calling process, each from its own derived seeds.  Aggregation reports the
-per-n median regret and interquartile range, and the headline statistic is
-the least-squares slope of log(median regret) against log(n).
+trains the plug-in classifier on the first n rows of its seed's sample,
+and evaluates its population regret against that optimum.  Rows run seed by
+seed in the calling process.  Aggregation reports the per-n median regret
+and interquartile range, and the headline statistic is the least-squares
+slope of log(median regret) against log(n).
 
 Outputs: a CSV of rows (stable column set, floats via repr so identical
 runs are byte-identical) and a JSON summary (schema 1) carrying aggregates,
@@ -25,6 +25,7 @@ from itertools import chain
 
 import numpy as np
 
+from .confusion import Dataset
 from .errors import InsufficientPointsError, KarmicError
 from .metrics import parse_metric
 from .pipeline import (_ESTIMATOR_KINDS, EstimatorSpec, classifier_utility, population_optimum,
@@ -336,13 +337,15 @@ def _solve_optimum(cfg: ExperimentConfig) -> tuple[float, float] | Exception:
         return exc
 
 
-def _run_row(cfg: ExperimentConfig, optimum, n: int, seed: int) -> RateRow:
-    """One row.  A sampling or training error wins over a failed optimum,
-    which wins over an evaluation error."""
+def _run_row(cfg: ExperimentConfig, optimum, n: int, seed: int, drawn: list) -> RateRow:
+    """One row; a seed's first row draws its sample into ``drawn``.  A sampling
+    or training error wins over a failed optimum, then an evaluation error."""
     start = time.perf_counter()
     metric = parse_metric(cfg.metric)
     try:
-        data = cfg.model.sample(n, seed)
+        if not drawn:
+            drawn.append(cfg.model.sample(cfg.n_list[-1], seed))
+        data = Dataset(drawn[0].features[:n], drawn[0].labels[:n])
         clf = train_plugin(metric, data, cfg.estimator, cfg.search_config(), seed=seed)
         if not isinstance(optimum, Exception):
             delta_star, u_star = optimum
@@ -358,16 +361,18 @@ def _run_row(cfg: ExperimentConfig, optimum, n: int, seed: int) -> RateRow:
 
 
 def run_rate_experiment(cfg: ExperimentConfig) -> RateTable:
-    """Run every (n, seed) row in order; errors are recorded, not raised.
+    """Run every (n, seed) row; errors are recorded, not raised.
 
-    Rows run in the calling process, n ascending and then seed ascending,
-    and all randomness is derived per row, so the table is a pure function
-    of the config.  The population optimum is solved once, here, and shared
-    by every row.
+    Rows run in the calling process, seed by seed: a seed's first row draws
+    its sample at the largest n (its wall time counts the draw), and each row
+    takes the first n rows, which are ``model.sample(n, seed)``.  The table
+    lists n ascending, then seed, and is a pure function of the config.  The
+    population optimum is solved once, here, and shared by every row.
     """
     optimum = _solve_optimum(cfg)
-    rows = [_run_row(cfg, optimum, n, seed) for n in cfg.n_list for seed in range(cfg.seeds)]
-    return RateTable(rows, cfg)
+    by_seed = [[_run_row(cfg, optimum, n, seed, drawn) for n in cfg.n_list]
+               for seed in range(cfg.seeds) for drawn in [[]]]
+    return RateTable([row for per_n in zip(*by_seed) for row in per_n], cfg)
 
 
 def fit_loglog_slope(table: RateTable) -> tuple[float, float, float]:

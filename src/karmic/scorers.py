@@ -122,9 +122,10 @@ class KernelScorer(Scorer):
     gives the same numbers: windows start and end at tie-group edges, where
     each prefix sum is the same float, because a group adds identical terms
     or zeros.  Each pass (queries looked up in sorted order, or the pieces
-    of ``acceptance_intervals``) works in blocks of ``_BLOCK``, so its
-    temporaries stay small whatever its size.  The training arrays are kept
-    by reference as ``train_x`` and ``train_y``.
+    of ``acceptance_intervals``, whose windows one merge of the breakpoints
+    guesses) works in blocks of ``_BLOCK``, so its temporaries stay small
+    whatever its size.  The training arrays are kept by reference as
+    ``train_x`` and ``train_y``.
     """
 
     dim = 1
@@ -150,28 +151,36 @@ class KernelScorer(Scorer):
         for row, term in zip(self._prefix[:, 1:], (x, x * x, pos, pos * x, pos * x * x)):
             np.cumsum(term, out=row)
 
-    def _sums(self, q: np.ndarray):
+    def _window(self, q: np.ndarray, lo=None, hi=None):
+        """Ranks ``[lo, hi)`` of the points within h of q, as a binary search finds
+        them; guesses stand where ``x[lo-1] < q-h <= x[lo]``, ``x[hi-1] <= q+h < x[hi]``."""
+        x, below, above = self._x, q - self.bandwidth, q + self.bandwidth
+        if lo is None:
+            return np.searchsorted(x, below, side="left"), np.searchsorted(x, above, side="right")
+        bad = ((lo > 0) & (x.take(lo - 1, mode="clip") >= below)
+               | (lo < x.size) & (x.take(lo, mode="clip") < below)
+               | (hi > 0) & (x.take(hi - 1, mode="clip") > above)
+               | (hi < x.size) & (x.take(hi, mode="clip") <= above))
+        lo[bad], hi[bad] = self._window(q[bad])
+        return lo, hi
+
+    def _sums(self, lo: np.ndarray, hi: np.ndarray):
         """Window moments ``(s0, s1, s2)`` of all points and of the positives
-        within h of each query: one ``take`` of the prefix table per bound."""
-        lo = np.searchsorted(self._x, q - self.bandwidth, side="left")
-        hi = np.searchsorted(self._x, q + self.bandwidth, side="right")
+        ranked in ``[lo, hi)``: one ``take`` of the prefix table per bound."""
         # take gathers columns faster than fancy indexing does
-        s = self._prefix.take(hi, axis=1) - self._prefix.take(lo, axis=1)
+        s = self._prefix.take(hi, axis=1)
+        s -= self._prefix.take(lo, axis=1)
         return ((hi - lo).astype(float), s[0], s[1]), (s[2], s[3], s[4])
 
-    def _weight(self, moments, q: np.ndarray) -> np.ndarray:
-        """Sum of Epanechnikov weights at queries q from window moments,
-        ``s0 (1 - q^2 / h^2) + s1 (2 q / h^2) - s2 / h^2``."""
-        s0, s1, s2 = moments
+    def _estimate(self, q: np.ndarray, den, num) -> np.ndarray:
+        """Scores at q from window moments: ``num / den`` of the weight sums ``s0 (1 -
+        q^2 / h^2) + s1 (2 q / h^2) - s2 / h^2``, or the global rate, clipped."""
         h2 = self.bandwidth**2
-        return s0 * (1.0 - q * q / h2) + s1 * (2.0 * q / h2) - s2 / h2
-
-    def _estimate(self, num: np.ndarray, den: np.ndarray) -> np.ndarray:
-        """``num / den``, the global rate where ``den`` vanishes, clipped."""
-        out = np.full(den.shape, self.global_rate)
-        ok = den > _KERNEL_MIN_WEIGHT
-        out[ok] = num[ok] / den[ok]
-        return np.clip(out, KERNEL_CLIP, 1 - KERNEL_CLIP)
+        near, slope = 1.0 - q * q / h2, 2.0 * q / h2
+        den, num = (s0 * near + s1 * slope - s2 / h2 for s0, s1, s2 in (den, num))
+        out = np.full(q.shape, self.global_rate)
+        np.divide(num, den, out=out, where=den > _KERNEL_MIN_WEIGHT)
+        return np.clip(out, KERNEL_CLIP, 1 - KERNEL_CLIP, out=out)
 
     def scores(self, X) -> np.ndarray:
         arr = self._check_matrix(X)
@@ -180,9 +189,26 @@ class KernelScorer(Scorer):
         for start in range(0, order.size, _BLOCK):
             rows = order[start : start + _BLOCK]
             q = arr[rows, 0]
-            den, num = self._sums(q)
-            out[rows] = self._estimate(self._weight(num, q), self._weight(den, q))
+            out[rows] = self._estimate(q, *self._sums(*self._window(q)))
         return out
+
+    def _pieces(self):
+        """The piece edges and, as int32 rows ``lo, hi``, a guess of each window."""
+        x, h = self._x, self.bandwidth
+        breaks = np.concatenate([x - h, x + h])
+        order = breaks.argsort(kind="stable")  # merges the two sorted runs
+        counts = np.zeros(breaks.size + 1, dtype=np.int32)  # x + h among the first k breaks
+        np.cumsum(order >= x.size, dtype=np.int32, out=counts[1:])
+        breaks = breaks.take(order)
+        del order
+        left_edge = np.zeros(counts.size, dtype=bool)  # after the last break of a value in (0, 1)
+        left_edge[1:] = np.append(breaks[1:] != breaks[:-1], True) & (breaks > 0) & (breaks < 1)
+        edges = np.concatenate([[0.0], breaks[left_edge[1:]], [1.0]])
+        left_edge[np.searchsorted(breaks, 0.0, side="right")] = True  # after the breaks <= 0
+        del breaks
+        lo = counts[left_edge]
+        np.subtract(np.arange(counts.size, dtype=np.int32), counts, out=counts)
+        return edges, np.stack([lo, counts[left_edge]])
 
     def acceptance_intervals(self, deltas) -> np.ndarray:
         """The 1-d acceptance sets, exactly, padded with ``(1, 1)`` rows.
@@ -194,41 +220,40 @@ class KernelScorer(Scorer):
         score's side of delta cannot change; the score at each midpoint
         decides it, global-rate fallback and clipping included.  A piece no
         root cuts keeps the midpoint and window that gave its quadratics, so
-        the sums gathered there decide it; only cut pieces are rescored.  The
-        pieces are taken ``_BLOCK`` at a time: all but the roots of ``num -
-        delta den`` and what they cut is built once per block, and each
+        the sums gathered there decide it; only cut pieces are rescored.  Each
+        window is a merge's guess, searched only where an exact check fails.
+        The pieces are taken ``_BLOCK`` at a time: all but the roots of ``num
+        - delta den`` and what they cut is built once per block, and each
         delta carries whether its set is open across a block edge, so only
         the ends of its intervals are kept.
         """
         deltas = np.asarray(deltas, dtype=float)
-        h = self.bandwidth
-        breaks = np.concatenate([self._x - h, self._x + h])
-        edges = np.unique(np.concatenate([[0.0, 1.0], breaks[(breaks > 0.0) & (breaks < 1.0)]]))
-        del breaks
-        h2 = h**2
+        h2 = self.bandwidth**2
+        edges, guess = self._pieces()
         flips = [[] for _ in range(deltas.size)]  # per delta, the cuts where acceptance flips
         is_open = np.zeros(deltas.size, dtype=bool)
         for first in range(0, edges.size - 1, _BLOCK):
             block = edges[first : first + _BLOCK + 1]
             left, right = block[:-1], block[1:]
             mid = 0.5 * (left + right)
-            den, num = self._sums(mid)  # window moments, then the quadratics they give
-            estimate = self._estimate(self._weight(num, mid), self._weight(den, mid))
-            den, num = (np.stack([-s0 / h2, 2.0 * s1 / h2, s0 - s2 / h2])
-                        for s0, s1, s2 in (den, num))
-            floor_roots = _roots_inside(den - np.array([[0.0], [0.0], [_KERNEL_MIN_WEIGHT]]),
-                                        left, right)
-            pieces = np.arange(left.size)
+            den, num = self._sums(*self._window(mid, *guess[:, first : first + _BLOCK]))
+            estimate = self._estimate(mid, den, num)
+            den, num = ((-s0 / h2, 2.0 * s1 / h2, s0 - s2 / h2) for s0, s1, s2 in (den, num))
+            floor_roots = _roots_inside((*den[:2], den[2] - _KERNEL_MIN_WEIGHT), left, right)
             for k, delta in enumerate(deltas.ravel()):
-                roots = np.unique(np.concatenate([*_roots_inside(num - delta * den, left, right),
-                                                  *floor_roots]))
-                piece = np.searchsorted(block, roots) - 1  # the one piece each root cuts
-                cuts = np.insert(block, piece + 1, roots)
-                accepted = np.insert(estimate > delta, piece + 1, False)
-                redo = np.isin(np.insert(pieces, piece + 1, piece), piece)
-                accepted[redo] = self.scores(0.5 * (cuts[:-1] + cuts[1:])[redo]) > delta
+                roots = np.sort(np.concatenate([*_roots_inside(
+                    [n - delta * d for n, d in zip(num, den)], left, right), *floor_roots]))
+                accepted, cuts = estimate > delta, block  # a block no root cuts keeps them
+                if roots.size:
+                    roots = roots[np.diff(roots, prepend=-np.inf) > 0]  # each root once
+                    piece = np.searchsorted(block, roots) - 1  # the one piece each root cuts
+                    cuts = np.insert(block, piece + 1, roots)
+                    accepted = np.insert(accepted, piece + 1, False)
+                    redo = np.isin(np.insert(np.arange(left.size), piece + 1, piece), piece)
+                    accepted[redo] = self.scores(0.5 * (cuts[:-1] + cuts[1:])[redo]) > delta
                 flips[k].append(cuts[:-1][np.diff(accepted, prepend=is_open[k])])
                 is_open[k] = accepted[-1]
+            del den, num, estimate  # before the next block builds its own
         # a set still open at the last piece ends at 1
         found = [np.append(np.concatenate(f), [1.0] if o else []).reshape(-1, 2)
                  for f, o in zip(flips, is_open)]

@@ -3,7 +3,8 @@
 ``scipy.special`` (about 0.3 s to import) serves the Gaussian closed forms and
 the logistic scorer; ``import karmic``, the Holder/kernel path and ``karmic gen``
 do not need it.  Rate studies run their rows in the calling process, so
-``concurrent.futures.process`` and ``multiprocessing`` never load.
+``concurrent.futures.process`` and ``multiprocessing`` never load.  ``numpy.ma``
+(which ``np.unique`` imports) stays off the Holder/kernel path and ``karmic gen``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import contextlib, io, json, sys
 
 LAZY = {LAZY!r}
 loaded = lambda: [name for name in LAZY if name in sys.modules]
+masked = lambda: "numpy.ma" in sys.modules
 
 import numpy as np
 import karmic
@@ -43,10 +45,12 @@ out = {{"import": loaded()}}
 holder = ExperimentConfig(HolderModel("sine"), "fbeta:1", EstimatorSpec("kernel"), (256,), 1)
 out["holder-kernel csv"] = run_rate_experiment(holder).csv_text()
 out["holder-kernel"] = loaded()
+out["holder-kernel masked"] = masked()
 with contextlib.redirect_stdout(io.StringIO()):
     out["gen code"] = main(["gen", "--model", "holder", "--n", "100", "--seed", "1",
                             "--out", sys.argv[1]])
 out["gen"] = loaded()
+out["gen masked"] = masked()
 gauss = ExperimentConfig(GaussianModel(np.array([2.0, 0.0]), 0.5), "fbeta:1",
                          EstimatorSpec("logistic"), (256,), 1)
 out["gaussian-logistic csv"] = run_rate_experiment(gauss).csv_text()
@@ -64,6 +68,7 @@ def test_scipy_and_the_pool_load_on_first_use(tmp_path) -> None:
     assert out["gen code"] == 0
     assert out["import"] == out["holder-kernel"] == out["gen"] == []
     assert out["gaussian-logistic"] == ["scipy.special"]
+    assert not out["holder-kernel masked"] and not out["gen masked"]
     for name, cfg in STUDIES.items():
         csv = run_rate_experiment(cfg).csv_text()
         assert out[f"{name} csv"] == csv

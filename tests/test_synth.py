@@ -23,6 +23,7 @@ from scipy.special import expit, logit, ndtr
 from karmic import (
     ConstantScorer,
     DimensionMismatchError,
+    ExperimentConfig,
     GaussianModel,
     HolderModel,
     LogisticScorer,
@@ -43,6 +44,7 @@ from helpers import margin_exponent_estimate
 
 SINE = HolderModel("sine")
 GOLDEN_CURVE = Path(__file__).parent / "data" / "population_curve_v1.npz"
+CONFIGS = Path(__file__).parent.parent / "configs"
 CURVE_MODELS = {
     "ref": GaussianModel(np.array([2.0, 0.0]), 0.5),
     "gauss": GaussianModel([1.2, -0.7], 0.3),
@@ -125,6 +127,22 @@ class TestSamplers:
         data = GaussianModel(mu, 0.3).sample(3000, 4)
         assert data.labels.tolist() == labels.tolist()
         assert data.features.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("model", [HolderModel("sine"), GaussianModel(np.array([1.5]), 0.3),
+                                       GaussianModel(np.array([2.0, 0.0]), 0.5),
+                                       GaussianModel(np.array([0.3, -1.0, 2.0, 0.25, 7.0]), 0.6)],
+                             ids=["holder", "gaussian-d1", "gaussian-d2", "gaussian-d5"])
+    def test_a_sample_is_the_first_rows_of_a_larger_one(self, model) -> None:
+        # a rate study draws each seed once, at its largest n, and gives each
+        # row the first n rows; every n of both committed configs is checked
+        sizes = sorted({n for name in ("rate_gaussian_f1.cfg", "rate_holder_f1.cfg")
+                        for n in ExperimentConfig.from_file(str(CONFIGS / name)).n_list})
+        for seed in (0, 7):
+            full = model.sample(sizes[-1], seed)
+            for n in sizes:
+                data = model.sample(n, seed)
+                assert data.features.tobytes() == full.features[:n].tobytes()
+                assert data.labels.tobytes() == full.labels[:n].tobytes()
 
     def test_holder_determinism_and_support(self) -> None:
         m = HolderModel("sine")
