@@ -263,9 +263,9 @@ class KernelScorer(Scorer):
         return out.reshape(deltas.shape + out.shape[1:])
 
 
-def _roots_inside(coef: np.ndarray, left: np.ndarray, right: np.ndarray):
-    """Both roots of each quadratic ``c2 q^2 + c1 q + c0`` (columns of
-    ``coef``), kept where they fall strictly inside ``(left, right)``.
+def _roots_inside(coef, left: np.ndarray, right: np.ndarray):
+    """Both roots of each quadratic ``c2 q^2 + c1 q + c0`` (``coef`` holds the
+    arrays ``c2, c1, c0``), kept where they fall strictly inside ``(left, right)``.
 
     Uses the cancellation-free pair ``t / c2`` and ``c0 / t`` with
     ``t = -(c1 + sign(c1) sqrt(disc)) / 2``, which also yields the one root
